@@ -1,11 +1,14 @@
 """Time evolution of f_tt - f_xx + sin f = 0 and conservation diagnostics.
 
 Two backends: a leapfrog finite-difference scheme that handles kink-topology
-(non-periodic) fields, and a Strang split-step spectral scheme for
-zero-topology fields where the linear half is propagated exactly in Fourier
-space.  Conserved quantities E0, P and the higher invariants E2, E4 are
-functionals of a single State: time derivatives beyond phi_t are eliminated
-through the equation itself (phi_tt = phi_xx - sin phi).
+(non-periodic) fields, and one kick-drift-kick composition routine for
+zero-topology fields, where the linear part is propagated exactly on the half
+spectrum.  Strang splitting is its one-weight case and the 4th-order Yoshida
+scheme its three-weight case; adjacent half-kicks are fused, and the blow-up
+guard runs once per recorded snapshot.  Conserved quantities E0, P and the
+higher invariants E2, E4 are functionals of a single State: time derivatives
+beyond phi_t are eliminated through the equation itself
+(phi_tt = phi_xx - sin phi).
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from dataclasses import dataclass, field as dc_field
 from enum import Enum
 
 import numpy as np
+import scipy.fft
 
-from .fields import Field, State, Topology, spatial_derivative
+from .fields import Field, State, Topology, _fd_stencil, spatial_derivative
 
 __all__ = [
     "SchemeKind",
@@ -38,6 +42,14 @@ class SchemeKind(Enum):
     # Yoshida triple-jump composition of the Strang step: 4th order in time,
     # needed where 2nd-order truncation would swamp a conservation tolerance
     YOSHIDA4_SPECTRAL = "yoshida4-spectral"
+
+
+# drift weights per composition; Yoshida: w1, 1-2*w1, w1, w1 = 1/(2-2^(1/3))
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_DRIFT_WEIGHTS = {
+    SchemeKind.STRANG_SPLIT_SPECTRAL: (1.0,),
+    SchemeKind.YOSHIDA4_SPECTRAL: (_W1, 1.0 - 2.0 * _W1, _W1),
+}
 
 
 @dataclass(frozen=True)
@@ -68,36 +80,41 @@ class Trajectory:
 
 
 def _guard(arr: np.ndarray) -> None:
-    if np.max(np.abs(arr)) > _BLOWUP:
+    """Raise on |value| > 1e6, and on NaN, which fails every comparison."""
+    if not np.max(np.abs(arr)) <= _BLOWUP:
         raise RuntimeError("blow-up detected (|value| > 1e6); check setup")
 
 
-def _laplacian(values: np.ndarray, grid) -> np.ndarray:
-    return spatial_derivative(Field(grid, values), 2).values
+def _whole_steps(span: float, dt: float, name: str) -> int:
+    steps = span / dt
+    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        raise ValueError(f"{name}={span} is not a positive whole number of "
+                         f"steps dt={dt}")
+    return int(round(steps))
 
 
 def evolve(s0: State, scheme: Scheme, t_end: float, snapshot_every: float,
            observers: dict | None = None) -> Trajectory:
     """Integrate s0 to t_end, recording snapshots every snapshot_every.
 
+    Both t_end - s0.time and snapshot_every must be whole multiples of dt
+    (to 1e-9 steps); otherwise ValueError, rather than a rounded step count.
+    The last step is always recorded.  The blow-up guard checks each recorded
+    snapshot only, so detection can lag by up to one snapshot stride.
+
     Observer callables receive each snapshot State; their results are stored
     under trajectory.observations[name] as (time, value) lists.
     """
-    if t_end <= s0.time:
-        raise ValueError("t_end must exceed the initial time")
     dt = scheme.dt
     dx = s0.grid.dx
+    n_steps = _whole_steps(t_end - s0.time, dt, "t_end - s0.time")
+    stride = _whole_steps(snapshot_every, dt, "snapshot_every")
     if scheme.kind is SchemeKind.LEAPFROG:
         if dt > 0.9 * dx + 1e-14:
             raise ValueError(f"CFL violation: dt={dt} > 0.9*dx={0.9*dx}")
-        stepper = _leapfrog_run
-    else:
-        if s0.topology is Topology.KINK:
-            raise ValueError("spectral scheme requires zero topology")
-        stepper = _spectral_runner(scheme.kind)
+    elif s0.topology is Topology.KINK:
+        raise ValueError("spectral scheme requires zero topology")
 
-    n_steps = int(round((t_end - s0.time) / dt))
-    stride = max(1, int(round(snapshot_every / dt)))
     traj = Trajectory(states=[])
     observers = observers or {}
     for name in observers:
@@ -108,24 +125,28 @@ def evolve(s0: State, scheme: Scheme, t_end: float, snapshot_every: float,
         for name, fn in observers.items():
             traj.observations[name].append((state.time, fn(state)))
 
-    stepper(s0, dt, n_steps, stride, record)
+    if scheme.kind is SchemeKind.LEAPFROG:
+        _leapfrog_run(s0, dt, n_steps, stride, record)
+    else:
+        _composition_run(_DRIFT_WEIGHTS[scheme.kind], s0, dt, n_steps,
+                         stride, record)
     return traj
 
 
 def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int, record):
     grid = s0.grid
     f_prev = s0.phi.values.astype(float).copy()
-    accel0 = _laplacian(f_prev, grid) - np.sin(f_prev)
+    accel0 = _fd_stencil(f_prev, grid.dx, 2) - np.sin(f_prev)
     f_cur = f_prev + dt * s0.phi_t.values + 0.5 * dt * dt * accel0
     _clamp(f_cur, f_prev)
     record(s0)
     t0 = s0.time
     for n in range(1, n_steps + 1):
-        accel = _laplacian(f_cur, grid) - np.sin(f_cur)
+        accel = _fd_stencil(f_cur, grid.dx, 2) - np.sin(f_cur)
         f_next = 2.0 * f_cur - f_prev + dt * dt * accel
         _clamp(f_next, f_prev)
-        _guard(f_next)
         if n % stride == 0 or n == n_steps:
+            _guard(f_next)
             phi_t = (f_next - f_prev) / (2.0 * dt)
             record(State(Field(grid, f_cur.copy()), Field(grid, phi_t),
                          t0 + n * dt, s0.topology))
@@ -138,59 +159,46 @@ def _clamp(f_new: np.ndarray, f_ref: np.ndarray) -> None:
     f_new[-_CLAMP:] = f_ref[-_CLAMP:]
 
 
-def _strang_step_maker(grid, h: float):
-    """One kick-drift-kick Strang step of size h on (phi, phi_t) arrays.
+def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
+                     stride: int, record):
+    """Composition of kick-drift-kick Strang steps of sizes w*dt, w in weights.
 
-    Kick: half-step of the nonlinearity on phi_t; drift: exact spectral
-    propagator of the free wave equation on (phi, phi_t).
+    Kick: the nonlinearity on phi_t; drift: the exact propagator of the free
+    wave equation, applied on the half spectrum of the (phi, phi_t) rows.
+    Adjacent half-kicks are fused, across steps too (first-same-as-last),
+    and split only on steps that record, so each recorded phi_t is
+    synchronised with phi.
     """
-    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
-    axi = np.abs(xi)
-    cos_w = np.cos(axi * h)
-    # sin(|xi| h)/|xi| with the xi=0 limit h
-    sinc_w = np.where(axi > 0, np.sin(axi * h) / np.where(axi > 0, axi, 1.0), h)
-    wsin_w = axi * np.sin(axi * h)
-
-    def step(phi, pt):
-        pt = pt - 0.5 * h * np.sin(phi)
-        ph = np.fft.fft(phi)
-        pth = np.fft.fft(pt)
-        ph, pth = cos_w * ph + sinc_w * pth, -wsin_w * ph + cos_w * pth
-        phi = np.fft.ifft(ph).real
-        pt = np.fft.ifft(pth).real
-        pt = pt - 0.5 * h * np.sin(phi)
-        return phi, pt
-
-    return step
-
-
-def _spectral_runner(kind: SchemeKind):
-    def run(s0: State, dt: float, n_steps: int, stride: int, record):
-        grid = s0.grid
-        if kind is SchemeKind.STRANG_SPLIT_SPECTRAL:
-            substeps = [_strang_step_maker(grid, dt)]
-        else:
-            # Yoshida coefficients: w1, w0, w1 with w1 = 1/(2-2^(1/3))
-            w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-            w0 = 1.0 - 2.0 * w1
-            substeps = [
-                _strang_step_maker(grid, w1 * dt),
-                _strang_step_maker(grid, w0 * dt),
-                _strang_step_maker(grid, w1 * dt),
-            ]
-        phi = s0.phi.values.astype(float).copy()
-        pt = s0.phi_t.values.astype(float).copy()
-        record(s0)
-        t0 = s0.time
-        for n in range(1, n_steps + 1):
-            for step in substeps:
-                phi, pt = step(phi, pt)
-            _guard(phi)
-            if n % stride == 0 or n == n_steps:
-                record(State(Field(grid, phi.copy()), Field(grid, pt.copy()),
-                             t0 + n * dt, s0.topology))
-
-    return run
+    grid, n = s0.grid, s0.grid.n
+    axi = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=grid.dx)
+    drifts = []
+    for w in weights:
+        h = w * dt
+        # sin(|xi| h)/|xi| with the xi=0 limit h
+        sinc = np.where(axi > 0, np.sin(axi * h) / np.where(axi > 0, axi, 1.0), h)
+        drifts.append((np.cos(axi * h), sinc, axi * np.sin(axi * h)))
+    inner = [0.5 * (a + b) * dt for a, b in zip(weights, weights[1:])]
+    head, tail = 0.5 * weights[0] * dt, 0.5 * weights[-1] * dt
+    x = np.array([s0.phi.values, s0.phi_t.values], dtype=float)
+    spec = np.empty((2, n // 2 + 1), dtype=complex)
+    record(s0)
+    x[1] -= head * np.sin(x[0])
+    for step in range(1, n_steps + 1):
+        for i, (cos_w, sinc_w, wsin_w) in enumerate(drifts):
+            if i:
+                x[1] -= inner[i - 1] * np.sin(x[0])
+            xh = scipy.fft.rfft(x)
+            np.multiply(cos_w, xh, out=spec)
+            spec[0] += sinc_w * xh[1]
+            spec[1] -= wsin_w * xh[0]
+            x = scipy.fft.irfft(spec, n)
+        recording = step % stride == 0 or step == n_steps
+        x[1] -= (tail if recording else tail + head) * np.sin(x[0])
+        if recording:
+            _guard(x)
+            record(State(Field(grid, x[0].copy()), Field(grid, x[1].copy()),
+                         s0.time + step * dt, s0.topology))
+            x[1] -= head * np.sin(x[0])
 
 
 def pde_residual(traj: Trajectory, t: float) -> Field:
@@ -202,7 +210,7 @@ def pde_residual(traj: Trajectory, t: float) -> Field:
     dt = times[i + 1] - times[i]
     fm, f0, fp = (traj.states[j].phi.values for j in (i - 1, i, i + 1))
     f_tt = (fp - 2.0 * f0 + fm) / dt**2
-    f_xx = _laplacian(f0, traj.states[i].grid)
+    f_xx = _fd_stencil(f0, traj.states[i].grid.dx, 2)
     return Field(traj.states[i].grid, f_tt - f_xx + np.sin(f0))
 
 

@@ -140,11 +140,14 @@ _D2_LEFT = [
 
 def spatial_derivative(f: Field, order: int) -> Field:
     """4th-order finite-difference d^k/dx^k, one-sided at the boundaries."""
+    return Field(f.grid, _fd_stencil(f.values, f.grid.dx, order))
+
+
+def _fd_stencil(v: np.ndarray, dx: float, order: int) -> np.ndarray:
+    """spatial_derivative on raw samples, for hot loops that skip Field checks."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    v = f.values
-    dx = f.grid.dx
-    out = np.empty_like(v, dtype=complex if f.is_complex else float)
+    out = np.empty_like(v, dtype=complex if np.iscomplexobj(v) else float)
     if order == 1:
         interior, left, sign = _D1_INTERIOR, _D1_LEFT, -1.0
     else:
@@ -159,7 +162,7 @@ def spatial_derivative(f: Field, order: int) -> Field:
         # mirrored one-sided stencil at the right boundary
         out[-1 - row] = sign * (stencil @ v[::-1][:m])
     out /= dx**order
-    return Field(f.grid, out)
+    return out
 
 
 def _check_zero_topology(f: Field) -> None:

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgkink.evolve import (
     Scheme,
     SchemeKind,
+    _guard,
     conserved_quantities,
     em_conservation_residual,
     evolve,
@@ -33,6 +35,36 @@ def kink_state(grid, t=0.0, beta=0.2):
 def small_state(grid, eps=0.05):
     p = eps * np.exp(-grid.x**2)
     return State(Field(grid, p), Field(grid, p.copy()), 0.0, Topology.ZERO)
+
+
+def breather_state(grid):
+    return sample_state(Breather(BreatherParams(0.0, 0.8, 0.0, 0.0)), grid, 0.0)
+
+
+_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_WEIGHTS = {
+    SchemeKind.STRANG_SPLIT_SPECTRAL: (1.0,),
+    SchemeKind.YOSHIDA4_SPECTRAL: (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1,
+                                   _YOSHIDA_W1),
+}
+
+
+def reference_steps(phi, pt, grid, weights, dt, n_steps):
+    """Unfused kick-drift-kick Strang substeps on the full complex spectrum."""
+    axi = np.abs(2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx))
+    for _ in range(n_steps):
+        for w in weights:
+            h = w * dt
+            cos_w = np.cos(axi * h)
+            sinc_w = np.where(axi > 0,
+                              np.sin(axi * h) / np.where(axi > 0, axi, 1.0), h)
+            wsin_w = axi * np.sin(axi * h)
+            pt = pt - 0.5 * h * np.sin(phi)
+            ph, pth = np.fft.fft(phi), np.fft.fft(pt)
+            ph, pth = cos_w * ph + sinc_w * pth, -wsin_w * ph + cos_w * pth
+            phi, pt = np.fft.ifft(ph).real, np.fft.ifft(pth).real
+            pt = pt - 0.5 * h * np.sin(phi)
+    return phi, pt
 
 
 class TestEvolve:
@@ -99,6 +131,59 @@ class TestEvolve:
             errs.append(np.max(np.abs(traj.states[-1].phi.values
                                       - exact.phi.values)))
         assert errs[0] / errs[1] > 3.0  # ~2^2
+
+    def test_yoshida4_fourth_order_in_time(self, grid):
+        sol = Breather(BreatherParams(0.0, 0.8, 0.0, 0.0))
+        s0 = sample_state(sol, grid, 0.0)
+        errs = []
+        for dt in (0.1, 0.05):
+            traj = evolve(s0, Scheme(SchemeKind.YOSHIDA4_SPECTRAL, dt),
+                          2.0, snapshot_every=2.0)
+            exact = sample_state(sol, grid, 2.0)
+            errs.append(np.max(np.abs(traj.states[-1].phi.values
+                                      - exact.phi.values)))
+        assert errs[0] / errs[1] > 12.0  # ~2^4
+
+    @pytest.mark.parametrize("t_end,snapshot_every", [(1.0, 0.25), (0.9, 0.5)])
+    def test_rejects_step_counts_it_would_round(self, grid, t_end,
+                                                snapshot_every):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            evolve(small_state(grid),
+                   Scheme(SchemeKind.STRANG_SPLIT_SPECTRAL, 0.3), t_end,
+                   snapshot_every=snapshot_every)
+
+    @pytest.mark.parametrize("value", [np.nan, 2e6])
+    def test_guard_trips_on_blowup_and_nan(self, value):
+        _guard(np.array([1.0, -1e6]))
+        with pytest.raises(RuntimeError, match="blow-up"):
+            _guard(np.array([value]))
+
+
+class TestComposition:
+    """The spectral schemes against an unfused complex-FFT reference."""
+
+    @pytest.mark.parametrize("kind", list(_WEIGHTS))
+    def test_matches_reference_at_every_snapshot(self, grid, kind):
+        s0 = breather_state(grid)
+        dt = grid.dx / 2
+        traj = evolve(s0, Scheme(kind, dt), 2.0, snapshot_every=0.5)
+        phi, pt = s0.phi.values, s0.phi_t.values
+        for state in traj.states[1:]:
+            phi, pt = reference_steps(phi, pt, grid, _WEIGHTS[kind], dt, 16)
+            assert np.max(np.abs(state.phi.values - phi)) < 1e-11
+            assert np.max(np.abs(state.phi_t.values - pt)) < 1e-11
+
+    @given(kind=st.sampled_from(list(_WEIGHTS)), stride=st.integers(1, 8))
+    @settings(max_examples=10, deadline=None)
+    def test_final_state_independent_of_stride(self, grid, kind, stride):
+        s0 = breather_state(grid)
+        dt = grid.dx / 2
+        ref = evolve(s0, Scheme(kind, dt), 1.0, snapshot_every=1.0)
+        traj = evolve(s0, Scheme(kind, dt), 1.0, snapshot_every=stride * dt)
+        assert traj.times[-1] == ref.times[-1]
+        for a, b in ((traj.states[-1].phi, ref.states[-1].phi),
+                     (traj.states[-1].phi_t, ref.states[-1].phi_t)):
+            assert np.max(np.abs(a.values - b.values)) < 1e-12
 
 
 class TestPdeResidual:
