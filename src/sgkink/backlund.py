@@ -1,23 +1,26 @@
 """The Backlund transform in both directions and its constructive solves.
 
 forward_transform builds a kink-topology solution from a small zero-topology
-state by integrating the first Backlund equation as an ODE in x, pinned at
-f(center) = pi and swept outward (the outward direction is the stable one:
-the tails attract).  inverse_transform recovers (delta, y, phi) from a
-near-kink state by a staged quasi-Newton iteration on the functional
+state by integrating the first Backlund equation as an ODE in x with RK4,
+pinned at f(center) = pi and swept outward (the outward direction is the
+stable one: the tails attract).  inverse_transform recovers (delta, y, phi)
+from a near-kink state by a staged quasi-Newton iteration on the functional
 F = (F1, F2, F3), with a closed-form solve of the linearized F2 equation as
-the inner linear solver.  The I-operator and the difference reconstruction
-implement the integral identities used to convert the phi-decay into decay
-of f minus the recentered kink.
+the inner linear solver.  The I-operator, a damped linear sweep outward from
+the kink center, and the difference reconstruction implement the integral
+identities used to convert the phi-decay into decay of f minus the
+recentered kink.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .exact import KinkParams, kink_identities, sech
 from .fields import Field, Lp, State, Topology, norm, spatial_derivative
@@ -138,86 +141,53 @@ def backlund_residual(f: State, phi: State, a: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Outward RK4 sweeps from an interior anchor
-
-
-def _half_samples(values: np.ndarray, grid) -> np.ndarray:
-    """Cubic-spline samples at the midpoints x_j + dx/2."""
-    spline = CubicSpline(grid.x, values)
-    return spline(grid.x[:-1] + 0.5 * grid.dx)
-
-
-def _rk4_outward(grid, anchor: float, y_anchor: float, rhs_at, rhs_anchor):
-    """Integrate y' = rhs(x, y) from x=anchor to every grid node.
-
-    rhs_at(j, frac, y) evaluates the right-hand side at x = x_j + frac*dx
-    using precomputed node/midpoint data (frac in {0, 0.5, 1}); rhs_anchor
-    is a callable rhs(x, y) used only for the two partial steps off the
-    anchor, where arbitrary x values occur.
-    """
-    x = grid.x
-    dx = grid.dx
-    if not (x[0] <= anchor <= x[-1]):
-        raise ValueError("anchor outside grid")
-    k0 = int(np.searchsorted(x, anchor))  # first node >= anchor
-    out = np.empty(grid.n)
-
-    def rk4_generic(x0, y0, h, f):
-        k1 = f(x0, y0)
-        k2 = f(x0 + 0.5 * h, y0 + 0.5 * h * k1)
-        k3 = f(x0 + 0.5 * h, y0 + 0.5 * h * k2)
-        k4 = f(x0 + h, y0 + h * k3)
-        return y0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    # partial steps onto the bracketing nodes
-    if k0 < grid.n:
-        out[k0] = rk4_generic(anchor, y_anchor, x[k0] - anchor, rhs_anchor)
-    if k0 > 0:
-        out[k0 - 1] = rk4_generic(anchor, y_anchor, x[k0 - 1] - anchor,
-                                  rhs_anchor)
-
-    # node-to-node sweeps using tabulated rhs data
-    for j in range(k0, grid.n - 1):
-        y = out[j]
-        k1 = rhs_at(j, 0.0, y)
-        k2 = rhs_at(j, 0.5, y + 0.5 * dx * k1)
-        k3 = rhs_at(j, 0.5, y + 0.5 * dx * k2)
-        k4 = rhs_at(j + 1, 0.0, y + dx * k3)
-        out[j + 1] = y + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    for j in range(k0 - 1, 0, -1):
-        y = out[j]
-        k1 = rhs_at(j, 0.0, y)
-        k2 = rhs_at(j - 1, 0.5, y - 0.5 * dx * k1)
-        k3 = rhs_at(j - 1, 0.5, y - 0.5 * dx * k2)
-        k4 = rhs_at(j - 1, 0.0, y - dx * k3)
-        out[j - 1] = y - (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out
+# The forward transform: an outward RK4 sweep from the anchor
 
 
 def forward_transform(phi: State, a: float, center: float) -> State:
-    """Backlund transform of a small zero-topology state: a kink-type State."""
+    """Backlund transform of a small zero-topology state: a kink-type State.
+
+    RK4 on f' = phi_t + sin((f+phi)/2)/a + a sin((f-phi)/2) from f(center)
+    = pi outward to every node.  Node-to-node steps take phi and phi_t at the
+    nodes and, at the midpoints, from a cubic spline, which also supplies the
+    two partial steps off the anchor.
+    """
     if phi.topology is Topology.KINK:
         raise ValueError("forward_transform needs a zero-topology state")
     grid = phi.grid
-    pv = phi.phi.values
-    ptv = phi.phi_t.values
-    p_half = _half_samples(pv, grid)
-    pt_half = _half_samples(ptv, grid)
-    p_spline = CubicSpline(grid.x, pv)
-    pt_spline = CubicSpline(grid.x, ptv)
+    x, dx, n = grid.x, grid.dx, grid.n
+    if not (x[0] <= center <= x[-1]):
+        raise ValueError("anchor outside grid")
+    pv, ptv = phi.phi.values, phi.phi_t.values
+    p_spline = CubicSpline(x, pv)
+    pt_spline = CubicSpline(x, ptv)
+    mid = x[:-1] + 0.5 * dx
+    p_mid, pt_mid = p_spline(mid), pt_spline(mid)
 
-    def rhs_f(pval, ptval, f):
-        return ptval + np.sin(0.5 * (f + pval)) / a + a * np.sin(0.5 * (f - pval))
+    def rhs(p, pt, f):
+        return pt + math.sin(0.5 * (f + p)) / a + a * math.sin(0.5 * (f - p))
 
-    def rhs_at(j, frac, f):
-        if frac == 0.0:
-            return rhs_f(pv[j], ptv[j], f)
-        return rhs_f(p_half[j], pt_half[j], f)
+    def step(f, h, p0, pt0, pm, ptm, p1, pt1):
+        k1 = rhs(p0, pt0, f)
+        k2 = rhs(pm, ptm, f + 0.5 * h * k1)
+        k3 = rhs(pm, ptm, f + 0.5 * h * k2)
+        k4 = rhs(p1, pt1, f + h * k3)
+        return f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def rhs_anchor(x, f):
-        return rhs_f(float(p_spline(x)), float(pt_spline(x)), f)
-
-    fvals = _rk4_outward(grid, center, np.pi, rhs_at, rhs_anchor)
+    k0 = int(np.searchsorted(x, center))  # first node >= center
+    fvals = np.empty(n)
+    for k in (k0, k0 - 1):  # partial steps onto the bracketing nodes
+        if 0 <= k < n:
+            h = x[k] - center
+            at = [center, center + 0.5 * h, x[k]]
+            (p0, pm, p1), (pt0, ptm, pt1) = p_spline(at), pt_spline(at)
+            fvals[k] = step(math.pi, h, p0, pt0, pm, ptm, p1, pt1)
+    for j in range(k0, n - 1):
+        fvals[j + 1] = step(fvals[j], dx, pv[j], ptv[j], p_mid[j], pt_mid[j],
+                            pv[j + 1], ptv[j + 1])
+    for j in range(k0 - 1, 0, -1):
+        fvals[j - 1] = step(fvals[j], -dx, pv[j], ptv[j], p_mid[j - 1],
+                            pt_mid[j - 1], pv[j - 1], ptv[j - 1])
     if abs(fvals[0]) > 1e-3 or abs(fvals[-1] - 2.0 * np.pi) > 1e-3:
         raise ValueError(
             f"tails did not converge to (0, 2pi): ({fvals[0]:.3e}, "
@@ -259,6 +229,23 @@ def eval_F(delta: float, y: float, v0: Field, v1: Field, u0: Field,
     return FTriple(Field(grid, f1), Field(grid, f2), f3)
 
 
+def _cell_integrals(h: np.ndarray, dx: float, q: float = 1.0) -> np.ndarray:
+    """int_{x_j}^{x_{j+1}} q^((x_{j+1}-x)/dx) h(x) dx over each cell, 4th order.
+
+    Cubic interpolation of the integrand through the four surrounding nodes
+    (one-sided at the ends); on the damped integrand the weights are powers
+    of q.
+    """
+    inc = np.empty(len(h) - 1)
+    inc[1:-1] = (dx / 24.0) * (-q * q * h[:-3] + 13.0 * q * h[1:-2]
+                               + 13.0 * h[2:-1] - h[3:] / q)
+    inc[0] = (dx / 24.0) * (9.0 * q * h[0] + 19.0 * h[1] - 5.0 * h[2] / q
+                            + h[3] / (q * q))
+    inc[-1] = (dx / 24.0) * (9.0 * h[-1] + 19.0 * q * h[-2]
+                             - 5.0 * q * q * h[-3] + q**3 * h[-4])
+    return inc
+
+
 def _cumulative_integrals(h: np.ndarray, dx: float):
     """(prefix, suffix) integrals of samples h, 4th-order increments.
 
@@ -267,13 +254,7 @@ def _cumulative_integrals(h: np.ndarray, dx: float):
     right.  Separate accumulation directions keep the rounding error of each
     value relative to its own (possibly exponentially small) magnitude.
     """
-    n = len(h)
-    inc = np.empty(n - 1)
-    # interior: cubic interpolation through the four surrounding nodes
-    inc[1:-1] = (dx / 24.0) * (-h[:-3] + 13.0 * h[1:-2] + 13.0 * h[2:-1]
-                               - h[3:])
-    inc[0] = (dx / 24.0) * (9.0 * h[0] + 19.0 * h[1] - 5.0 * h[2] + h[3])
-    inc[-1] = (dx / 24.0) * (9.0 * h[-1] + 19.0 * h[-2] - 5.0 * h[-3] + h[-4])
+    inc = _cell_integrals(h, dx)
     prefix = np.concatenate([[0.0], np.cumsum(inc)])
     suffix = np.concatenate([np.cumsum(inc[::-1])[::-1], [0.0]])
     return prefix, suffix
@@ -404,34 +385,49 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
 def operator_I(F: Field, beta: float, center: float, t: float) -> Field:
     """(I F)(x) = int_cbar^x cosh(g(y-cbar))/cosh(g(x-cbar)) F(y) dy.
 
-    Computed as the outward-stable ODE u' = F - gamma tanh(g(x-cbar)) u with
-    u(cbar) = 0; the decaying homogeneous solution makes outward RK4 sweeps
-    well conditioned, and no cosh is ever evaluated directly.
+    With z = g(x - cbar) and y, x on one side of cbar,
+    cosh(z_y)/cosh(z_x) = e^{-g|x-y|} (1+e^{-2|z_y|}) / (1+e^{-2|z_x|}), so
+    (1+e^{-2|z|}) I is a damped sweep outward from cbar with kernel
+    e^{-g dx} per node, and no cosh is ever evaluated.  Each side is swept
+    on its own, since (1+e^{-2|z|}) F has a corner at cbar; the short cell
+    from cbar to the nearest node takes Gauss-Legendre on a cubic spline of F
+    through the 16 nodes around cbar.
     """
     grid = F.grid
+    x, dx, n = grid.x, grid.dx, grid.n
     cbar = beta * t + center
-    if not (grid.x[0] <= cbar <= grid.x[-1]):
+    if not (x[0] <= cbar <= x[-1]):
         raise ValueError(f"center {cbar} outside grid")
     gamma = BacklundParam(KinkParams(beta, 0.0).a).gamma
     fv = F.values
-    f_half = _half_samples(fv, grid)
-    f_spline = CubicSpline(grid.x, fv)
-    x = grid.x
-    dx = grid.dx
-
-    def rhs(xval, fval, u):
-        return fval - gamma * np.tanh(gamma * (xval - cbar)) * u
-
-    def rhs_at(j, frac, u):
-        if frac == 0.0:
-            return rhs(x[j], fv[j], u)
-        return rhs(x[j] + 0.5 * dx, f_half[j], u)
-
-    def rhs_anchor(xval, u):
-        return rhs(xval, float(f_spline(xval)), u)
-
-    vals = _rk4_outward(grid, cbar, 0.0, rhs_at, rhs_anchor)
-    return Field(grid, vals)
+    k0 = int(np.searchsorted(x, cbar))  # first node >= cbar
+    near = slice(max(0, k0 - 8), k0 + 8)
+    spline = CubicSpline(x[near], fv[near])
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(4)
+    out = np.zeros(n)
+    # node indices in sweep order, reaching back across cbar so that every
+    # cell has its 4-point stencil; signed z keeps each side's h smooth there
+    right = np.arange(max(0, min(k0 - 1, n - 4)), n)
+    left = np.arange(min(n - 1, max(k0, 3)), -1, -1)
+    for sign, idx, first in ((1.0, right, k0 - right[0]),
+                             (-1.0, left, left[0] - k0 + 1)):
+        if first >= len(idx):
+            continue
+        z = gamma * sign * (x[idx] - cbar)
+        h = (1.0 + np.exp(-2.0 * z)) * fv[idx]
+        cell = z[first] / gamma  # distance from cbar to the nearest node
+        u = 0.5 * cell * (gl_nodes + 1.0)
+        short = 0.5 * cell * np.sum(
+            gl_weights * np.exp(-gamma * (cell - u))
+            * (1.0 + np.exp(-2.0 * gamma * u)) * spline(cbar + sign * u))
+        # J_{j+1} = q J_j + cell integral: one lower-bidiagonal solve
+        q = np.exp(-gamma * dx)
+        rhs = np.concatenate([[short], _cell_integrals(h, dx, q)[first:]])
+        bands = np.empty((2, len(rhs)))
+        bands[0], bands[1] = 1.0, -q
+        J = solve_banded((1, 0), bands, rhs)
+        out[idx[first:]] = sign * J / (1.0 + np.exp(-2.0 * z[first:]))
+    return Field(grid, out)
 
 
 def reconstruct_difference(phi: State, beta: float, center: float) -> Field:

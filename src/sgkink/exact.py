@@ -28,7 +28,6 @@ __all__ = [
     "evaluate",
     "sample_state",
     "kink_identities",
-    "lorentz_boost_solution",
 ]
 
 
@@ -230,10 +229,6 @@ class BoostedSolution(ExactSolution):
         y = g * (np.asarray(x, float) - b * np.asarray(t, float))
         f, f_t, f_x = self.base.evaluate(tau, y)
         return f, g * f_t - b * g * f_x, -b * g * f_t + g * f_x
-
-
-def lorentz_boost_solution(sol: ExactSolution, beta: float) -> ExactSolution:
-    return BoostedSolution(sol, beta)
 
 
 def evaluate(sol: ExactSolution, t, x) -> dict:

@@ -16,7 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .backlund import backlund_residual, forward_transform, inverse_transform
-from .evolve import Scheme, SchemeKind, Trajectory, conserved_quantities, evolve
+from .evolve import (
+    Scheme,
+    SchemeKind,
+    Trajectory,
+    _whole_steps,
+    conserved_quantities,
+    evolve,
+)
 from .exact import (
     Breather,
     BreatherParams,
@@ -114,6 +121,9 @@ class ExperimentConfig:
                 raise ValueError(f"custom_file {self.custom_file} does not exist")
         if self.data not in ("kink", "breather", "perturbed-kink"):
             raise ValueError(f"unknown conservation data {self.data!r}")
+        if self.name != "backlund-roundtrip":  # the only runner without evolve
+            _whole_steps(self.t_end, self.time_step, "t_end")
+            _whole_steps(self.snapshot_every, self.time_step, "snapshot_every")
 
     @property
     def grid(self) -> Grid:

@@ -245,33 +245,34 @@ def _lp(values: np.ndarray, dx: float, p: float) -> float:
 def _l2plus_linf(values: np.ndarray, dx: float) -> float:
     """min over lam >= 0 of ||(|g|-lam)_+||_2 + lam (clamped-split family).
 
-    The objective is convex in lam; golden-section search on [0, max|g|].
+    Exact minimiser.  With |g| sorted in descending order and S0, S1, S2 the
+    cumulative trapezoid-weighted sums of 1, |g| and |g|^2, the objective on
+    the interval where the top k samples are active is
+    sqrt(S2 - 2 lam S1 + lam^2 S0) + lam, stationary (for S0 > 1) at
+    lam = (S1 - sqrt((S0 S2 - S1^2) / (S0 - 1))) / S0.  The objective is
+    convex, so its minimiser is the best of the stationary points that lie in
+    their own interval and the ends lam = 0 and lam = max|g|.  The value
+    returned is the objective evaluated there directly, which keeps the
+    cancellation in S0 S2 - S1^2 out of it.
     """
     a = np.abs(values)
-    hi = float(np.max(a)) if a.size else 0.0
-    if hi == 0.0:
-        return 0.0
-
-    def obj(lam: float) -> float:
-        clipped = np.maximum(a - lam, 0.0)
-        return float(np.sqrt(np.trapezoid(clipped**2, dx=dx))) + lam
-
-    lo = 0.0
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = obj(c), obj(d)
-    b_lo, b_hi = lo, hi
-    for _ in range(90):
-        if fc < fd:
-            b_hi, d, fd = d, c, fc
-            c = b_hi - invphi * (b_hi - b_lo)
-            fc = obj(c)
-        else:
-            b_lo, c, fc = c, d, fd
-            d = b_lo + invphi * (b_hi - b_lo)
-            fd = obj(d)
-    return min(obj(0.5 * (b_lo + b_hi)), obj(0.0), obj(hi))
+    w = np.full(a.size, dx)
+    w[[0, -1]] = 0.5 * dx
+    order = np.argsort(a)[::-1]
+    s_a, w = a[order], w[order]
+    s0 = np.cumsum(w)
+    s1 = np.cumsum(w * s_a)
+    s2 = np.cumsum(w * s_a * s_a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.maximum(s0 * s2 - s1 * s1, 0.0) / (s0 - 1.0))
+        lam = (s1 - root) / s0
+    lower = np.append(s_a[1:], 0.0)  # s_a[:k+1] active on [lower[k], s_a[k]]
+    ok = (s0 > 1.0) & (lam >= lower) & (lam <= s_a)
+    lams = np.concatenate([[0.0, s_a[0]], lam[ok]])
+    objs = np.concatenate([[np.sqrt(s2[-1]), s_a[0]], lam[ok] + root[ok]])
+    best = float(lams[np.argmin(objs)])
+    clipped = np.maximum(a - best, 0.0)
+    return float(np.sqrt(np.trapezoid(clipped**2, dx=dx))) + best
 
 
 def _weighted_sobolev(f: Field, m: float, s: float) -> float:

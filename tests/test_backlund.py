@@ -163,12 +163,23 @@ class TestInverseTransform:
 
 
 class TestOperatorI:
-    def test_sech_oracle(self):
-        # for gamma = 1, center 0: I(sech)(x) = x / cosh(x)
-        g = make_grid(-32.0, 32.0, 4096)
-        F = Field(g, sech(g.x))
-        out = operator_I(F, 0.0, 0.0, 0.0)
-        exact = g.x * sech(g.x)
+    @pytest.mark.parametrize("x_min,x_max,n,beta,center,t", [
+        (-32.0, 32.0, 4096, 0.0, 0.0, 0.0),
+        (-32.0, 32.0, 4096, 0.6, 0.3, 2.0),
+        (-32.0, 32.0, 4096, 0.0, 0.3 + 1.0 / 192, 0.0),
+        (-32.0, 32.0, 4096, 0.0, -32.0, 0.0),
+        (-32.0, 32.0, 4096, -0.5, 32.0 - 1.0 / 64 + 1.0, 2.0),
+        # gamma |x - cbar| passes 710, where a direct cosh overflows
+        (-1024.0, 1024.0, 65536, 0.0, 0.0, 0.0),
+    ], ids=["centered", "moving", "off-node", "left-end", "right-end",
+            "wide"])
+    def test_sech_oracle(self, x_min, x_max, n, beta, center, t):
+        # I(sech(z))(x) = (x - cbar) sech(z), z = gamma (x - cbar)
+        g = make_grid(x_min, x_max, n)
+        cbar = beta * t + center
+        z = KinkParams(beta, 0.0).gamma * (g.x - cbar)
+        out = operator_I(Field(g, sech(z)), beta, center, t)
+        exact = (g.x - cbar) * sech(z)
         assert np.max(np.abs(out.values - exact)) < 1e-9
 
     def test_exponential_bound(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgkink.exact import (
     Antikink,
+    BoostedSolution,
     Breather,
     BreatherParams,
     Kink,
@@ -13,7 +14,6 @@ from sgkink.exact import (
     WobblingKink,
     ZeroSolution,
     kink_identities,
-    lorentz_boost_solution,
     sample_state,
     sech,
 )
@@ -47,7 +47,7 @@ SOLUTIONS = [
     ("antikink", Antikink(KinkParams(-0.4, -1.0))),
     ("breather", Breather(BreatherParams(0.2, 0.6, 0.3, -0.2))),
     ("wobbler", WobblingKink(0.4)),
-    ("boosted-wobbler", lorentz_boost_solution(WobblingKink(0.4), 0.3)),
+    ("boosted-wobbler", BoostedSolution(WobblingKink(0.4), 0.3)),
     ("zero", ZeroSolution()),
 ]
 
@@ -130,7 +130,7 @@ class TestBoost:
     @given(beta=st.floats(-0.8, 0.8))
     @settings(max_examples=20, deadline=None)
     def test_boost_of_rest_kink_is_moving_kink(self, beta):
-        boosted = lorentz_boost_solution(Kink(KinkParams(0.0, 0.0)), beta)
+        boosted = BoostedSolution(Kink(KinkParams(0.0, 0.0)), beta)
         direct = Kink(KinkParams(beta, 0.0))
         fb, ftb, fxb = boosted.evaluate(1.3, X)
         fd, ftd, fxd = direct.evaluate(1.3, X)

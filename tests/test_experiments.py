@@ -1,6 +1,7 @@
 """Experiment configs, runners, report output, and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from sgkink.experiments import (
 )
 from sgkink.fields import Field, load_field_csv, make_grid, save_field_csv
 
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CHEAP = dict(
     name="conservation",
@@ -145,6 +148,22 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**CHEAP, "epsilon": 9.0}))
         assert main(["validate", str(bad)]) == 1
+
+    def test_validate_rejects_fractional_step_counts(self, tmp_path):
+        # run would refuse dt=0.3 against t_end=1.0 and snapshot_every=0.25
+        bad = tmp_path / "steps.json"
+        bad.write_text(json.dumps({
+            "name": "conservation", "x_min": -64, "x_max": 64, "n": 2048,
+            "data": "breather", "scheme": "strang", "dt": 0.3,
+            "t_end": 1.0, "snapshot_every": 0.25,
+        }))
+        assert main(["validate", str(bad)]) == 1
+
+    def test_validate_shipped_configs(self):
+        paths = sorted(CONFIGS.glob("*.json"))
+        assert len(paths) == 8
+        for path in paths:
+            assert main(["validate", str(path)]) == 0, path.name
 
     def test_run_single(self, cheap_config, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgkink.fields import (
     Field,
@@ -140,6 +140,37 @@ class TestNorms:
         val = norm(f, L2PlusLinf())
         assert val <= norm(f, Lp(2)) + 1e-9
         assert val <= norm(f, Lp(np.inf)) + 1e-9
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "zero", "spike"]),
+           frac=st.floats(0.0, 1.0))
+    @example(seed=0, kind="zero", frac=0.5)
+    @example(seed=0, kind="spike", frac=0.5)
+    @settings(max_examples=25, deadline=None)
+    def test_l2plinf_is_the_minimum(self, seed, kind, frac):
+        g = make_grid(-16.0, 16.0, 256)
+        rng = np.random.default_rng(seed)
+        vals = np.zeros(g.n)
+        if kind == "random":
+            vals = rng.normal(size=g.n) * np.exp(-g.x**2 / 16)
+        elif kind == "spike":
+            vals[rng.integers(g.n)] = rng.normal()
+        a = np.abs(vals)
+
+        def objective(lam):
+            lam = np.atleast_1d(lam)[:, None]
+            clipped = np.maximum(a - lam, 0.0)
+            return np.sqrt(np.trapezoid(clipped**2, dx=g.dx, axis=1)) + lam[:, 0]
+
+        val = norm(Field(g, vals), L2PlusLinf())
+        assert val <= objective(frac * a.max())[0] + 1e-12
+        # dense grid on [0, max|g|], refined around its best point; the
+        # objective is convex, so the minimiser lies in the refined bracket
+        lams = np.linspace(0.0, a.max(), 4097)
+        i = int(np.argmin(objective(lams)))
+        lams = np.linspace(lams[max(i - 1, 0)], lams[min(i + 1, 4096)], 4097)
+        dense_min = float(np.min(objective(lams)))
+        assert abs(val - dense_min) <= 1e-12 * dense_min
 
     def test_weighted_sobolev_monotone_in_m(self, grid):
         f = smooth_field(grid, [(0.7, 1.0, 3.0)])
