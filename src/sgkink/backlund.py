@@ -1,21 +1,21 @@
 """The Backlund transform in both directions and its constructive solves.
 
 forward_transform builds a kink-topology solution from a small zero-topology
-state by integrating the first Backlund equation as an ODE in x with RK4,
-pinned at f(center) = pi and swept outward (the outward direction is the
-stable one: the tails attract).  inverse_transform recovers (delta, y, phi)
-from a near-kink state by a staged quasi-Newton iteration on the functional
-F = (F1, F2, F3), with a closed-form solve of the linearized F2 equation as
-the inner linear solver.  The I-operator, a damped linear sweep outward from
-the kink center, and the difference reconstruction implement the integral
-identities used to convert the phi-decay into decay of f minus the
-recentered kink.
+state.  With w = tan(f/4) the first Backlund equation is a Riccati equation,
+so f is the direction of a linear 2x2 system in x pinned at f(center) = pi;
+the RK4 one-step matrices of every cell outward from the anchor (the stable
+direction: the tails attract) are composed by a rescaled prefix scan.
+inverse_transform recovers (delta, y, phi) from a near-kink state by a
+staged quasi-Newton iteration on the functional F = (F1, F2, F3), with a
+closed-form solve of the linearized F2 equation as the inner linear solver.
+The I-operator, a damped linear sweep outward from the kink center, and the
+difference reconstruction implement the integral identities used to convert
+the phi-decay into decay of f minus the recentered kink.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +26,7 @@ from .exact import KinkParams, kink_identities, sech
 from .fields import Field, Lp, State, Topology, norm, spatial_derivative
 
 __all__ = [
+    "BacklundConvergenceError",
     "BacklundParam",
     "FContext",
     "FTriple",
@@ -38,6 +39,10 @@ __all__ = [
     "operator_I",
     "reconstruct_difference",
 ]
+
+
+class BacklundConvergenceError(RuntimeError):
+    """inverse_transform stalled or did not reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -141,16 +146,46 @@ def backlund_residual(f: State, phi: State, a: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# The forward transform: an outward RK4 sweep from the anchor
+# The forward transform: a Riccati equation, composed as 2x2 matrices
+
+
+def _matmul(p, q):
+    """Product of 2x2 matrices held as components (m11, m12, m21, m22)."""
+    return (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
+            p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
+
+
+def _rk4_matrices(h, m0, mm, m1):
+    """RK4 one-step matrices of y' = M y from M at cell start, mid and end."""
+    def stage(m, k, s):  # m (I + s k)
+        return _matmul(m, (1.0 + s * k[0], s * k[1], s * k[2], 1.0 + s * k[3]))
+    k2 = stage(mm, m0, 0.5 * h)
+    k3 = stage(mm, k2, 0.5 * h)
+    k4 = stage(m1, k3, h)
+    return np.array([eye + (h / 6.0) * (c1 + 2.0 * (c2 + c3) + c4) for
+                     eye, c1, c2, c3, c4 in zip((1, 0, 0, 1), m0, k2, k3, k4)])
+
+
+def _prefix_products(r):
+    """Column i becomes r_i ... r_0 over (4, m) components, by log-depth
+    doubling; each pass divides the new partial products by their largest
+    entry, which keeps their direction and rules out overflow on any grid."""
+    s = 1
+    while s < r.shape[1]:
+        prod = np.array(_matmul(r[:, s:], r[:, :-s]))
+        r[:, s:] = prod / np.abs(prod).max(axis=0)
+        s *= 2
+    return r
 
 
 def forward_transform(phi: State, a: float, center: float) -> State:
     """Backlund transform of a small zero-topology state: a kink-type State.
 
-    RK4 on f' = phi_t + sin((f+phi)/2)/a + a sin((f-phi)/2) from f(center)
-    = pi outward to every node.  Node-to-node steps take phi and phi_t at the
-    nodes and, at the midpoints, from a cubic spline, which also supplies the
-    two partial steps off the anchor.
+    f' = phi_t + A sin(f/2) + B cos(f/2), A = (a + 1/a) cos(phi/2), B =
+    (1/a - a) sin(phi/2) is a Riccati equation for tan(f/4): f = 4 atan2(y)
+    for y' = My, M = [[A, phi_t + B], [B - phi_t, -A]] / 4, y(center) = (1, 1).
+    Each side's RK4 one-step matrices, outward from the anchor, are composed
+    by a prefix scan; the partial cells off it sample a spline on 16 nodes.
     """
     if phi.topology is Topology.KINK:
         raise ValueError("forward_transform needs a zero-topology state")
@@ -158,36 +193,30 @@ def forward_transform(phi: State, a: float, center: float) -> State:
     x, dx, n = grid.x, grid.dx, grid.n
     if not (x[0] <= center <= x[-1]):
         raise ValueError("anchor outside grid")
-    pv, ptv = phi.phi.values, phi.phi_t.values
-    p_spline = CubicSpline(x, pv)
-    pt_spline = CubicSpline(x, ptv)
-    mid = x[:-1] + 0.5 * dx
-    p_mid, pt_mid = p_spline(mid), pt_spline(mid)
-
-    def rhs(p, pt, f):
-        return pt + math.sin(0.5 * (f + p)) / a + a * math.sin(0.5 * (f - p))
-
-    def step(f, h, p0, pt0, pm, ptm, p1, pt1):
-        k1 = rhs(p0, pt0, f)
-        k2 = rhs(pm, ptm, f + 0.5 * h * k1)
-        k3 = rhs(pm, ptm, f + 0.5 * h * k2)
-        k4 = rhs(p1, pt1, f + h * k3)
-        return f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    pv = phi.phi.values
+    v = np.array([pv, phi.phi_t.values])
     k0 = int(np.searchsorted(x, center))  # first node >= center
+    near = slice(max(0, k0 - 8), k0 + 8)
+    h_r, h_l = x[k0] - center, x[k0 - 1] - center  # h_l unused if k0 = 0
+    at = center + np.array([0.0, 0.5 * h_r, h_r, 0.5 * h_l, h_l])
+    # (phi, phi_t) at the nodes, the cell midpoints (cubic rule) and `at`
+    mid = np.c_[v[:, :4] @ [5.0, 15.0, -5.0, 1.0],
+                9.0 * (v[:, 1:-2] + v[:, 2:-1]) - v[:, :-3] - v[:, 3:],
+                v[:, -4:] @ [1.0, -5.0, 15.0, 5.0]] / 16.0
+    p, pt = np.c_[v, mid, CubicSpline(x[near], v[:, near], axis=1)(at)]
+    A = 0.25 * (a + 1.0 / a) * np.cos(0.5 * p)
+    B = 0.25 * (1.0 / a - a) * np.sin(0.5 * p)
+    M = np.array([A, B + 0.25 * pt, B - 0.25 * pt, -A])
     fvals = np.empty(n)
-    for k in (k0, k0 - 1):  # partial steps onto the bracketing nodes
-        if 0 <= k < n:
-            h = x[k] - center
-            at = [center, center + 0.5 * h, x[k]]
-            (p0, pm, p1), (pt0, ptm, pt1) = p_spline(at), pt_spline(at)
-            fvals[k] = step(math.pi, h, p0, pt0, pm, ptm, p1, pt1)
-    for j in range(k0, n - 1):
-        fvals[j + 1] = step(fvals[j], dx, pv[j], ptv[j], p_mid[j], pt_mid[j],
-                            pv[j + 1], ptv[j + 1])
-    for j in range(k0 - 1, 0, -1):
-        fvals[j - 1] = step(fvals[j], -dx, pv[j], ptv[j], p_mid[j - 1],
-                            pt_mid[j - 1], pv[j - 1], ptv[j - 1])
+    for k, h, fwd in [(k0, h_r, True)] + [(k0 - 1, h_l, False)] * (k0 > 0):
+        cells = np.arange(k0, n - 1) if fwd else np.arange(k0 - 2, -1, -1)
+        anc = 2 * n if fwd else 2 * n + 2  # the partial cell's mid and end
+        r = _rk4_matrices(np.r_[h, np.full(len(cells), dx if fwd else -dx)],
+                          M[:, np.r_[2 * n - 1, cells + (not fwd)]],
+                          M[:, np.r_[anc, n + cells]],
+                          M[:, np.r_[anc + 1, cells + fwd]])
+        P = _prefix_products(r)
+        fvals[k::1 if fwd else -1] = 4.0 * np.arctan2(P[0] + P[1], P[2] + P[3])
     if abs(fvals[0]) > 1e-3 or abs(fvals[-1] - 2.0 * np.pi) > 1e-3:
         raise ValueError(
             f"tails did not converge to (0, 2pi): ({fvals[0]:.3e}, "
@@ -343,13 +372,14 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
                 break
             scale *= 0.5
         else:
-            raise RuntimeError(
+            raise BacklundConvergenceError(
                 f"Newton on F2 stalled at residual {res:.3e}; data outside "
                 "the convergence neighborhood"
             )
     else:
         if res >= tol:
-            raise RuntimeError(f"Newton on F2 failed to reach {tol}: {res:.3e}")
+            raise BacklundConvergenceError(
+                f"Newton on F2 failed to reach {tol}: {res:.3e}")
 
     # stage (ii): v1 explicit from F1 = 0
     a_d = _a_delta(ctx, delta)
@@ -368,7 +398,7 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
         slope = (eval_F(delta, y + h, v0, v1, u0, u1, ctx).F3
                  - eval_F(delta, y - h, v0, v1, u0, u1, ctx).F3) / (2.0 * h)
         if abs(slope) < 1.0:
-            raise RuntimeError(f"F3 slope degenerate: {slope:.3e}")
+            raise BacklundConvergenceError(f"F3 slope degenerate: {slope:.3e}")
         y -= f3 / slope
 
     tri = eval_F(delta, y, v0, v1, u0, u1, ctx)

@@ -1,11 +1,15 @@
 """Backlund transform: forward, inverse, functional, and helpers."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from sgkink.backlund import (
+    BacklundConvergenceError,
     BacklundParam,
     FContext,
     backlund_residual,
@@ -18,7 +22,13 @@ from sgkink.backlund import (
 )
 from sgkink.evolve import Scheme, SchemeKind, evolve
 from sgkink.exact import Kink, KinkParams, sample_state, sech
-from sgkink.fields import Field, State, Topology, make_grid
+from sgkink.fields import (
+    Field,
+    State,
+    Topology,
+    make_grid,
+    spatial_derivative,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +52,57 @@ def small_state(grid, eps):
     return State(Field(grid, p), Field(grid, q), 0.0, Topology.ZERO)
 
 
+def odd_sech_state(grid, eps):
+    p = eps * sech(grid.x) * np.tanh(grid.x)
+    q = eps * sech(grid.x)
+    return State(Field(grid, p), Field(grid, q), 0.0, Topology.ZERO)
+
+
+def bump_state(grid, amp, amp_t, width, center):
+    bump = np.exp(-(((grid.x - center) / width) ** 2))
+    return State(Field(grid, amp * bump), Field(grid, amp_t * bump), 0.0,
+                 Topology.ZERO)
+
+
+def reference_forward(phi, a, center):
+    """Scalar RK4 on f' = phi_t + sin((f+phi)/2)/a + a sin((f-phi)/2) from
+    f(center) = pi outward, with spline samples at the midpoints and on the
+    partial steps off the anchor; returns (f, f_t) samples."""
+    grid = phi.grid
+    x, dx, n = grid.x, grid.dx, grid.n
+    pv, ptv = phi.phi.values, phi.phi_t.values
+    p_spline, pt_spline = CubicSpline(x, pv), CubicSpline(x, ptv)
+    mid = x[:-1] + 0.5 * dx
+    p_mid, pt_mid = p_spline(mid), pt_spline(mid)
+
+    def rhs(p, pt, f):
+        return pt + math.sin(0.5 * (f + p)) / a + a * math.sin(0.5 * (f - p))
+
+    def step(f, h, p0, pt0, pm, ptm, p1, pt1):
+        k1 = rhs(p0, pt0, f)
+        k2 = rhs(pm, ptm, f + 0.5 * h * k1)
+        k3 = rhs(pm, ptm, f + 0.5 * h * k2)
+        k4 = rhs(p1, pt1, f + h * k3)
+        return f + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    k0 = int(np.searchsorted(x, center))
+    f = np.empty(n)
+    for k in (k0, k0 - 1):
+        if 0 <= k < n:
+            h = x[k] - center
+            at = [center, center + 0.5 * h, x[k]]
+            (p0, pm, p1), (pt0, ptm, pt1) = p_spline(at), pt_spline(at)
+            f[k] = step(math.pi, h, p0, pt0, pm, ptm, p1, pt1)
+    for j in range(k0, n - 1):
+        f[j + 1] = step(f[j], dx, pv[j], ptv[j], p_mid[j], pt_mid[j],
+                        pv[j + 1], ptv[j + 1])
+    for j in range(k0 - 1, 0, -1):
+        f[j - 1] = step(f[j], -dx, pv[j], ptv[j], p_mid[j - 1],
+                        pt_mid[j - 1], pv[j - 1], ptv[j - 1])
+    p_x = spatial_derivative(phi.phi, 1).values
+    return f, p_x + np.sin(0.5 * (f + pv)) / a - a * np.sin(0.5 * (f - pv))
+
+
 class TestBacklundParam:
     @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5])
     def test_velocity_parameter_correspondence(self, beta):
@@ -62,6 +123,61 @@ class TestForwardTransform:
         exact = sample_state(Kink(KinkParams(beta, 0.3)), fine_grid, 0.0)
         assert np.max(np.abs(f.phi.values - exact.phi.values)) < 1e-8
         assert np.max(np.abs(f.phi_t.values - exact.phi_t.values)) < 1e-8
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("data", [small_state, odd_sech_state],
+                             ids=["gaussian", "odd-sech"])
+    @pytest.mark.parametrize("anchor", [0.25, 0.3], ids=["on-node", "off-node"])
+    def test_matches_scalar_rk4_sweep(self, fine_grid, beta, data, anchor):
+        a = KinkParams(beta, 0.0).a
+        phi = data(fine_grid, 0.05)
+        f = forward_transform(phi, a, anchor)
+        ref_f, ref_ft = reference_forward(phi, a, anchor)
+        assert np.max(np.abs(f.phi.values - ref_f)) < 1e-11
+        assert np.max(np.abs(f.phi_t.values - ref_ft)) < 1e-11
+
+    @pytest.mark.parametrize("anchor", [0.0, -512.0],
+                             ids=["centered", "off-center"])
+    def test_wide_grid_stays_finite(self, anchor):
+        # an unscaled product of the step matrices would reach e^1177 at the
+        # right end; off center, it overflows before the scan's last pass
+        g = make_grid(-1024.0, 1024.0, 65536)
+        f = forward_transform(zero_state(g), KinkParams(0.9, 0.0).a, anchor)
+        exact = sample_state(Kink(KinkParams(0.9, anchor)), g, 0.0)
+        assert np.max(np.abs(f.phi.values - exact.phi.values)) < 1e-7
+        assert np.max(np.abs(f.phi_t.values - exact.phi_t.values)) < 1e-7
+
+    @given(amp=st.floats(-0.05, 0.05), amp_t=st.floats(-0.05, 0.05),
+           width=st.floats(0.5, 3.0), center=st.floats(-4.0, 4.0),
+           beta=st.floats(-0.6, 0.6), node=st.integers(-512, 512),
+           frac=st.floats(0.05, 0.95))
+    @settings(max_examples=25, deadline=None)
+    def test_backlund_identity(self, fine_grid, amp, amp_t, width, center,
+                               beta, node, frac):
+        a = KinkParams(beta, 0.0).a
+        phi = bump_state(fine_grid, amp, amp_t, width, center)
+        anchor = fine_grid.x[fine_grid.n // 2 + node] + frac * fine_grid.dx
+        f = forward_transform(phi, a, anchor)
+        r1 = backlund_residual(f, phi, a)["R1"].values
+        assert np.max(np.abs(r1)) < max(1e-8, fine_grid.dx**4)
+
+    @given(amp=st.floats(-0.05, 0.05), width=st.floats(0.5, 3.0),
+           beta=st.floats(-0.6, 0.6), frac=st.floats(0.0, 0.95),
+           m=st.integers(-64, 64))
+    @settings(max_examples=15, deadline=None)
+    def test_translation_equivariance(self, fine_grid, amp, width, beta, frac,
+                                      m):
+        a = KinkParams(beta, 0.0).a
+        phi = bump_state(fine_grid, amp, -amp, width, 0.0)
+        shifted = State(*(Field(fine_grid, np.roll(v.values, m))
+                          for v in (phi.phi, phi.phi_t)), 0.0, Topology.ZERO)
+        anchor = frac * fine_grid.dx
+        f = forward_transform(phi, a, anchor)
+        g = forward_transform(shifted, a, anchor + m * fine_grid.dx)
+        inner = slice(128, -128)
+        for u, v in ((f.phi, g.phi), (f.phi_t, g.phi_t)):
+            err = np.abs(np.roll(u.values, m) - v.values)[inner]
+            assert np.max(err) < 1e-12
 
     def test_residual_of_kink_zero_pair(self, fine_grid):
         beta = 0.5
@@ -153,6 +269,12 @@ class TestInverseTransform:
         inv = inverse_transform(f, 0.2, 0.0)
         assert abs(inv.delta) < 1e-8
         assert np.max(np.abs(inv.phi.phi.values)) < 1e-8
+
+    def test_raises_typed_error_when_not_converged(self, fine_grid):
+        a = KinkParams(0.2, 0.0).a
+        f = forward_transform(small_state(fine_grid, 0.02), a, 0.0)
+        with pytest.raises(BacklundConvergenceError):
+            inverse_transform(f, 0.2, 0.0, tol=1e-30, max_iter=2)
 
     def test_json_is_deterministic(self, fine_grid):
         f = sample_state(Kink(KinkParams(0.2, 0.0)), fine_grid, 0.0)
