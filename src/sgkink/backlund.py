@@ -5,9 +5,9 @@ state.  With w = tan(f/4) the first Backlund equation is a Riccati equation,
 so f is the direction of a linear 2x2 system in x pinned at f(center) = pi;
 the RK4 one-step matrices of every cell outward from the anchor (the stable
 direction: the tails attract) are composed by a rescaled prefix scan.
-inverse_transform recovers (delta, y, phi) from a near-kink state by a
-staged quasi-Newton iteration on the functional F = (F1, F2, F3), with a
-closed-form solve of the linearized F2 equation as the inner linear solver.
+inverse_transform recovers (delta, y, phi) from a near-kink state in stages
+on F = (F1, F2, F3): quasi-Newton on F2 with a closed-form linearized solve,
+F1 explicit, and F3 by the orthogonality center solve of tracking.
 The I-operator, a damped linear sweep outward from the kink center, and the
 difference reconstruction implement the integral identities used to convert
 the phi-decay into decay of f minus the recentered kink.
@@ -23,7 +23,9 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from .exact import KinkParams, kink_identities, sech
-from .fields import Field, Lp, State, Topology, norm, spatial_derivative
+from .fields import (Field, Lp, State, Topology, _fd_stencil, _lp, norm,
+                     spatial_derivative)
+from .tracking import _orthogonality, solve_center
 
 __all__ = [
     "BacklundConvergenceError",
@@ -101,6 +103,8 @@ class InverseResult:
     phi: State
     residual_norm: float
     context: FContext
+    newton_steps: int  # accepted stage-(i) steps
+    residual_history: tuple  # F2 L2 norm at the start and after each step
 
     @property
     def beta(self) -> float:
@@ -121,13 +125,24 @@ class InverseResult:
                 "phi_l2": norm(self.phi.phi, Lp(2)),
                 "phi_linf": norm(self.phi.phi, Lp(np.inf)),
                 "phi_t_l2": norm(self.phi.phi_t, Lp(2)),
+                "newton_steps": self.newton_steps,
+                "residual_history": list(self.residual_history),
             },
             sort_keys=True,
         )
 
 
 # ---------------------------------------------------------------------------
-# Residual of the first-order system
+# The first-order system and its residual
+
+
+def _pair(f: np.ndarray, phi: np.ndarray, a: float) -> tuple:
+    """Right-hand sides (P, M) of the Backlund pair on raw samples:
+    f_x - phi_t = P = sin((f+phi)/2)/a + a sin((f-phi)/2) and
+    f_t - phi_x = M = sin((f+phi)/2)/a - a sin((f-phi)/2)."""
+    sp = np.sin(0.5 * (f + phi)) / a
+    sm = a * np.sin(0.5 * (f - phi))
+    return sp + sm, sp - sm
 
 
 def backlund_residual(f: State, phi: State, a: float) -> dict:
@@ -135,13 +150,9 @@ def backlund_residual(f: State, phi: State, a: float) -> dict:
         raise ValueError("grid mismatch")
     if abs(f.time - phi.time) > 1e-12:
         raise ValueError("time mismatch")
-    fv, pv = f.phi.values, phi.phi.values
-    f_x = spatial_derivative(f.phi, 1).values
-    p_x = spatial_derivative(phi.phi, 1).values
-    sp = np.sin(0.5 * (fv + pv))
-    sm = np.sin(0.5 * (fv - pv))
-    r1 = f_x - phi.phi_t.values - sp / a - a * sm
-    r2 = f.phi_t.values - p_x - sp / a + a * sm
+    P, M = _pair(f.phi.values, phi.phi.values, a)
+    r1 = spatial_derivative(f.phi, 1).values - phi.phi_t.values - P
+    r2 = f.phi_t.values - spatial_derivative(phi.phi, 1).values - M
     return {"R1": Field(f.grid, r1), "R2": Field(f.grid, r2)}
 
 
@@ -222,8 +233,7 @@ def forward_transform(phi: State, a: float, center: float) -> State:
             f"tails did not converge to (0, 2pi): ({fvals[0]:.3e}, "
             f"{fvals[-1]:.3e}); phi too large or grid too narrow"
         )
-    p_x = spatial_derivative(phi.phi, 1).values
-    f_t = p_x + np.sin(0.5 * (fvals + pv)) / a - a * np.sin(0.5 * (fvals - pv))
+    f_t = spatial_derivative(phi.phi, 1).values + _pair(fvals, pv, a)[1]
     return State(Field(grid, fvals), Field(grid, f_t), phi.time, Topology.KINK)
 
 
@@ -240,21 +250,17 @@ def _a_delta(ctx: FContext, delta: float) -> float:
 
 def eval_F(delta: float, y: float, v0: Field, v1: Field, u0: Field,
            u1: Field, ctx: FContext) -> FTriple:
+    """F1, F2: the Backlund pair of f = Q0 + u0 and phi = v0 at a0 + delta;
+    F3: orthogonality at velocity beta(a0 + delta), center ctx.center + y."""
     grid = u0.grid
     a_d = _a_delta(ctx, delta)
-    pd = BacklundParam(a_d)
     ids = kink_identities(ctx.params, ctx.t, grid.x)
-    q0, q0x, q1 = ids["Q"], ids["Q_x"], ids["Q_t"]
-    u0v, u1v, v0v, v1v = u0.values, u1.values, v0.values, v1.values
-    u0x = spatial_derivative(u0, 1).values
-    v0x = spatial_derivative(v0, 1).values
-    sp = np.sin(0.5 * (u0v + q0 + v0v))
-    sm = np.sin(0.5 * (u0v + q0 - v0v))
-    f1 = q0x + u0x - v1v - sp / a_d - a_d * sm
-    f2 = q1 + u1v - v0x - sp / a_d + a_d * sm
-    weight = sech(pd.gamma * (grid.x - ctx.beta0 * ctx.t - ctx.x0 - y))
-    f3 = float(np.trapezoid((u0v + q0) * weight, dx=grid.dx)
-               - np.pi**2 / pd.gamma)
+    f = u0.values + ids["Q"]
+    P, M = _pair(f, v0.values, a_d)
+    f1 = ids["Q_x"] + spatial_derivative(u0, 1).values - v1.values - P
+    f2 = ids["Q_t"] + u1.values - spatial_derivative(v0, 1).values - M
+    f3, _ = _orthogonality(Field(grid, f), BacklundParam(a_d).beta, 0.0,
+                           ctx.center + y)
     return FTriple(Field(grid, f1), Field(grid, f2), f3)
 
 
@@ -330,82 +336,63 @@ def solve_linearized_F2(g: Field, ctx: FContext) -> dict:
     return {"lambda": lam, "w": Field(grid, w)}
 
 
-def _l2(f: Field) -> float:
-    return norm(f, Lp(2))
-
-
 def inverse_transform(f: State, beta0: float, x0_guess: float,
                       tol: float = 1e-10, max_iter: int = 50) -> InverseResult:
     """Recover (delta, y, phi) with f the Backlund transform of phi.
 
     Staged solve: (i) quasi-Newton on F2 = 0 in (delta, v0) with the
-    linearization frozen at the base point, damped by step halving;
-    (ii) v1 read off from F1 = 0; (iii) scalar Newton on F3 = 0 in y.
+    linearization frozen at the base point, damped by step halving; max_iter
+    bounds this stage only; (ii) v1 read off from F1 = 0; (iii) F3 = 0 in y,
+    the orthogonality center solve of tracking at velocity beta(a0 + delta).
     """
-    grid = f.grid
+    grid, dx = f.grid, f.grid.dx
     ctx = FContext(beta0, f.time, x0_guess)
     ids = kink_identities(ctx.params, ctx.t, grid.x)
     u0 = Field(grid, f.phi.values - ids["Q"])
     u1 = Field(grid, f.phi_t.values - ids["Q_t"])
-    zero = Field(grid, np.zeros(grid.n))
+    fv = u0.values + ids["Q"]  # f, f_x and f_t as eval_F forms them
+    f_x = ids["Q_x"] + _fd_stencil(u0.values, dx, 1)
+    f_t = ids["Q_t"] + u1.values
+    def f2(d, v):
+        return f_t - _fd_stencil(v, dx, 1) - _pair(fv, v, _a_delta(ctx, d))[1]
 
-    delta = 0.0
-    v0 = zero
-
-    def f2_norm(d, v):
-        return _l2(eval_F(d, 0.0, v, zero, u0, u1, ctx).F2)
-
-    res = f2_norm(delta, v0)
-    for _ in range(max_iter):
-        if res < tol:
-            break
-        r_field = eval_F(delta, 0.0, v0, zero, u0, u1, ctx).F2
-        sol = solve_linearized_F2(Field(grid, -r_field.values), ctx)
-        step_l, step_w = sol["lambda"], sol["w"].values
-        scale = 1.0
-        for _ in range(10):
-            d_new = delta + scale * step_l
-            v_new = Field(grid, v0.values + scale * step_w)
-            res_new = f2_norm(d_new, v_new)
-            if res_new < res:
-                delta, v0, res = d_new, v_new, res_new
+    delta, v0 = 0.0, np.zeros(grid.n)
+    r = f2(delta, v0)
+    history = [_lp(r, dx, 2.0)]
+    while not history[-1] < tol:  # NaN-safe
+        if len(history) > max_iter:
+            raise BacklundConvergenceError(
+                f"Newton on F2 failed to reach {tol}: {history[-1]:.3e}")
+        sol = solve_linearized_F2(Field(grid, -r), ctx)
+        for s in (0.5**k for k in range(10)):  # step halving
+            trial = (delta + s * sol["lambda"], v0 + s * sol["w"].values)
+            r_new = f2(*trial)
+            if (res := _lp(r_new, dx, 2.0)) < history[-1]:
+                (delta, v0), r = trial, r_new
+                history.append(res)
                 break
-            scale *= 0.5
         else:
             raise BacklundConvergenceError(
-                f"Newton on F2 stalled at residual {res:.3e}; data outside "
-                "the convergence neighborhood"
-            )
-    else:
-        if res >= tol:
-            raise BacklundConvergenceError(
-                f"Newton on F2 failed to reach {tol}: {res:.3e}")
+                f"Newton on F2 stalled at residual {history[-1]:.3e}; data "
+                "outside the convergence neighborhood")
 
     # stage (ii): v1 explicit from F1 = 0
     a_d = _a_delta(ctx, delta)
-    u0x = spatial_derivative(u0, 1).values
-    sp = np.sin(0.5 * (u0.values + ids["Q"] + v0.values))
-    sm = np.sin(0.5 * (u0.values + ids["Q"] - v0.values))
-    v1 = Field(grid, ids["Q_x"] + u0x - sp / a_d - a_d * sm)
+    v1 = Field(grid, f_x - _pair(fv, v0, a_d)[0])
 
-    # stage (iii): scalar Newton on F3 (slope approx 4 near the root)
-    y = 0.0
-    for _ in range(max_iter):
-        f3 = eval_F(delta, y, v0, v1, u0, u1, ctx).F3
-        if abs(f3) < 1e-12:
-            break
-        h = 1e-6
-        slope = (eval_F(delta, y + h, v0, v1, u0, u1, ctx).F3
-                 - eval_F(delta, y - h, v0, v1, u0, u1, ctx).F3) / (2.0 * h)
-        if abs(slope) < 1.0:
-            raise BacklundConvergenceError(f"F3 slope degenerate: {slope:.3e}")
-        y -= f3 / slope
+    # stage (iii): F3 = 0 is the orthogonality center condition
+    try:
+        y = solve_center(Field(grid, fv), BacklundParam(a_d).beta, 0.0,
+                         ctx.center) - ctx.center
+    except RuntimeError as exc:
+        raise BacklundConvergenceError(f"F3 center solve: {exc}") from exc
 
-    tri = eval_F(delta, y, v0, v1, u0, u1, ctx)
-    residual = float(np.sqrt(_l2(tri.F1) ** 2 + _l2(tri.F2) ** 2
-                             + tri.F3**2))
-    phi = State(v0, v1, f.time, Topology.ZERO)
-    return InverseResult(delta, y, phi, residual, ctx)
+    phi = State(Field(grid, v0), v1, f.time, Topology.ZERO)
+    tri = eval_F(delta, y, phi.phi, v1, u0, u1, ctx)
+    residual = float(np.sqrt(norm(tri.F1, Lp(2)) ** 2
+                             + norm(tri.F2, Lp(2)) ** 2 + tri.F3**2))
+    return InverseResult(delta, y, phi, residual, ctx, len(history) - 1,
+                         tuple(history))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Kink-center selection, velocity estimation, and decay diagnostics.
 
 Two center definitions are exposed: the orthogonality condition
-int (f - Q(.; beta, c)) sech(gamma(x - beta t - c)) dx = 0 and the pi-level
-condition f(beta t + c) = pi.  Their mutual distance is itself a diagnostic:
-for small perturbations it decays like t^(-1/2).
+int (f - Q(.; beta, c)) sech(gamma(x - beta t - c)) dx = 0, solved by Newton
+with its analytic slope, and the pi-level condition f(beta t + c) = pi.  Their
+mutual distance is itself a diagnostic: for small perturbations it decays like
+t^(-1/2).
 """
 
 from __future__ import annotations
@@ -65,28 +66,30 @@ class TrackedTrajectory:
         return np.array([(r.time, getattr(r, attr)) for r in self.records])
 
 
-def _orthogonality_residual(f: Field, beta: float, t: float, c: float) -> float:
-    ids = kink_identities(KinkParams(beta, c), t, f.grid.x)
-    integrand = (f.values - ids["Q"]) * ids["sin_half"]
-    return float(np.trapezoid(integrand, dx=f.grid.dx))
+def _orthogonality(f: Field, beta: float, t: float, c: float) -> tuple:
+    """Grid sums g = int (f - Q) sech(z), z = gamma(x - beta t - c), which is
+    F3 since int Q sech = pi^2/gamma, and dg/dc = int (Q_x - gamma (f - Q)
+    cos(Q/2)) sech(z), 4 at a kink."""
+    p = KinkParams(beta, c)
+    ids = kink_identities(p, t, f.grid.x)
+    diff, s = f.values - ids["Q"], ids["sin_half"]
+    slope = (ids["Q_x"] - p.gamma * diff * ids["cos_half"]) * s
+    return (float(np.trapezoid(diff * s, dx=f.grid.dx)),
+            float(np.trapezoid(slope, dx=f.grid.dx)))
 
 
 def solve_center(f: Field, beta: float, t: float, guess: float,
                  mode: CenterMode = CenterMode.ORTHOGONALITY) -> float:
     if mode is CenterMode.ORTHOGONALITY:
         c = guess
-        # Newton; the slope is approx -4 near a kink
         for _ in range(80):
-            g_val = _orthogonality_residual(f, beta, t, c)
+            g_val, slope = _orthogonality(f, beta, t, c)
             if abs(g_val) < 1e-12:
                 return c
-            h = 1e-6
-            slope = (_orthogonality_residual(f, beta, t, c + h)
-                     - _orthogonality_residual(f, beta, t, c - h)) / (2.0 * h)
-            if abs(slope) < 0.5:
+            if abs(slope) < 1.0:
                 raise RuntimeError(f"degenerate center slope {slope:.3e}")
             c -= g_val / slope
-        if abs(_orthogonality_residual(f, beta, t, c)) > 1e-10:
+        if abs(_orthogonality(f, beta, t, c)[0]) > 1e-10:
             raise RuntimeError("orthogonality center solve did not converge")
         return c
     # pi-level: root of f(beta t + c) - pi on a monotone window around guess

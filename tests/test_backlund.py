@@ -21,7 +21,7 @@ from sgkink.backlund import (
     solve_linearized_F2,
 )
 from sgkink.evolve import Scheme, SchemeKind, evolve
-from sgkink.exact import Kink, KinkParams, sample_state, sech
+from sgkink.exact import Kink, KinkParams, kink_identities, sample_state, sech
 from sgkink.fields import (
     Field,
     State,
@@ -29,6 +29,7 @@ from sgkink.fields import (
     make_grid,
     spatial_derivative,
 )
+from sgkink.tracking import _orthogonality
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +234,21 @@ class TestFunctional:
         assert slope == pytest.approx(4.0, abs=1e-5)
 
 
+    def test_f3_is_the_orthogonality_integral(self, fine_grid):
+        ctx = FContext(0.3, 0.5, 0.2)
+        delta, y = 0.05, 0.1
+        bump = np.exp(-fine_grid.x**2)
+        u0 = Field(fine_grid, 0.02 * bump)
+        v0 = Field(fine_grid, 0.01 * bump)
+        zero = Field(fine_grid, np.zeros(fine_grid.n))
+        f3 = eval_F(delta, y, v0, zero, u0, zero, ctx).F3
+        q0 = kink_identities(ctx.params, ctx.t, fine_grid.x)["Q"]
+        f = Field(fine_grid, u0.values + q0)
+        beta_d = BacklundParam(ctx.a0 + delta).beta
+        g = _orthogonality(f, beta_d, 0.0, ctx.center + y)[0]
+        assert abs(f3 - g) < 1e-14
+
+
 class TestLinearizedF2:
     def test_residual_and_boundedness(self, fine_grid):
         ctx = FContext(0.2, 0.0, 0.0)
@@ -276,11 +292,38 @@ class TestInverseTransform:
         with pytest.raises(BacklundConvergenceError):
             inverse_transform(f, 0.2, 0.0, tol=1e-30, max_iter=2)
 
+    def test_center_solve_failure_is_typed(self, fine_grid, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("degenerate center slope")
+
+        monkeypatch.setattr("sgkink.backlund.solve_center", fail)
+        f = sample_state(Kink(KinkParams(0.2, 0.0)), fine_grid, 0.0)
+        with pytest.raises(BacklundConvergenceError):
+            inverse_transform(f, 0.2, 0.0)
+
+    @given(amp=st.floats(-0.05, 0.05), mult=st.floats(-1.0, 1.0),
+           width=st.floats(0.5, 3.0), center=st.floats(-3.0, 3.0),
+           beta=st.floats(-0.6, 0.6), node=st.integers(-64, 63),
+           frac=st.floats(0.05, 0.95))
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_property(self, amp, mult, width, center, beta, node,
+                                 frac):
+        g = make_grid(-32.0, 32.0, 4096)
+        phi = bump_state(g, amp, mult * amp, width, center)
+        anchor = g.x[g.n // 2 + node] + frac * g.dx
+        f = forward_transform(phi, KinkParams(beta, 0.0).a, anchor)
+        inv = inverse_transform(f, beta, anchor)
+        assert np.max(np.abs(inv.phi.phi.values - phi.phi.values)) < 1e-8
+        assert inv.residual_norm < 1e-8
+
     def test_json_is_deterministic(self, fine_grid):
         f = sample_state(Kink(KinkParams(0.2, 0.0)), fine_grid, 0.0)
         inv = inverse_transform(f, 0.2, 0.0)
         doc = json.loads(inv.to_json())
-        assert set(doc) >= {"delta", "y", "beta", "center", "residual_norm"}
+        assert set(doc) >= {"delta", "y", "beta", "center", "residual_norm",
+                            "newton_steps", "residual_history"}
+        assert doc["newton_steps"] == len(doc["residual_history"]) - 1
+        assert doc["residual_history"][-1] < 1e-10
         assert inv.to_json() == inv.to_json()
 
 

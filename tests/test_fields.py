@@ -172,6 +172,25 @@ class TestNorms:
         dense_min = float(np.min(objective(lams)))
         assert abs(val - dense_min) <= 1e-12 * dense_min
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           spec=st.sampled_from([Lp(1), Lp(2), Lp(np.inf), L2PlusLinf()]),
+           c=st.floats(1e-3, 1e3), sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_norm_axioms(self, seed, spec, c, sign):
+        # L2PlusLinf is the infimal convolution of L2 and Linf, so a norm
+        g = make_grid(-16.0, 16.0, 256)
+        rng = np.random.default_rng(seed)
+        u, v = (rng.normal(size=g.n) * np.exp(-(g.x - rng.uniform(-4, 4))**2
+                                              / rng.uniform(1, 32))
+                for _ in range(2))
+        nu, nv = (norm(Field(g, w), spec) for w in (u, v))
+        assert norm(Field(g, sign * c * u), spec) == pytest.approx(
+            c * nu, rel=1e-12)
+        assert norm(Field(g, u + v), spec) <= nu + nv + 1e-12
+        if isinstance(spec, L2PlusLinf):
+            assert nu <= min(norm(Field(g, u), Lp(2)),
+                             norm(Field(g, u), Lp(np.inf)))
+
     def test_weighted_sobolev_monotone_in_m(self, grid):
         f = smooth_field(grid, [(0.7, 1.0, 3.0)])
         vals = [norm(f, WeightedSobolev(m, 1.0)) for m in (0, 1, 2)]

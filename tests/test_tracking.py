@@ -9,6 +9,7 @@ from sgkink.exact import Kink, KinkParams, sample_state, sech
 from sgkink.fields import Field, State, Topology, make_grid
 from sgkink.tracking import (
     CenterMode,
+    _orthogonality,
     center_velocity,
     exterior_decay_check,
     fit_decay_exponent,
@@ -48,6 +49,20 @@ class TestSolveCenter:
         f = Field(grid, s.phi.values + pert)
         c = solve_center(f, beta, t, c0 + 0.1, CenterMode.PI_LEVEL)
         assert c == pytest.approx(c0, abs=1e-8)
+
+    @given(beta=st.floats(-0.6, 0.6), c=st.floats(-2.0, 2.0),
+           t=st.floats(0.0, 2.0), amp=st.floats(-0.05, 0.05),
+           width=st.floats(0.5, 3.0), at=st.floats(-3.0, 3.0))
+    @settings(max_examples=25, deadline=None)
+    def test_orthogonality_slope_is_analytic(self, grid, beta, c, t, amp,
+                                             width, at):
+        s = kink_state(grid, beta=beta, t=t)
+        f = Field(grid, s.phi.values + amp * np.exp(-((grid.x - at) / width)**2))
+        slope = _orthogonality(f, beta, t, c)[1]
+        h = 1e-5
+        fd = (_orthogonality(f, beta, t, c + h)[0]
+              - _orthogonality(f, beta, t, c - h)[0]) / (2.0 * h)
+        assert slope == pytest.approx(fd, rel=1e-6)
 
     def test_error_far_from_any_kink(self, grid):
         flat = Field(grid, np.full(grid.n, 0.3))
