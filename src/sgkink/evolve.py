@@ -13,7 +13,7 @@ beyond phi_t are eliminated through the equation itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -65,7 +65,6 @@ class Scheme:
 @dataclass
 class Trajectory:
     states: list
-    observations: dict = dc_field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -93,17 +92,14 @@ def _whole_steps(span: float, dt: float, name: str) -> int:
     return int(round(steps))
 
 
-def evolve(s0: State, scheme: Scheme, t_end: float, snapshot_every: float,
-           observers: dict | None = None) -> Trajectory:
+def evolve(s0: State, scheme: Scheme, t_end: float,
+           snapshot_every: float) -> Trajectory:
     """Integrate s0 to t_end, recording snapshots every snapshot_every.
 
     Both t_end - s0.time and snapshot_every must be whole multiples of dt
     (to 1e-9 steps); otherwise ValueError, rather than a rounded step count.
     The last step is always recorded.  The blow-up guard checks each recorded
     snapshot only, so detection can lag by up to one snapshot stride.
-
-    Observer callables receive each snapshot State; their results are stored
-    under trajectory.observations[name] as (time, value) lists.
     """
     dt = scheme.dt
     dx = s0.grid.dx
@@ -116,20 +112,11 @@ def evolve(s0: State, scheme: Scheme, t_end: float, snapshot_every: float,
         raise ValueError("spectral scheme requires zero topology")
 
     traj = Trajectory(states=[])
-    observers = observers or {}
-    for name in observers:
-        traj.observations[name] = []
-
-    def record(state: State):
-        traj.states.append(state)
-        for name, fn in observers.items():
-            traj.observations[name].append((state.time, fn(state)))
-
     if scheme.kind is SchemeKind.LEAPFROG:
-        _leapfrog_run(s0, dt, n_steps, stride, record)
+        _leapfrog_run(s0, dt, n_steps, stride, traj.states.append)
     else:
         _composition_run(_DRIFT_WEIGHTS[scheme.kind], s0, dt, n_steps,
-                         stride, record)
+                         stride, traj.states.append)
     return traj
 
 
@@ -218,60 +205,26 @@ def pde_residual(traj: Trajectory, t: float) -> Field:
 # Conserved quantities
 
 
-def _state_derivatives(s: State) -> dict:
-    """All derivatives up to third order, time ones routed through the PDE."""
-    grid = s.grid
-    phi = s.phi.values
-    pt = s.phi_t.values
-
-    def dx1(v):
-        return spatial_derivative(Field(grid, v), 1).values
-
-    def dx2(v):
-        return spatial_derivative(Field(grid, v), 2).values
-
-    px = dx1(phi)
-    pxx = dx2(phi)
-    pxxx = dx1(pxx)
-    ptx = dx1(pt)
-    ptxx = dx2(pt)
-    ptt = pxx - np.sin(phi)
-    pttx = dx1(ptt)
-    pttt = ptxx - pt * np.cos(phi)
-    return {
-        "phi": phi, "t": pt, "x": px, "xx": pxx, "xxx": pxxx,
-        "tx": ptx, "txx": ptxx, "tt": ptt, "ttx": pttx, "ttt": pttt,
-    }
-
-
-def _null_derivatives(d: dict) -> dict:
-    """Null-direction derivatives with d_pm = (d_t pm d_x)/sqrt(2)."""
-    r2 = np.sqrt(2.0)
-    out = {
-        "m": (d["t"] - d["x"]) / r2,
-        "p": (d["t"] + d["x"]) / r2,
-        "mm": 0.5 * (d["tt"] - 2.0 * d["tx"] + d["xx"]),
-        "pp": 0.5 * (d["tt"] + 2.0 * d["tx"] + d["xx"]),
-        "mmm": (d["ttt"] - 3.0 * d["ttx"] + 3.0 * d["txx"] - d["xxx"]) / (2.0 * r2),
-        "ppp": (d["ttt"] + 3.0 * d["ttx"] + 3.0 * d["txx"] + d["xxx"]) / (2.0 * r2),
-        "mmp": (d["ttt"] - d["ttx"] - d["txx"] + d["xxx"]) / (2.0 * r2),
-        "ppm": (d["ttt"] + d["ttx"] - d["txx"] - d["xxx"]) / (2.0 * r2),
-    }
-    return out
-
-
 def conserved_quantities(s: State) -> dict:
     """Energy E0, momentum P, and the higher invariants E2, E4.
 
-    E2 and E4 integrate the null-direction energy currents; the b-family is
-    the a-family with + and - interchanged.
+    E2 and E4 integrate the energy currents of the two null directions
+    d_s = (d_t + s d_x)/sqrt(2), s = -1, +1; each family is the other with
+    s negated.  Time derivatives beyond phi_t come from the equation.
     """
-    d = _state_derivatives(s)
-    nd = _null_derivatives(d)
     dx = s.grid.dx
-    phi, pt, px = d["phi"], d["t"], d["x"]
+    phi = s.phi.values
+    pt = s.phi_t.values
+    px = _fd_stencil(phi, dx, 1)
+    pxx = _fd_stencil(phi, dx, 2)
+    pxxx = _fd_stencil(pxx, dx, 1)
+    ptx = _fd_stencil(pt, dx, 1)
+    ptxx = _fd_stencil(pt, dx, 2)
     cosphi = np.cos(phi)
     sinphi = np.sin(phi)
+    ptt = pxx - sinphi
+    pttx = _fd_stencil(ptt, dx, 1)
+    pttt = ptxx - pt * cosphi
 
     def integrate(density):
         return float(np.trapezoid(density, dx=dx))
@@ -279,41 +232,29 @@ def conserved_quantities(s: State) -> dict:
     e0 = integrate(0.5 * (pt**2 + px**2) + 1.0 - cosphi)
     p_mom = integrate(0.5 * pt * px)
 
-    # quartic terms below: the exact null-current identities close only with
-    # (phi_-)^4 here and (phi_-)^3 phi_--- in J4 (verified symbolically)
-    j2a_p = nd["mm"] ** 2 - 0.25 * nd["m"] ** 4
-    j2a_m = 0.5 * nd["m"] ** 2 * cosphi
-    j2b_m = nd["pp"] ** 2 - 0.25 * nd["p"] ** 4
-    j2b_p = 0.5 * nd["p"] ** 2 * cosphi
-    e2 = integrate(j2a_p + j2a_m + j2b_p + j2b_m)
+    r2 = np.sqrt(2.0)
+    j2 = j4 = 0.0
+    for sgn in (-1.0, 1.0):
+        u1 = (pt + sgn * px) / r2
+        u2 = 0.5 * (ptt + 2.0 * sgn * ptx + pxx)
+        u3 = (pttt + 3.0 * sgn * pttx + 3.0 * ptxx + sgn * pxxx) / (2.0 * r2)
+        u3x = (pttt + sgn * pttx - ptxx - sgn * pxxx) / (2.0 * r2)
+        q1 = u1 * u1
+        q2 = u2 * u2
+        # quartic terms: the exact null-current identities close only with
+        # u1^4 in J2 and u1^3 (u3 - u3x) in J4 (verified symbolically)
+        j2 += q2 - 0.25 * q1 * q1 + 0.5 * q1 * cosphi
+        j4 += (
+            u3 * u3
+            + 2.5 * q1 * q2
+            + (5.0 / 3.0) * q1 * u1 * (u3 - u3x)
+            + 0.125 * q1 * q1 * q1
+            - 0.375 * q1 * q1 * cosphi
+            + 1.5 * q1 * u2 * sinphi
+            + 0.5 * q2 * cosphi
+        )
 
-    j4a_p = (
-        nd["mmm"] ** 2
-        + 2.5 * nd["m"] ** 2 * nd["mm"] ** 2
-        + (5.0 / 3.0) * nd["m"] ** 3 * nd["mmm"]
-        + 0.125 * nd["m"] ** 6
-    )
-    j4a_m = (
-        -(5.0 / 3.0) * nd["m"] ** 3 * nd["mmp"]
-        - 0.375 * nd["m"] ** 4 * cosphi
-        + 1.5 * nd["m"] ** 2 * nd["mm"] * sinphi
-        + 0.5 * nd["mm"] ** 2 * cosphi
-    )
-    j4b_m = (
-        nd["ppp"] ** 2
-        + 2.5 * nd["p"] ** 2 * nd["pp"] ** 2
-        + (5.0 / 3.0) * nd["p"] ** 3 * nd["ppp"]
-        + 0.125 * nd["p"] ** 6
-    )
-    j4b_p = (
-        -(5.0 / 3.0) * nd["p"] ** 3 * nd["ppm"]
-        - 0.375 * nd["p"] ** 4 * cosphi
-        + 1.5 * nd["p"] ** 2 * nd["pp"] * sinphi
-        + 0.5 * nd["pp"] ** 2 * cosphi
-    )
-    e4 = integrate(j4a_p + j4a_m + j4b_p + j4b_m)
-
-    return {"E0": e0, "P": p_mom, "E2": e2, "E4": e4}
+    return {"E0": e0, "P": p_mom, "E2": integrate(j2), "E4": integrate(j4)}
 
 
 def em_tensor(s: State) -> dict:

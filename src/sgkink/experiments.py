@@ -80,6 +80,11 @@ _SCHEMES = {
 
 _PERTURBATIONS = ("gaussian", "odd-sech", "custom")
 
+# small-data-scattering extracts the profile from t_end >= _PROFILE_T_MIN on
+# and tests the predictor at these fractions of t_end, which must be snapshots
+_PROFILE_T_MIN = 100.0
+_PREDICTOR_FRACTIONS = (0.375, 0.75)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -124,6 +129,15 @@ class ExperimentConfig:
         if self.name != "backlund-roundtrip":  # the only runner without evolve
             _whole_steps(self.t_end, self.time_step, "t_end")
             _whole_steps(self.snapshot_every, self.time_step, "snapshot_every")
+        if self.name == "small-data-scattering" and self.t_end >= _PROFILE_T_MIN:
+            for frac in _PREDICTOR_FRACTIONS:
+                t = frac * self.t_end
+                try:
+                    _whole_steps(t, self.snapshot_every, "predictor time")
+                except ValueError:
+                    raise ValueError(
+                        f"predictor time {t} is not a snapshot time "
+                        f"(snapshot_every={self.snapshot_every})") from None
 
     @property
     def grid(self) -> Grid:
@@ -299,7 +313,7 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     rep.summary["decay_r2"] = fit["r2"]
     rep.check("sup-norm decay exponent is -0.5 +/- 0.1",
               -0.6 <= fit["exponent"] <= -0.4)
-    if cfg.t_end < 100:
+    if cfg.t_end < _PROFILE_T_MIN:
         rep.summary["profile"] = "skipped: t_end below extraction threshold"
         return
     spec = WavePacketSpec(0.1)
@@ -314,7 +328,7 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     sup_w = float(np.max(np.abs(W.W)))
     rep.summary["sup_W"] = sup_w
     ratios = {}
-    for frac in (0.375, 0.75):
+    for frac in _PREDICTOR_FRACTIONS:
         tt = frac * cfg.t_end
         s = traj.state_at(tt)
         u = to_complex_u(s)

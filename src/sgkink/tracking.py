@@ -20,12 +20,11 @@ from .evolve import Trajectory
 from .exact import KinkParams, kink_identities
 from .fields import (
     Field,
-    L2PlusLinf,
-    Lp,
-    PairEnergy,
     State,
-    Topology,
-    norm,
+    _fd_stencil,
+    _l2plus_linf,
+    _pair_energy,
+    norm,  # noqa: F401 -- perfbench's tracer test reads sgkink.tracking.norm
     spatial_derivative,
 )
 
@@ -111,26 +110,30 @@ def solve_center(f: Field, beta: float, t: float, guess: float,
 
 def center_velocity(f: State, beta: float, center: float) -> float:
     ids = kink_identities(KinkParams(beta, center), f.time, f.grid.x)
-    w = ids["sin_half"]
-    dx = f.grid.dx
     f_x = spatial_derivative(f.phi, 1).values
-    num = float(np.trapezoid((f.phi_t.values + beta * f_x) * w, dx=dx))
+    return _center_velocity(f.phi_t.values, f_x, ids["sin_half"], beta,
+                            f.grid.dx)
+
+
+def _center_velocity(phi_t: np.ndarray, f_x: np.ndarray, w: np.ndarray,
+                     beta: float, dx: float) -> float:
+    """center_velocity on raw samples, with w = sin(Q/2) at the center."""
+    num = float(np.trapezoid((phi_t + beta * f_x) * w, dx=dx))
     den = float(np.trapezoid(f_x * w, dx=dx))
     if abs(den) < 1.0:
         raise RuntimeError(f"center-velocity denominator too small: {den:.3e}")
     return -num / den
 
 
-def _kink_reference(grid, beta: float, center: float, t: float) -> State:
-    ids = kink_identities(KinkParams(beta, center), t, grid.x)
-    return State(Field(grid, ids["Q"]), Field(grid, ids["Q_t"]), t,
-                 Topology.KINK)
-
-
 def track(traj: Trajectory, beta: float, x0_guess: float,
           mode: CenterMode = CenterMode.ORTHOGONALITY,
           exterior_R: tuple = ()) -> TrackedTrajectory:
-    """Per-snapshot center tracking with continuation seeding."""
+    """Per-snapshot center tracking with continuation seeding.
+
+    After the center solve, each snapshot takes one set of kink identities
+    at the center and two derivatives, D phi and D Q, and every record field
+    reads the differences d0 = phi - Q, d1 = D phi - D Q, d2 = phi_t - Q_t.
+    """
     records = []
     guess = x0_guess
     for s in traj.states:
@@ -141,24 +144,24 @@ def track(traj: Trajectory, beta: float, x0_guess: float,
                 f"t={s.time}; continuation broken"
             )
         guess = c
-        ref = _kink_reference(s.grid, beta, c, s.time)
-        dphi = Field(s.grid, s.phi.values - ref.phi.values)
-        dphi_t = Field(s.grid, s.phi_t.values - ref.phi_t.values)
-        dphi_x = Field(s.grid, spatial_derivative(s.phi, 1).values
-                       - spatial_derivative(ref.phi, 1).values)
-        ext = {}
-        for R in exterior_R:
-            mask = np.abs(s.grid.x) >= s.time + R
-            dens = (dphi.values**2 + dphi_x.values**2 + dphi_t.values**2)
-            ext[R] = float(np.sqrt(np.sum(dens[mask]) * s.grid.dx))
+        x, dx = s.grid.x, s.grid.dx
+        ids = kink_identities(KinkParams(beta, c), s.time, x)
+        phi, phi_t = s.phi.values, s.phi_t.values
+        f_x = _fd_stencil(phi, dx, 1)
+        d0 = phi - ids["Q"]
+        d1 = f_x - _fd_stencil(ids["Q"], dx, 1)
+        d2 = phi_t - ids["Q_t"]
+        dens = d0 * d0 + d1 * d1 + d2 * d2
+        ext = {R: float(np.sqrt(np.sum(dens[np.abs(x) >= s.time + R]) * dx))
+               for R in exterior_R}
         records.append(TrackRecord(
             time=s.time,
             center=c,
-            center_velocity=center_velocity(s, beta, c),
-            diff_linf=norm(dphi, Lp(np.inf)),
-            diff_deriv_l2plinf=norm(dphi_x, L2PlusLinf())
-            + norm(dphi_t, L2PlusLinf()),
-            diff_pair_energy=norm(s, PairEnergy(ref)),
+            center_velocity=_center_velocity(phi_t, f_x, ids["sin_half"],
+                                             beta, dx),
+            diff_linf=float(np.max(np.abs(d0))),
+            diff_deriv_l2plinf=_l2plus_linf(d1, dx) + _l2plus_linf(d2, dx),
+            diff_pair_energy=_pair_energy(d0, d1, d2, dx),
             exterior_l2=ext,
         ))
     return TrackedTrajectory(beta, tuple(records))

@@ -20,7 +20,13 @@ from sgkink.exact import (
     KinkParams,
     sample_state,
 )
-from sgkink.fields import Field, State, Topology, make_grid
+from sgkink.fields import (
+    Field,
+    State,
+    Topology,
+    make_grid,
+    spatial_derivative,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +71,61 @@ def reference_steps(phi, pt, grid, weights, dt, n_steps):
             phi, pt = np.fft.ifft(ph).real, np.fft.ifft(pth).real
             pt = pt - 0.5 * h * np.sin(phi)
     return phi, pt
+
+
+def reference_conserved(s):
+    """E0, P, E2, E4 with the a (-) and b (+) null families written out."""
+    grid, dx = s.grid, s.grid.dx
+    phi, pt = s.phi.values, s.phi_t.values
+
+    def dx1(v):
+        return spatial_derivative(Field(grid, v), 1).values
+
+    def dx2(v):
+        return spatial_derivative(Field(grid, v), 2).values
+
+    d = {"x": dx1(phi), "xx": dx2(phi), "tx": dx1(pt), "txx": dx2(pt)}
+    d["xxx"] = dx1(d["xx"])
+    d["tt"] = d["xx"] - np.sin(phi)
+    d["ttx"] = dx1(d["tt"])
+    d["ttt"] = d["txx"] - pt * np.cos(phi)
+    r2 = np.sqrt(2.0)
+    nd = {
+        "m": (pt - d["x"]) / r2,
+        "p": (pt + d["x"]) / r2,
+        "mm": 0.5 * (d["tt"] - 2.0 * d["tx"] + d["xx"]),
+        "pp": 0.5 * (d["tt"] + 2.0 * d["tx"] + d["xx"]),
+        "mmm": (d["ttt"] - 3.0 * d["ttx"] + 3.0 * d["txx"] - d["xxx"]) / (2.0 * r2),
+        "ppp": (d["ttt"] + 3.0 * d["ttx"] + 3.0 * d["txx"] + d["xxx"]) / (2.0 * r2),
+        "mmp": (d["ttt"] - d["ttx"] - d["txx"] + d["xxx"]) / (2.0 * r2),
+        "ppm": (d["ttt"] + d["ttx"] - d["txx"] - d["xxx"]) / (2.0 * r2),
+    }
+    px, cosphi, sinphi = d["x"], np.cos(phi), np.sin(phi)
+
+    def integrate(density):
+        return float(np.trapezoid(density, dx=dx))
+
+    e0 = integrate(0.5 * (pt**2 + px**2) + 1.0 - cosphi)
+    p_mom = integrate(0.5 * pt * px)
+    j2a_p = nd["mm"] ** 2 - 0.25 * nd["m"] ** 4
+    j2a_m = 0.5 * nd["m"] ** 2 * cosphi
+    j2b_m = nd["pp"] ** 2 - 0.25 * nd["p"] ** 4
+    j2b_p = 0.5 * nd["p"] ** 2 * cosphi
+    e2 = integrate(j2a_p + j2a_m + j2b_p + j2b_m)
+    j4a_p = (nd["mmm"] ** 2 + 2.5 * nd["m"] ** 2 * nd["mm"] ** 2
+             + (5.0 / 3.0) * nd["m"] ** 3 * nd["mmm"] + 0.125 * nd["m"] ** 6)
+    j4a_m = (-(5.0 / 3.0) * nd["m"] ** 3 * nd["mmp"]
+             - 0.375 * nd["m"] ** 4 * cosphi
+             + 1.5 * nd["m"] ** 2 * nd["mm"] * sinphi
+             + 0.5 * nd["mm"] ** 2 * cosphi)
+    j4b_m = (nd["ppp"] ** 2 + 2.5 * nd["p"] ** 2 * nd["pp"] ** 2
+             + (5.0 / 3.0) * nd["p"] ** 3 * nd["ppp"] + 0.125 * nd["p"] ** 6)
+    j4b_p = (-(5.0 / 3.0) * nd["p"] ** 3 * nd["ppm"]
+             - 0.375 * nd["p"] ** 4 * cosphi
+             + 1.5 * nd["p"] ** 2 * nd["pp"] * sinphi
+             + 0.5 * nd["pp"] ** 2 * cosphi)
+    e4 = integrate(j4a_p + j4a_m + j4b_p + j4b_m)
+    return {"E0": e0, "P": p_mom, "E2": e2, "E4": e4}
 
 
 class TestEvolve:
@@ -204,6 +265,25 @@ class TestConservedQuantities:
         # P = int (1/2) f_t f_x = -4 beta gamma for the kink
         assert q["P"] == pytest.approx(-4.0 * beta * gamma, rel=1e-6)
         assert q["E2"] != 0.0 and q["E4"] != 0.0
+
+    @given(base=st.sampled_from(["zero", "kink"]), beta=st.floats(-0.6, 0.6),
+           amp=st.floats(-0.1, 0.1), amp_t=st.floats(-0.1, 0.1),
+           width=st.floats(0.5, 3.0), center=st.floats(-4.0, 4.0))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference(self, grid, base, beta, amp, amp_t, width,
+                               center):
+        bump = np.exp(-((grid.x - center) / width) ** 2)
+        if base == "kink":
+            s0 = kink_state(grid, beta=beta)
+        else:
+            s0 = State(Field(grid, np.zeros(grid.n)),
+                       Field(grid, np.zeros(grid.n)), 0.0, Topology.ZERO)
+        s = State(Field(grid, s0.phi.values + amp * bump),
+                  Field(grid, s0.phi_t.values + amp_t * bump), 0.0,
+                  s0.topology)
+        q, ref = conserved_quantities(s), reference_conserved(s)
+        for key in ("E0", "P", "E2", "E4"):
+            assert abs(q[key] - ref[key]) <= 1e-13 * max(abs(ref[key]), 1.0), key
 
     @pytest.mark.parametrize("maker,scheme", [
         ("kink", SchemeKind.LEAPFROG),

@@ -159,6 +159,16 @@ class TestCli:
         }))
         assert main(["validate", str(bad)]) == 1
 
+    def test_validate_rejects_predictor_times_off_snapshots(self, tmp_path):
+        # 0.375*t_end = 75 is not a multiple of snapshot_every = 2, so the run
+        # would integrate to t = 200 and then fail in state_at(75.0)
+        bad = tmp_path / "predictor.json"
+        bad.write_text(json.dumps({
+            "name": "small-data-scattering", "scheme": "yoshida4",
+            "snapshot_every": 2, "t_end": 200,
+        }))
+        assert main(["validate", str(bad)]) == 1
+
     def test_validate_shipped_configs(self):
         paths = sorted(CONFIGS.glob("*.json"))
         assert len(paths) == 8

@@ -125,7 +125,7 @@ class TestExtractW:
     @pytest.mark.parametrize("method", list(ExtractionMethod))
     def test_free_flow_oracle(self, grid, method):
         eps, t = 0.05, 400.0
-        traj = Trajectory(states=(free_state(grid, eps, t),), observations={})
+        traj = Trajectory(states=(free_state(grid, eps, t),))
         xi = np.linspace(-3.0, 3.0, 61)
         W = extract_W(traj, xi, WavePacketSpec(0.1), method)
         # undo the log-phase removal: the free flow has no phase drift
@@ -138,13 +138,12 @@ class TestExtractW:
     def test_zero_trajectory(self, grid):
         z = np.zeros(grid.n)
         s = State(Field(grid, z), Field(grid, z.copy()), 150.0, Topology.ZERO)
-        traj = Trajectory(states=(s,), observations={})
+        traj = Trajectory(states=(s,))
         W = extract_W(traj, np.linspace(-2, 2, 21), WavePacketSpec(0.1))
         assert np.all(W.W == 0)
 
     def test_rejects_early_extraction(self, grid):
-        traj = Trajectory(states=(free_state(grid, 0.05, 50.0),),
-                          observations={})
+        traj = Trajectory(states=(free_state(grid, 0.05, 50.0),))
         with pytest.raises(ValueError):
             extract_W(traj, np.linspace(-2, 2, 21), WavePacketSpec(0.1))
 

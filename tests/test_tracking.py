@@ -6,7 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from sgkink.evolve import Scheme, SchemeKind, evolve
 from sgkink.exact import Kink, KinkParams, sample_state, sech
-from sgkink.fields import Field, State, Topology, make_grid
+from sgkink.fields import (
+    Field,
+    L2PlusLinf,
+    Lp,
+    PairEnergy,
+    State,
+    Topology,
+    make_grid,
+    norm,
+    spatial_derivative,
+)
 from sgkink.tracking import (
     CenterMode,
     _orthogonality,
@@ -88,15 +98,72 @@ class TestCenterVelocity:
 
 
 @pytest.fixture(scope="module")
-def tracked_exact(grid):
+def exact_run(grid):
     s0 = kink_state(grid, beta=0.2)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 10.0,
                   snapshot_every=0.5)
-    return track(traj, 0.2, 0.0, CenterMode.ORTHOGONALITY,
-                 exterior_R=(2.0,))
+    return traj, track(traj, 0.2, 0.0, CenterMode.ORTHOGONALITY,
+                       exterior_R=(2.0,))
+
+
+@pytest.fixture(scope="module")
+def tracked_exact(exact_run):
+    return exact_run[1]
+
+
+@pytest.fixture(scope="module")
+def perturbed_run(grid):
+    base = kink_state(grid, beta=0.3)
+    bump = 0.05 * np.exp(-(grid.x - 1.0) ** 2)
+    s0 = State(Field(grid, base.phi.values + bump),
+               Field(grid, base.phi_t.values - bump), 0.0, Topology.KINK)
+    traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 10.0,
+                  snapshot_every=0.5)
+    return traj, track(traj, 0.3, 0.0, CenterMode.ORTHOGONALITY,
+                       exterior_R=(2.0, 5.0))
+
+
+def public_record(s, beta, c, exterior_R):
+    """Each TrackRecord field from its public-API definition."""
+    ref = sample_state(Kink(KinkParams(beta, c)), s.grid, s.time)
+    d0 = Field(s.grid, s.phi.values - ref.phi.values)
+    d1 = Field(s.grid, spatial_derivative(s.phi, 1).values
+               - spatial_derivative(ref.phi, 1).values)
+    d2 = Field(s.grid, s.phi_t.values - ref.phi_t.values)
+    dens = d0.values**2 + d1.values**2 + d2.values**2
+    return {
+        "center_velocity": center_velocity(s, beta, c),
+        "diff_linf": norm(d0, Lp(np.inf)),
+        "diff_deriv_l2plinf": norm(d1, L2PlusLinf()) + norm(d2, L2PlusLinf()),
+        "diff_pair_energy": norm(s, PairEnergy(ref)),
+        "exterior_l2": {
+            R: float(np.sqrt(np.sum(dens[np.abs(s.grid.x) >= s.time + R])
+                             * s.grid.dx))
+            for R in exterior_R
+        },
+    }
 
 
 class TestTrack:
+    @pytest.mark.parametrize("run", ["exact_run", "perturbed_run"])
+    def test_records_match_public_definitions(self, request, run):
+        traj, tracked = request.getfixturevalue(run)
+        assert len(tracked.records) == len(traj.states)
+        for s, r in zip(traj.states, tracked.records):
+            assert r.time == s.time
+            want = public_record(s, tracked.beta, r.center,
+                                 tuple(r.exterior_l2))
+            for key in ("center_velocity", "diff_linf", "diff_deriv_l2plinf"):
+                assert getattr(r, key) == pytest.approx(want[key], rel=1e-12,
+                                                        abs=0.0), key
+            # track's d1 is D phi - D Q, PairEnergy's is D (phi - Q): they
+            # differ by the rounding of D on O(1) samples, ~1e-16 absolute,
+            # which on the exact run (pair energy ~6e-7) exceeds 1e-12 relative
+            assert r.diff_pair_energy == pytest.approx(
+                want["diff_pair_energy"], rel=1e-12, abs=1e-14)
+            assert r.exterior_l2 == pytest.approx(want["exterior_l2"],
+                                                  rel=1e-12, abs=0.0)
+
     def test_centers_constant(self, tracked_exact):
         centers = [r.center for r in tracked_exact.records]
         assert max(abs(c) for c in centers) < 1e-4
