@@ -19,12 +19,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 
 from .exact import KinkParams, kink_identities, sech
-from .fields import (Field, Lp, State, Topology, _fd_stencil, _lp, norm,
-                     spatial_derivative)
+from .fields import (Field, Lp, State, Topology, _fd_stencil, _local_cubic,
+                     _lp, norm, spatial_derivative)
 from .tracking import _orthogonality, solve_center
 
 __all__ = [
@@ -196,7 +194,7 @@ def forward_transform(phi: State, a: float, center: float) -> State:
     (1/a - a) sin(phi/2) is a Riccati equation for tan(f/4): f = 4 atan2(y)
     for y' = My, M = [[A, phi_t + B], [B - phi_t, -A]] / 4, y(center) = (1, 1).
     Each side's RK4 one-step matrices, outward from the anchor, are composed
-    by a prefix scan; the partial cells off it sample a spline on 16 nodes.
+    by a prefix scan; the partial cells off it sample the local cubic.
     """
     if phi.topology is Topology.KINK:
         raise ValueError("forward_transform needs a zero-topology state")
@@ -207,14 +205,13 @@ def forward_transform(phi: State, a: float, center: float) -> State:
     pv = phi.phi.values
     v = np.array([pv, phi.phi_t.values])
     k0 = int(np.searchsorted(x, center))  # first node >= center
-    near = slice(max(0, k0 - 8), k0 + 8)
     h_r, h_l = x[k0] - center, x[k0 - 1] - center  # h_l unused if k0 = 0
     at = center + np.array([0.0, 0.5 * h_r, h_r, 0.5 * h_l, h_l])
     # (phi, phi_t) at the nodes, the cell midpoints (cubic rule) and `at`
     mid = np.c_[v[:, :4] @ [5.0, 15.0, -5.0, 1.0],
                 9.0 * (v[:, 1:-2] + v[:, 2:-1]) - v[:, :-3] - v[:, 3:],
                 v[:, -4:] @ [1.0, -5.0, 15.0, 5.0]] / 16.0
-    p, pt = np.c_[v, mid, CubicSpline(x[near], v[:, near], axis=1)(at)]
+    p, pt = np.c_[v, mid, _local_cubic(x, v, at)]
     A = 0.25 * (a + 1.0 / a) * np.cos(0.5 * p)
     B = 0.25 * (1.0 / a - a) * np.sin(0.5 * p)
     M = np.array([A, B + 0.25 * pt, B - 0.25 * pt, -A])
@@ -399,6 +396,17 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
 # The I-operator and the reconstruction identity
 
 
+def _damped_cumsum(r: np.ndarray, q: float) -> np.ndarray:
+    """J_0 = r_0, J_k = q J_(k-1) + r_k for 0 < q < 1, by log-depth doubling:
+    pass s adds q^s times the partial sums s places back, which cannot
+    overflow."""
+    J, s = np.array(r, dtype=float), 1
+    while s < len(J):
+        J[s:] += q**s * J[:-s]
+        s *= 2
+    return J
+
+
 def operator_I(F: Field, beta: float, center: float, t: float) -> Field:
     """(I F)(x) = int_cbar^x cosh(g(y-cbar))/cosh(g(x-cbar)) F(y) dy.
 
@@ -407,8 +415,8 @@ def operator_I(F: Field, beta: float, center: float, t: float) -> Field:
     (1+e^{-2|z|}) I is a damped sweep outward from cbar with kernel
     e^{-g dx} per node, and no cosh is ever evaluated.  Each side is swept
     on its own, since (1+e^{-2|z|}) F has a corner at cbar; the short cell
-    from cbar to the nearest node takes Gauss-Legendre on a cubic spline of F
-    through the 16 nodes around cbar.
+    from cbar to the nearest node takes Gauss-Legendre on the local cubic of
+    F around cbar.
     """
     grid = F.grid
     x, dx, n = grid.x, grid.dx, grid.n
@@ -418,8 +426,6 @@ def operator_I(F: Field, beta: float, center: float, t: float) -> Field:
     gamma = BacklundParam(KinkParams(beta, 0.0).a).gamma
     fv = F.values
     k0 = int(np.searchsorted(x, cbar))  # first node >= cbar
-    near = slice(max(0, k0 - 8), k0 + 8)
-    spline = CubicSpline(x[near], fv[near])
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(4)
     out = np.zeros(n)
     # node indices in sweep order, reaching back across cbar so that every
@@ -436,13 +442,11 @@ def operator_I(F: Field, beta: float, center: float, t: float) -> Field:
         u = 0.5 * cell * (gl_nodes + 1.0)
         short = 0.5 * cell * np.sum(
             gl_weights * np.exp(-gamma * (cell - u))
-            * (1.0 + np.exp(-2.0 * gamma * u)) * spline(cbar + sign * u))
-        # J_{j+1} = q J_j + cell integral: one lower-bidiagonal solve
+            * (1.0 + np.exp(-2.0 * gamma * u))
+            * _local_cubic(x, fv, cbar + sign * u))
         q = np.exp(-gamma * dx)
-        rhs = np.concatenate([[short], _cell_integrals(h, dx, q)[first:]])
-        bands = np.empty((2, len(rhs)))
-        bands[0], bands[1] = 1.0, -q
-        J = solve_banded((1, 0), bands, rhs)
+        J = _damped_cumsum(np.concatenate(
+            [[short], _cell_integrals(h, dx, q)[first:]]), q)
         out[idx[first:]] = sign * J / (1.0 + np.exp(-2.0 * z[first:]))
     return Field(grid, out)
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .backlund import operator_I
 from .evolve import Trajectory
 from .exact import kink_identities, KinkParams, sech
-from .fields import Field, Grid, State, Topology, bessel_multiplier
+from .fields import (Field, Grid, State, Topology, _local_cubic,
+                     bessel_multiplier, spatial_derivative)
 
 __all__ = [
     "WavePacketSpec",
@@ -138,9 +138,7 @@ def extract_W(traj: Trajectory, xi_grid, spec: WavePacketSpec,
     if method is ExtractionMethod.WAVE_PACKET:
         raw = gamma_profile(u, t, v, spec)
     else:
-        re = CubicSpline(u.grid.x, u.values.real)
-        im = CubicSpline(u.grid.x, u.values.imag)
-        uv = re(v * t) + 1j * im(v * t)
+        uv = _local_cubic(u.grid.x, u.values, v * t)
         rho = t / jap  # rho = sqrt(t^2 - (vt)^2)
         raw = np.sqrt(t) * np.exp(1j * rho) * uv
     return ProfileW(xi_grid, _remove_log_phase(raw, xi_grid, t), t, method)
@@ -231,7 +229,5 @@ def predict_asymptotics(W: ProfileW, t: float, x, target):
 
 def lorentz_boost_field(s: State) -> Field:
     """Z phi = t phi_x + x phi_t, the boost generator applied to the state."""
-    from .fields import spatial_derivative
-
     phi_x = spatial_derivative(s.phi, 1)
     return Field(s.grid, s.time * phi_x.values + s.grid.x * s.phi_t.values)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .evolve import Trajectory
 from .exact import KinkParams, kink_identities
@@ -23,6 +21,7 @@ from .fields import (
     State,
     _fd_stencil,
     _l2plus_linf,
+    _local_cubic,
     _pair_energy,
     norm,  # noqa: F401 -- perfbench's tracer test reads sgkink.tracking.norm
     spatial_derivative,
@@ -54,6 +53,7 @@ class TrackRecord:
     diff_deriv_l2plinf: float
     diff_pair_energy: float
     exterior_l2: dict  # R -> exterior L2 of the difference over |x| >= t+R
+    exterior_sup: dict  # R -> (sup of |d0|+|d1|+|d2|, |x|-t there) or None
 
 
 @dataclass(frozen=True)
@@ -91,21 +91,29 @@ def solve_center(f: Field, beta: float, t: float, guess: float,
         if abs(_orthogonality(f, beta, t, c)[0]) > 1e-10:
             raise RuntimeError("orthogonality center solve did not converge")
         return c
-    # pi-level: root of f(beta t + c) - pi on a monotone window around guess
-    spline = CubicSpline(f.grid.x, f.values)
-
-    def level(c):
-        return float(spline(beta * t + c)) - np.pi
-
-    lo, hi = guess - 0.5, guess + 0.5
-    for _ in range(12):
-        if level(lo) * level(hi) < 0:
-            break
-        lo -= 0.5
-        hi += 0.5
-    else:
+    # pi-level: the sign change of f - pi nearest beta t + guess, at most 6
+    # away, then Newton on the local cubic kept inside that cell (bisection)
+    x, g, xc = f.grid.x, f.values - np.pi, beta * t + guess
+    cells = np.flatnonzero((g[:-1] * g[1:] <= 0.0) & (x[1:] >= xc - 6.0)
+                           & (x[:-1] <= xc + 6.0))
+    if not cells.size:
         raise RuntimeError("no sign change bracketing the pi-level center")
-    return float(brentq(level, lo, hi, xtol=1e-13))
+    k = cells[np.argmin(np.abs(x[cells] + 0.5 * f.grid.dx - xc))]
+    lo, hi, rising = x[k], x[k + 1], g[k + 1] > g[k]
+    c = 0.5 * (lo + hi)
+    for _ in range(100):
+        val = _local_cubic(x, g, c)[0]
+        if (val < 0.0) == rising:
+            lo = c
+        else:
+            hi = c
+        new = c - val / _local_cubic(x, g, c, nu=1)[0]
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - c) <= 1e-13:
+            return float(new) - beta * t
+        c = new
+    raise RuntimeError("pi-level center solve did not converge")
 
 
 def center_velocity(f: State, beta: float, center: float) -> float:
@@ -154,6 +162,7 @@ def track(traj: Trajectory, beta: float, x0_guess: float,
         dens = d0 * d0 + d1 * d1 + d2 * d2
         ext = {R: float(np.sqrt(np.sum(dens[np.abs(x) >= s.time + R]) * dx))
                for R in exterior_R}
+        sup = {R: _exterior_sup(x, s.time, R, d0, d1, d2) for R in exterior_R}
         records.append(TrackRecord(
             time=s.time,
             center=c,
@@ -163,8 +172,27 @@ def track(traj: Trajectory, beta: float, x0_guess: float,
             diff_deriv_l2plinf=_l2plus_linf(d1, dx) + _l2plus_linf(d2, dx),
             diff_pair_energy=_pair_energy(d0, d1, d2, dx),
             exterior_l2=ext,
+            exterior_sup=sup,
         ))
     return TrackedTrajectory(beta, tuple(records))
+
+
+def _exterior_sup(x: np.ndarray, t: float, R: float, d0: np.ndarray,
+                  d1: np.ndarray, d2: np.ndarray):
+    """(sup of |d0| + |d1| + |d2| over |x| >= t + R, |x| - t where it is
+    taken), or None if that region is empty."""
+    mask = np.abs(x) >= t + R
+    if not np.any(mask):
+        return None
+    total = (np.abs(d0) + np.abs(d1) + np.abs(d2))[mask]
+    idx = int(np.argmax(total))
+    return float(total[idx]), float(np.abs(x[mask][idx]) - t)
+
+
+def _decay_bound(t: float, r: float, s: float) -> float:
+    """min(t^(-1/4) <r>^(-1/4), <r>^(-s)) at r = |x| - t."""
+    jap = np.sqrt(1.0 + r * r)
+    return float(min(t ** (-0.25) * jap ** (-0.25), jap ** (-s)))
 
 
 def exterior_decay_check(f: State, K: State, R: float, s: float) -> dict:
@@ -172,21 +200,13 @@ def exterior_decay_check(f: State, K: State, R: float, s: float) -> dict:
     min(t^(-1/4) <|x|-t>^(-1/4), <|x|-t>^(-s)), evaluated at the worst point."""
     if f.grid != K.grid:
         raise ValueError("grid mismatch")
-    t = f.time
-    mask = np.abs(f.grid.x) >= t + R
-    if not np.any(mask):
+    sup = _exterior_sup(f.grid.x, f.time, R, f.phi.values - K.phi.values,
+                        spatial_derivative(f.phi, 1).values
+                        - spatial_derivative(K.phi, 1).values,
+                        f.phi_t.values - K.phi_t.values)
+    if sup is None:
         raise ValueError("empty exterior region")
-    d0 = np.abs(f.phi.values - K.phi.values)
-    d1 = np.abs(spatial_derivative(f.phi, 1).values
-                - spatial_derivative(K.phi, 1).values)
-    d2 = np.abs(f.phi_t.values - K.phi_t.values)
-    total = (d0 + d1 + d2)[mask]
-    idx = int(np.argmax(total))
-    lhs = float(total[idx])
-    r = np.abs(f.grid.x[mask][idx]) - t
-    jap = np.sqrt(1.0 + r * r)
-    bound = float(min(t ** (-0.25) * jap ** (-0.25), jap ** (-s)))
-    return {"lhs": lhs, "bound": bound}
+    return {"lhs": sup[0], "bound": _decay_bound(f.time, sup[1], s)}
 
 
 def fit_decay_exponent(series, window) -> dict:

@@ -12,6 +12,7 @@ from sgkink.backlund import (
     BacklundConvergenceError,
     BacklundParam,
     FContext,
+    _damped_cumsum,
     backlund_residual,
     eval_F,
     forward_transform,
@@ -358,6 +359,21 @@ class TestOperatorI:
             for x in g.x[:: g.n // 64]
         ])
         assert np.all(np.abs(out.values[:: g.n // 64]) <= bound + 1e-12)
+
+
+class TestDampedCumsum:
+    @given(q=st.floats(1e-6, 1.0, exclude_max=True),
+           n=st.integers(1, 700).filter(lambda n: n & (n - 1)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_recurrence(self, q, n, seed):
+        r = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        want, scale = np.empty(n), np.empty(n)  # scale: the same on |r|
+        want[0], scale[0] = r[0], abs(r[0])
+        for k in range(1, n):
+            want[k] = q * want[k - 1] + r[k]
+            scale[k] = q * scale[k - 1] + abs(r[k])
+        assert np.all(np.abs(_damped_cumsum(r, q) - want) <= 1e-13 * scale)
 
 
 class TestReconstruction:

@@ -1,6 +1,9 @@
 """Experiment configs, runners, report output, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +129,19 @@ def cheap_config(tmp_path):
 
 
 class TestCli:
+    def test_import_loads_scipy_fft_only(self):
+        # scipy.interpolate and its optimize and linalg would be most of the
+        # import, i.e. of the set-up of every run
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        code = ("import sys, sgkink.cli; print(sorted(m for m in "
+                "('scipy.interpolate', 'scipy.optimize', 'scipy.linalg') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out.splitlines()

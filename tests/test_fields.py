@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from sgkink.fields import (
     Field,
@@ -13,6 +14,7 @@ from sgkink.fields import (
     State,
     Topology,
     WeightedSobolev,
+    _local_cubic,
     bessel_multiplier,
     inner_product,
     load_field_csv,
@@ -237,3 +239,36 @@ class TestIO:
         save_field_csv(f, tmp_path / "f.csv")
         back = load_field_csv(tmp_path / "f.csv")
         assert np.max(np.abs(back.values - f.values)) < 1e-12
+
+
+class TestLocalCubic:
+    @given(steps=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=15),
+           seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([0, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cubic_spline(self, steps, seed, nu):
+        # on 4-16 nodes the window is every node: CubicSpline itself
+        rng = np.random.default_rng(seed)
+        x = np.cumsum([0.0] + steps)
+        v = rng.normal(size=(2, len(x)))
+        at = rng.uniform(x[0], x[-1], 9)
+        want = CubicSpline(x, v, axis=1)(at, nu)
+        assert np.max(np.abs(_local_cubic(x, v, at, nu) - want)) <= 1e-13
+        cplx = _local_cubic(x, v[0] + 1j * v[1], at, nu)
+        assert np.max(np.abs(cplx - (want[0] + 1j * want[1]))) <= 1e-13
+
+    def test_window_is_16_nodes_around_the_point(self, grid):
+        x = grid.x
+        v = np.sin(x) * np.exp(-x**2 / 50)
+        for p in (-31.99, -3.3, 0.0, 1e-3, 7.0, x[-1]):
+            k = int(np.clip(np.searchsorted(x, p) - 8, 0, grid.n - 16))
+            near = slice(k, k + 16)
+            assert _local_cubic(x, v, p)[0] == pytest.approx(
+                float(CubicSpline(x[near], v[near])(p)), abs=1e-15)
+
+    def test_shapes_and_short_input(self):
+        x = np.arange(5.0)
+        assert _local_cubic(x, x**3, [0.5, 2.5]) == pytest.approx(
+            [0.125, 15.625], rel=1e-14)
+        assert _local_cubic(x, np.zeros((3, 5)), 1.0).shape == (3, 1)
+        with pytest.raises(ValueError):
+            _local_cubic(x[:3], x[:3], 1.0)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from sgkink.evolve import Scheme, SchemeKind, evolve
 from sgkink.exact import Kink, KinkParams, sample_state, sech
@@ -19,6 +21,7 @@ from sgkink.fields import (
 )
 from sgkink.tracking import (
     CenterMode,
+    _decay_bound,
     _orthogonality,
     center_velocity,
     exterior_decay_check,
@@ -35,6 +38,19 @@ def grid():
 
 def kink_state(grid, beta=0.3, c=0.0, t=0.0):
     return sample_state(Kink(KinkParams(beta, c)), grid, t)
+
+
+def spline_pi_level(f, beta, t, guess):
+    """The pi-level solve as a full-grid CubicSpline and brentq."""
+    spline = CubicSpline(f.grid.x, f.values)
+
+    def level(c):
+        return float(spline(beta * t + c)) - np.pi
+
+    lo, hi = guess - 0.5, guess + 0.5
+    while level(lo) * level(hi) >= 0:
+        lo, hi = lo - 0.5, hi + 0.5
+    return brentq(level, lo, hi, xtol=1e-13)
 
 
 class TestSolveCenter:
@@ -59,6 +75,25 @@ class TestSolveCenter:
         f = Field(grid, s.phi.values + pert)
         c = solve_center(f, beta, t, c0 + 0.1, CenterMode.PI_LEVEL)
         assert c == pytest.approx(c0, abs=1e-8)
+
+    @given(beta=st.floats(-0.6, 0.6), c=st.floats(-2.0, 2.0),
+           t=st.floats(0.0, 2.0), amp=st.floats(-0.05, 0.05),
+           width=st.floats(0.5, 3.0), at=st.floats(-3.0, 3.0),
+           shift=st.floats(-1.5, 1.5))
+    @settings(max_examples=25, deadline=None)
+    def test_pi_level_matches_spline_solve(self, grid, beta, c, t, amp,
+                                           width, at, shift):
+        s = kink_state(grid, beta=beta, c=c, t=t)
+        f = Field(grid, s.phi.values
+                  + amp * np.exp(-((grid.x - at) / width)**2))
+        got = solve_center(f, beta, t, c + shift, CenterMode.PI_LEVEL)
+        assert got == pytest.approx(spline_pi_level(f, beta, t, c + shift),
+                                    abs=1e-10)
+
+    def test_pi_level_without_sign_change(self, grid):
+        flat = Field(grid, np.full(grid.n, 0.3))
+        with pytest.raises(RuntimeError, match="no sign change"):
+            solve_center(flat, 0.0, 0.0, 0.0, CenterMode.PI_LEVEL)
 
     @given(beta=st.floats(-0.6, 0.6), c=st.floats(-2.0, 2.0),
            t=st.floats(0.0, 2.0), amp=st.floats(-0.05, 0.05),
@@ -141,7 +176,19 @@ def public_record(s, beta, c, exterior_R):
                              * s.grid.dx))
             for R in exterior_R
         },
+        # (sup, bound) of the exterior check at s = 1; the decay shape has
+        # t^(-1/4), so there is none at t = 0
+        "exterior_check": {R: exterior_sup_and_bound(s, d0, d1, d2, R)
+                           for R in exterior_R if s.time > 0},
     }
+
+
+def exterior_sup_and_bound(s, d0, d1, d2, R):
+    mask = np.abs(s.grid.x) >= s.time + R
+    total = (np.abs(d0.values) + np.abs(d1.values) + np.abs(d2.values))[mask]
+    k = int(np.argmax(total))
+    jap = np.sqrt(1.0 + (abs(s.grid.x[mask][k]) - s.time) ** 2)
+    return total[k], min(s.time**-0.25 * jap**-0.25, 1.0 / jap)
 
 
 class TestTrack:
@@ -163,6 +210,14 @@ class TestTrack:
                 want["diff_pair_energy"], rel=1e-12, abs=1e-14)
             assert r.exterior_l2 == pytest.approx(want["exterior_l2"],
                                                   rel=1e-12, abs=0.0)
+            for R, (lhs, bound) in want["exterior_check"].items():
+                ref = sample_state(Kink(KinkParams(tracked.beta, r.center)),
+                                   s.grid, s.time)
+                chk = exterior_decay_check(s, ref, R, 1.0)
+                assert r.exterior_sup[R][0] == chk["lhs"] == pytest.approx(
+                    lhs, rel=1e-12, abs=0.0)
+                assert (_decay_bound(s.time, r.exterior_sup[R][1], 1.0)
+                        == chk["bound"] == pytest.approx(bound, rel=1e-12))
 
     def test_centers_constant(self, tracked_exact):
         centers = [r.center for r in tracked_exact.records]
