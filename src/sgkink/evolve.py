@@ -2,13 +2,13 @@
 
 Two backends: a leapfrog finite-difference scheme that handles kink-topology
 (non-periodic) fields, and one kick-drift-kick composition routine for
-zero-topology fields, where the linear part is propagated exactly on the half
-spectrum.  Strang splitting is its one-weight case and the 4th-order Yoshida
-scheme its three-weight case; adjacent half-kicks are fused, and the blow-up
-guard runs once per recorded snapshot.  Conserved quantities E0, P and the
-higher invariants E2, E4 are functionals of a single State: time derivatives
-beyond phi_t are eliminated through the equation itself
-(phi_tt = phi_xx - sin phi).
+zero-topology fields, which holds (phi, phi_t) as their numpy.fft half spectra
+and propagates the linear part exactly there.  Strang splitting is its
+one-weight case and the 4th-order Yoshida scheme its three-weight case;
+adjacent half-kicks are fused, and the blow-up guard runs once per recorded
+snapshot.  Conserved quantities E0, P and the higher invariants E2, E4 are
+functionals of a single State: time derivatives beyond phi_t are eliminated
+through the equation itself (phi_tt = phi_xx - sin phi).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.fft
 
 from .fields import Field, State, Topology, _fd_stencil, spatial_derivative
 
@@ -99,7 +98,9 @@ def evolve(s0: State, scheme: Scheme, t_end: float,
     Both t_end - s0.time and snapshot_every must be whole multiples of dt
     (to 1e-9 steps); otherwise ValueError, rather than a rounded step count.
     The last step is always recorded.  The blow-up guard checks each recorded
-    snapshot only, so detection can lag by up to one snapshot stride.
+    snapshot only, so detection can lag by up to one snapshot stride.  The
+    leapfrog refuses dt > 0.9 dx; the spectral schemes refuse kink topology
+    and step the half spectra of phi and phi_t.
     """
     dt = scheme.dt
     dx = s0.grid.dx
@@ -150,14 +151,16 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
                      stride: int, record):
     """Composition of kick-drift-kick Strang steps of sizes w*dt, w in weights.
 
-    Kick: the nonlinearity on phi_t; drift: the exact propagator of the free
-    wave equation, applied on the half spectrum of the (phi, phi_t) rows.
-    Adjacent half-kicks are fused, across steps too (first-same-as-last),
-    and split only on steps that record, so each recorded phi_t is
-    synchronised with phi.
+    The state is held as the rfft half spectra of phi and phi_t.  Drift: the
+    exact propagator of the free wave equation, a multiplication by the
+    cos, sinc and xi*sin symbols.  Kick: the nonlinearity on phi_t, one irfft
+    of phi, a sin and one rfft.  Adjacent half-kicks are fused, across steps
+    too (first-same-as-last), and split only on steps that record; such a
+    step inverts phi_t once, between the two halves of one kick spectrum, so
+    each recorded phi_t is synchronised with phi.
     """
     grid, n = s0.grid, s0.grid.n
-    axi = 2.0 * np.pi * scipy.fft.rfftfreq(n, d=grid.dx)
+    axi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
     drifts = []
     for w in weights:
         h = w * dt
@@ -166,26 +169,28 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
         drifts.append((np.cos(axi * h), sinc, axi * np.sin(axi * h)))
     inner = [0.5 * (a + b) * dt for a, b in zip(weights, weights[1:])]
     head, tail = 0.5 * weights[0] * dt, 0.5 * weights[-1] * dt
-    x = np.array([s0.phi.values, s0.phi_t.values], dtype=float)
-    spec = np.empty((2, n // 2 + 1), dtype=complex)
+    phi = s0.phi.values.astype(float)
+    z = np.fft.rfft([phi, s0.phi_t.values - head * np.sin(phi)])
+    spec = np.empty_like(z)
     record(s0)
-    x[1] -= head * np.sin(x[0])
     for step in range(1, n_steps + 1):
         for i, (cos_w, sinc_w, wsin_w) in enumerate(drifts):
             if i:
-                x[1] -= inner[i - 1] * np.sin(x[0])
-            xh = scipy.fft.rfft(x)
-            np.multiply(cos_w, xh, out=spec)
-            spec[0] += sinc_w * xh[1]
-            spec[1] -= wsin_w * xh[0]
-            x = scipy.fft.irfft(spec, n)
+                z[1] -= inner[i - 1] * np.fft.rfft(np.sin(np.fft.irfft(z[0], n)))
+            np.multiply(cos_w, z, out=spec)
+            spec[0] += sinc_w * z[1]
+            spec[1] -= wsin_w * z[0]
+            z, spec = spec, z
+        phi = np.fft.irfft(z[0], n)
+        sin_hat = np.fft.rfft(np.sin(phi))
         recording = step % stride == 0 or step == n_steps
-        x[1] -= (tail if recording else tail + head) * np.sin(x[0])
+        z[1] -= (tail if recording else tail + head) * sin_hat
         if recording:
+            x = np.array([phi, np.fft.irfft(z[1], n)])
             _guard(x)
-            record(State(Field(grid, x[0].copy()), Field(grid, x[1].copy()),
+            record(State(Field(grid, x[0]), Field(grid, x[1]),
                          s0.time + step * dt, s0.topology))
-            x[1] -= head * np.sin(x[0])
+            z[1] -= head * sin_hat
 
 
 def pde_residual(traj: Trajectory, t: float) -> Field:

@@ -3,7 +3,7 @@
 Each experiment takes an ExperimentConfig, produces a Report with per-time
 tables and summary scalars, and judges itself against fixed tolerances; the
 CLI turns the verdict into an exit status.  Outputs are deterministic given
-the config (runs are noise-free; the seed is echoed for provenance).
+the config (runs are noise-free), which report.json echoes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .fields import (
     Lp,
     State,
     Topology,
-    WeightedSobolev,
     load_field_csv,
     make_grid,
     norm,
@@ -98,13 +97,11 @@ class ExperimentConfig:
     beta0: float = 0.2
     x0: float = 0.0
     s: float = 1.0
-    m: float = 2.0
     perturbation: str = "gaussian"
     custom_file: str | None = None   # CSV (x, re=phi, im=phi_t) on the grid
     data: str = "kink"               # conservation: kink|breather|perturbed-kink
     t_end: float = 50.0
     snapshot_every: float = 1.0
-    seed: int = 0
     save_snapshots: bool = False
 
     def __post_init__(self):

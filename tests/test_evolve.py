@@ -302,6 +302,30 @@ class TestConservedQuantities:
             drift = max(abs(q[key] - qs[0][key]) for q in qs) / scale
             assert drift < tol, key
 
+    # Strang's energy error is O(dt^2) even for small data (the kick carries
+    # the mass term): 2.2e-7 at dt=1/1024.  Yoshida4 at dt=1/32 sits on the
+    # FD diagnostic's own floor at dx=1/32 (2.0e-7 for width-1 bumps).
+    @pytest.mark.parametrize("kind,dt", [
+        (SchemeKind.STRANG_SPLIT_SPECTRAL, 1.0 / 1024),
+        (SchemeKind.YOSHIDA4_SPECTRAL, 1.0 / 32),
+    ])
+    @given(amp=st.floats(0.02, 0.1), sign=st.sampled_from([-1.0, 1.0]),
+           amp_t=st.floats(-0.1, 0.1), width=st.floats(1.0, 2.0),
+           center=st.floats(-2.0, 2.0))
+    @settings(max_examples=5, deadline=None)
+    def test_spectral_conserves_small_bumps(self, kind, dt, amp, sign, amp_t,
+                                            width, center):
+        # E0 and P drift relative to E0 (|P| <= E0/2), to t=4 every 0.5
+        grid = make_grid(-16.0, 16.0, 1024)
+        bump = np.exp(-((grid.x - center) / width) ** 2)
+        s0 = State(Field(grid, sign * amp * bump), Field(grid, amp_t * bump),
+                   0.0, Topology.ZERO)
+        traj = evolve(s0, Scheme(kind, dt), 4.0, snapshot_every=0.5)
+        qs = [conserved_quantities(s) for s in traj.states]
+        for key in ("E0", "P"):
+            drift = max(abs(q[key] - qs[0][key]) for q in qs) / qs[0]["E0"]
+            assert drift < 1e-6, key
+
 
 class TestEmConservation:
     def test_residual_small_for_exact_run(self, grid):

@@ -129,15 +129,13 @@ def cheap_config(tmp_path):
 
 
 class TestCli:
-    def test_import_loads_scipy_fft_only(self):
-        # scipy.interpolate and its optimize and linalg would be most of the
-        # import, i.e. of the set-up of every run
+    def test_import_loads_no_scipy(self):
+        # sgkink runs on numpy alone; scipy is a test-only reference
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-        code = ("import sys, sgkink.cli; print(sorted(m for m in "
-                "('scipy.interpolate', 'scipy.optimize', 'scipy.linalg') "
-                "if m in sys.modules))")
+        code = ("import sys, sgkink.cli; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
@@ -164,6 +162,13 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**CHEAP, "epsilon": 9.0}))
         assert main(["validate", str(bad)]) == 1
+
+    def test_validate_rejects_unknown_field(self, tmp_path, capsys):
+        # m was a config field that no runner read; it is refused, not ignored
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"name": "conservation", "m": 3}))
+        assert main(["validate", str(bad)]) == 1
+        assert "invalid config" in capsys.readouterr().err
 
     def test_validate_rejects_fractional_step_counts(self, tmp_path):
         # run would refuse dt=0.3 against t_end=1.0 and snapshot_every=0.25
