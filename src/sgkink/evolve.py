@@ -169,7 +169,7 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
         drifts.append((np.cos(axi * h), sinc, axi * np.sin(axi * h)))
     inner = [0.5 * (a + b) * dt for a, b in zip(weights, weights[1:])]
     head, tail = 0.5 * weights[0] * dt, 0.5 * weights[-1] * dt
-    phi = s0.phi.values.astype(float)
+    phi = s0.phi.values
     z = np.fft.rfft([phi, s0.phi_t.values - head * np.sin(phi)])
     spec = np.empty_like(z)
     record(s0)
