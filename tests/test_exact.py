@@ -138,6 +138,15 @@ class TestBoost:
         assert np.max(np.abs(ftb - ftd)) < 1e-10
         assert np.max(np.abs(fxb - fxd)) < 1e-10
 
+    @given(beta1=st.floats(-0.8, 0.8), beta2=st.floats(-0.8, 0.8))
+    @settings(max_examples=20, deadline=None)
+    def test_boosts_compose_by_velocity_addition(self, beta1, beta2):
+        boosted = BoostedSolution(Kink(KinkParams(beta1, 0.0)), beta2)
+        beta = (beta1 + beta2) / (1.0 + beta1 * beta2)
+        direct = Kink(KinkParams(beta, 0.0))
+        for got, want in zip(boosted.evaluate(1.3, X), direct.evaluate(1.3, X)):
+            assert np.max(np.abs(got - want)) < 1e-10
+
 
 class TestSampleState:
     def test_kink_state_topology(self):
