@@ -7,9 +7,12 @@ zero-topology fields, which holds (phi, phi_t) as their numpy.fft half spectra
 and propagates the linear part exactly there.  Strang splitting is its
 one-weight case and the 4th-order Yoshida scheme its three-weight case;
 adjacent half-kicks are fused, and the blow-up guard runs once per recorded
-snapshot.  Conserved quantities E0, P and the higher invariants E2, E4 are
-functionals of a single State: time derivatives beyond phi_t are eliminated
-through the equation itself (phi_tt = phi_xx - sin phi).
+snapshot.  Its kicks call numpy's pocketfft gufuncs (the kernels behind
+np.fft.rfft and np.fft.irfft) on preallocated buffers, which skips the
+wrappers' fixed per-call cost and gives the same bits.  Conserved
+quantities E0, P and the higher invariants E2, E4 are functionals of a
+single State: time derivatives beyond phi_t are eliminated through the
+equation itself (phi_tt = phi_xx - sin phi).
 """
 
 from __future__ import annotations
@@ -70,12 +73,15 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([s.time for s in self.states])
 
-    def state_at(self, t: float) -> State:
+    def _index_at(self, t: float) -> int:
         times = self.times
         i = int(np.argmin(np.abs(times - t)))
         if abs(times[i] - t) > 1e-9:
             raise ValueError(f"no snapshot at t={t}; nearest is {times[i]}")
-        return self.states[i]
+        return i
+
+    def state_at(self, t: float) -> State:
+        return self.states[self._index_at(t)]
 
 
 def _guard(arr: np.ndarray) -> None:
@@ -176,12 +182,19 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
 
     The state is held as the rfft half spectra of phi and phi_t.  Drift: the
     exact propagator of the free wave equation, a multiplication by the
-    cos, sinc and xi*sin symbols.  Kick: the nonlinearity on phi_t, one irfft
-    of phi, a sin and one rfft.  Adjacent half-kicks are fused, across steps
-    too (first-same-as-last), and split only on steps that record; such a
-    step inverts phi_t once, between the two halves of one kick spectrum, so
-    each recorded phi_t is synchronised with phi.
+    cos, sinc and xi*sin symbols into a second spectrum buffer.  Kick: the
+    nonlinearity on phi_t, one irfft of phi, a sin and one rfft, each written
+    into a preallocated buffer by the gufunc that np.fft itself calls; the
+    kick weight is the rfft's normalisation factor.  Adjacent half-kicks are
+    fused, across steps too (first-same-as-last), and split only on steps
+    that record; such a step inverts phi_t once, between the two halves of
+    the kick, so each recorded phi_t is synchronised with phi.  Recorded
+    states own fresh arrays.
     """
+    # numpy loads numpy.fft on first use; importing it here keeps it out of
+    # `import sgkink`
+    from numpy.fft import _pocketfft_umath as pfu
+
     grid, n = s0.grid, s0.grid.n
     axi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
     drifts = []
@@ -195,34 +208,61 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
     phi = s0.phi.values
     z = np.fft.rfft([phi, s0.phi_t.values - head * np.sin(phi)])
     spec = np.empty_like(z)
+    row, sin_hat = np.empty_like(z)
+    x = np.empty(n)
+    rfft = pfu.rfft_n_even if n % 2 == 0 else pfu.rfft_n_odd
+
+    def kick(weight, phi_out):
+        # z[1] -= weight * rfft(sin(phi)), phi = irfft(z[0]) left in phi_out
+        pfu.irfft(z[0], 1.0 / n, out=phi_out)
+        np.sin(phi_out, out=x)
+        rfft(x, -weight, out=sin_hat)
+        z[1] += sin_hat
+
     record(s0)
     for step in range(1, n_steps + 1):
         for i, (cos_w, sinc_w, wsin_w) in enumerate(drifts):
             if i:
-                z[1] -= inner[i - 1] * np.fft.rfft(np.sin(np.fft.irfft(z[0], n)))
+                kick(inner[i - 1], x)
             np.multiply(cos_w, z, out=spec)
-            spec[0] += sinc_w * z[1]
-            spec[1] -= wsin_w * z[0]
+            np.multiply(sinc_w, z[1], out=row)
+            spec[0] += row
+            np.multiply(wsin_w, z[0], out=row)
+            spec[1] -= row
             z, spec = spec, z
-        phi = np.fft.irfft(z[0], n)
-        sin_hat = np.fft.rfft(np.sin(phi))
-        recording = step % stride == 0 or step == n_steps
-        z[1] -= (tail if recording else tail + head) * sin_hat
-        if recording:
-            x = np.array([phi, np.fft.irfft(z[1], n)])
-            _guard(x)
-            record(State(Field(grid, x[0]), Field(grid, x[1]),
-                         s0.time + step * dt, s0.topology))
-            z[1] -= head * sin_hat
+        if step % stride and step != n_steps:
+            kick(tail + head, x)
+            continue
+        snap = np.empty((2, n))
+        kick(tail, snap[0])
+        pfu.irfft(z[1], 1.0 / n, out=snap[1])
+        _guard(snap)
+        record(State(Field(grid, snap[0]), Field(grid, snap[1]),
+                     s0.time + step * dt, s0.topology))
+        rfft(x, -head, out=sin_hat)
+        z[1] += sin_hat
+
+
+def _centered(traj: Trajectory, t: float) -> tuple[int, float]:
+    """Index of the snapshot at t and the gap to either neighbour.
+
+    Centered differences need equal gaps; the forced last snapshot leaves a
+    shorter one when snapshot_every does not divide the span.
+    """
+    times = traj.times
+    i = traj._index_at(t)
+    if i == 0 or i == len(times) - 1:
+        raise ValueError("t must have snapshot neighbors on both sides")
+    before, after = times[i] - times[i - 1], times[i + 1] - times[i]
+    if abs(after - before) > 1e-9:
+        raise ValueError(f"unequal snapshot gaps {before} and {after} around "
+                         f"t={times[i]}; centered differences need equal gaps")
+    return i, after
 
 
 def pde_residual(traj: Trajectory, t: float) -> Field:
     """f_tt - f_xx + sin f by centered differences across snapshots."""
-    times = traj.times
-    i = int(np.argmin(np.abs(times - t)))
-    if i == 0 or i == len(times) - 1:
-        raise ValueError("t must have snapshot neighbors on both sides")
-    dt = times[i + 1] - times[i]
+    i, dt = _centered(traj, t)
     fm, f0, fp = (traj.states[j].phi.values for j in (i - 1, i, i + 1))
     f_tt = (fp - 2.0 * f0 + fm) / dt**2
     f_xx = _fd_stencil(f0, traj.states[i].grid.dx, 2)
@@ -302,11 +342,7 @@ def em_tensor(s: State) -> dict:
 
 def em_conservation_residual(traj: Trajectory, t: float) -> dict:
     """r0 = dT00/dt - dT10/dx, r1 = dT01/dt - dT11/dx at snapshot time t."""
-    times = traj.times
-    i = int(np.argmin(np.abs(times - t)))
-    if i == 0 or i == len(times) - 1:
-        raise ValueError("t must be an interior snapshot time")
-    dt = times[i + 1] - times[i]
+    i, dt = _centered(traj, t)
     tm, t0, tp = (em_tensor(traj.states[j]) for j in (i - 1, i, i + 1))
     d_t00 = (tp["T00"].values - tm["T00"].values) / (2.0 * dt)
     d_t01 = (tp["T01"].values - tm["T01"].values) / (2.0 * dt)

@@ -1,12 +1,16 @@
 """Time integrators, trajectories, and conserved-quantity diagnostics."""
 
+import sys
+
 import numpy as np
 import pytest
+from numpy.fft import _pocketfft_umath as pfu
 from hypothesis import example, given, settings, strategies as st
 
 from sgkink.evolve import (
     Scheme,
     SchemeKind,
+    _composition_run,
     _guard,
     conserved_quantities,
     em_conservation_residual,
@@ -22,6 +26,7 @@ from sgkink.exact import (
 )
 from sgkink.fields import (
     Field,
+    Grid,
     State,
     Topology,
     _fd_stencil,
@@ -101,6 +106,42 @@ def reference_steps(phi, pt, grid, weights, dt, n_steps):
             phi, pt = np.fft.ifft(ph).real, np.fft.ifft(pth).real
             pt = pt - 0.5 * h * np.sin(phi)
     return phi, pt
+
+
+def reference_composition(weights, s0, dt, n_steps, stride):
+    """The composition routine with its kicks on the public numpy.fft calls.
+
+    Returns (time, phi, phi_t) for every recorded step after s0.
+    """
+    grid, n = s0.grid, s0.grid.n
+    axi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
+    drifts = []
+    for w in weights:
+        h = w * dt
+        sinc = np.where(axi > 0, np.sin(axi * h) / np.where(axi > 0, axi, 1.0), h)
+        drifts.append((np.cos(axi * h), sinc, axi * np.sin(axi * h)))
+    inner = [0.5 * (a + b) * dt for a, b in zip(weights, weights[1:])]
+    head, tail = 0.5 * weights[0] * dt, 0.5 * weights[-1] * dt
+    phi = s0.phi.values
+    z = np.fft.rfft([phi, s0.phi_t.values - head * np.sin(phi)])
+    spec = np.empty_like(z)
+    out = []
+    for step in range(1, n_steps + 1):
+        for i, (cos_w, sinc_w, wsin_w) in enumerate(drifts):
+            if i:
+                z[1] -= inner[i - 1] * np.fft.rfft(np.sin(np.fft.irfft(z[0], n)))
+            np.multiply(cos_w, z, out=spec)
+            spec[0] += sinc_w * z[1]
+            spec[1] -= wsin_w * z[0]
+            z, spec = spec, z
+        phi = np.fft.irfft(z[0], n)
+        sin_hat = np.fft.rfft(np.sin(phi))
+        recording = step % stride == 0 or step == n_steps
+        z[1] -= (tail if recording else tail + head) * sin_hat
+        if recording:
+            out.append((s0.time + step * dt, phi, np.fft.irfft(z[1], n)))
+            z[1] -= head * sin_hat
+    return out
 
 
 def reference_conserved(s):
@@ -310,6 +351,68 @@ class TestComposition:
             assert np.max(np.abs(state.phi.values - phi)) < 1e-11
             assert np.max(np.abs(state.phi_t.values - pt)) < 1e-11
 
+    @pytest.mark.parametrize("n", [2048, 1023])
+    @pytest.mark.parametrize("stride", [1, 3, 8])
+    @pytest.mark.parametrize("kind", list(_WEIGHTS))
+    def test_bit_identical_to_public_fft_kicks(self, kind, stride, n):
+        # 36 steps: stride 8 leaves a forced last record after step 32.  An
+        # odd n (a Grid that make_grid would refuse) takes rfft_n_odd.
+        grid = Grid(-64.0, 64.0, n)
+        s0 = breather_state(grid)
+        dt = grid.dx / 2
+        traj = evolve(s0, Scheme(kind, dt), 36 * dt, snapshot_every=stride * dt)
+        ref = reference_composition(_WEIGHTS[kind], s0, dt, 36, stride)
+        assert len(traj.states) == len(ref) + 1
+        for state, (t, phi, pt) in zip(traj.states[1:], ref):
+            assert state.time == t
+            assert np.array_equal(state.phi.values, phi)
+            assert np.array_equal(state.phi_t.values, pt)
+
+    @pytest.mark.parametrize("n", [16, 2048, 8192])
+    def test_fft_gufuncs_match_public_calls(self, n):
+        # the private kernels behind np.fft.rfft and np.fft.irfft, with the
+        # kick weight as the forward normalisation factor
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        z = np.fft.rfft(x)
+        z_in = z.copy()
+        out = np.empty(n)
+        pfu.irfft(z, 1.0 / n, out=out)
+        assert np.array_equal(out, np.fft.irfft(z_in, n))
+        assert np.array_equal(z, z_in)  # the input is not written
+        s = np.empty(n // 2 + 1, complex)
+        for w in (1.0, 0.3, -0.7, -_YOSHIDA_W1 / 64):
+            pfu.rfft_n_even(x, w, out=s)
+            assert np.array_equal(s, w * np.fft.rfft(x))
+
+    def test_recorded_arrays_share_no_memory(self, grid):
+        s0 = breather_state(grid)
+        phi0, pt0 = s0.phi.values.copy(), s0.phi_t.values.copy()
+        states, buffers = [], []
+
+        def record(state):
+            # the routine's scratch arrays, read from its frame at each record
+            f_locals = sys._getframe(1).f_locals
+            buffers.extend(f_locals[k] for k in ("x", "sin_hat", "spec", "row", "z"))
+            states.append((state, state.phi.values.copy(),
+                           state.phi_t.values.copy()))
+
+        dt = grid.dx / 2
+        _composition_run(_WEIGHTS[SchemeKind.YOSHIDA4_SPECTRAL], s0, dt, 8,
+                         1, record)
+        assert states[0][0] is s0
+        arrays = [a for state, _, _ in states
+                  for a in (state.phi.values, state.phi_t.values)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:] + buffers:
+                assert not np.shares_memory(a, b)
+        # nothing recorded is written after it was recorded
+        for state, phi, pt in states:
+            assert np.array_equal(state.phi.values, phi)
+            assert np.array_equal(state.phi_t.values, pt)
+        assert np.array_equal(s0.phi.values, phi0)
+        assert np.array_equal(s0.phi_t.values, pt0)
+
     @given(kind=st.sampled_from(list(_WEIGHTS)), stride=st.integers(1, 8))
     @settings(max_examples=10, deadline=None)
     def test_final_state_independent_of_stride(self, grid, kind, stride):
@@ -331,6 +434,20 @@ class TestPdeResidual:
         res = pde_residual(traj, 1.0)
         interior = slice(8, -8)
         assert np.max(np.abs(res.values[interior])) < 1e-3
+
+    def test_rejects_unequal_snapshot_gaps(self):
+        # snapshots at 0, 0.375, 0.75 and the forced last one at 1.0
+        grid = make_grid(-16.0, 16.0, 512)
+        traj = evolve(small_state(grid, eps=0.1),
+                      Scheme(SchemeKind.YOSHIDA4_SPECTRAL, 1.0 / 32), 1.0,
+                      snapshot_every=0.375)
+        assert np.max(np.abs(pde_residual(traj, 0.375).values[8:-8])) < 0.05
+        with pytest.raises(ValueError, match="unequal snapshot gaps"):
+            pde_residual(traj, 0.75)
+        with pytest.raises(ValueError, match="unequal snapshot gaps"):
+            em_conservation_residual(traj, 0.75)
+        with pytest.raises(ValueError, match="no snapshot at t=0.5"):
+            pde_residual(traj, 0.5)  # not the residual at 0.375
 
 
 class TestConservedQuantities:
