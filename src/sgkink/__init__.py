@@ -2,7 +2,7 @@
 
 Submodules:
     fields      grids, states, norms, Fourier multipliers, I/O
-    exact       closed-form solutions and Lorentz boosts
+    exact       closed-form solutions
     evolve      time integrators and conserved-quantity diagnostics
     backlund    the Backlund transform, forward and inverse
     tracking    kink-center selection and decay diagnostics

@@ -1,18 +1,17 @@
 """Command-line entry point: run, list, and validate experiments.
 
-`sgkink run` accepts one or more JSON configs; multiple configs run as a
-sweep with process parallelism capped by the SGKINK_THREADS environment
-variable (default: sequential).  Exit status is 0 iff every experiment met
-its tolerances.
+`sgkink run` accepts one or more JSON configs and loads every one before it
+runs any: a config that does not load, or two configs with the same file
+stem, end the command with exit status 1 before anything runs.  The configs
+then run in the order given.  One config writes to --out itself, several
+write to --out/<stem>.  Exit status is 0 iff every experiment met its
+tolerances.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .experiments import (
@@ -25,46 +24,34 @@ from .experiments import (
 __all__ = ["main"]
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SGKINK_THREADS", "1")
+def _load(path):
+    """The config at path, or None after printing to stderr why it is not one."""
     try:
-        val = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"SGKINK_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, val)
-
-
-def _run_one(args: tuple) -> tuple:
-    path, out_dir = args
-    cfg = ExperimentConfig.from_json(path)
-    rep = run_experiment(cfg)
-    write_report(rep, out_dir)
-    return path, rep.passed, rep.failures
+        return ExperimentConfig.from_json(path)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"invalid config: {path}: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_run(args) -> int:
-    jobs = []
-    for path in args.configs:
-        stem = Path(path).stem
-        out_dir = (
-            Path(args.out)
-            if len(args.configs) == 1
-            else Path(args.out) / stem
-        )
-        jobs.append((path, out_dir))
-    workers = min(_thread_cap(), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, jobs))
-    else:
-        results = [_run_one(job) for job in jobs]
+    cfgs = [_load(path) for path in args.configs]
+    stems = [Path(path).stem for path in args.configs]
+    shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+    for stem in shared:
+        paths = ", ".join(p for p, s in zip(args.configs, stems) if s == stem)
+        print(f"configs {paths} share the stem {stem!r} and would all write "
+              f"to {Path(args.out) / stem}", file=sys.stderr)
+    if shared or any(cfg is None for cfg in cfgs):
+        return 1
     ok = True
-    for path, passed, failures in results:
-        status = "ok" if passed else "FAILED"
-        print(f"{path}: {status}")
-        for msg in failures:
+    for path, stem, cfg in zip(args.configs, stems, cfgs):
+        rep = run_experiment(cfg)
+        write_report(rep, Path(args.out) if len(cfgs) == 1
+                     else Path(args.out) / stem)
+        print(f"{path}: {'ok' if rep.passed else 'FAILED'}")
+        for msg in rep.failures:
             print(f"  tolerance violated: {msg}")
-        ok = ok and passed
+        ok = ok and rep.passed
     return 0 if ok else 1
 
 
@@ -75,10 +62,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_json(args.config)
-    except (OSError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+    cfg = _load(args.config)
+    if cfg is None:
         return 1
     print(f"valid config for experiment {cfg.name!r}")
     return 0

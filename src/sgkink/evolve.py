@@ -22,17 +22,14 @@ from enum import Enum
 
 import numpy as np
 
-from .fields import Field, State, Topology, _fd_stencil, spatial_derivative
+from .fields import Field, State, Topology, _fd_stencil
 
 __all__ = [
     "SchemeKind",
     "Scheme",
     "Trajectory",
     "evolve",
-    "pde_residual",
     "conserved_quantities",
-    "em_tensor",
-    "em_conservation_residual",
 ]
 
 _BLOWUP = 1e6
@@ -243,32 +240,6 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
         z[1] += sin_hat
 
 
-def _centered(traj: Trajectory, t: float) -> tuple[int, float]:
-    """Index of the snapshot at t and the gap to either neighbour.
-
-    Centered differences need equal gaps; the forced last snapshot leaves a
-    shorter one when snapshot_every does not divide the span.
-    """
-    times = traj.times
-    i = traj._index_at(t)
-    if i == 0 or i == len(times) - 1:
-        raise ValueError("t must have snapshot neighbors on both sides")
-    before, after = times[i] - times[i - 1], times[i + 1] - times[i]
-    if abs(after - before) > 1e-9:
-        raise ValueError(f"unequal snapshot gaps {before} and {after} around "
-                         f"t={times[i]}; centered differences need equal gaps")
-    return i, after
-
-
-def pde_residual(traj: Trajectory, t: float) -> Field:
-    """f_tt - f_xx + sin f by centered differences across snapshots."""
-    i, dt = _centered(traj, t)
-    fm, f0, fp = (traj.states[j].phi.values for j in (i - 1, i, i + 1))
-    f_tt = (fp - 2.0 * f0 + fm) / dt**2
-    f_xx = _fd_stencil(f0, traj.states[i].grid.dx, 2)
-    return Field(traj.states[i].grid, f_tt - f_xx + np.sin(f0))
-
-
 # ---------------------------------------------------------------------------
 # Conserved quantities
 
@@ -325,28 +296,3 @@ def conserved_quantities(s: State) -> dict:
         )
 
     return {"E0": e0, "P": p_mom, "E2": integrate(j2), "E4": integrate(j4)}
-
-
-def em_tensor(s: State) -> dict:
-    pt = s.phi_t.values
-    px = spatial_derivative(s.phi, 1).values
-    sin_half = np.sin(0.5 * s.phi.values)
-    potential = 2.0 * sin_half * sin_half  # 1 - cos phi, without cancellation
-    half = 0.5 * (pt**2 + px**2)
-    return {
-        "T00": Field(s.grid, half + potential),
-        "T01": Field(s.grid, pt * px),
-        "T11": Field(s.grid, half - potential),
-    }
-
-
-def em_conservation_residual(traj: Trajectory, t: float) -> dict:
-    """r0 = dT00/dt - dT10/dx, r1 = dT01/dt - dT11/dx at snapshot time t."""
-    i, dt = _centered(traj, t)
-    tm, t0, tp = (em_tensor(traj.states[j]) for j in (i - 1, i, i + 1))
-    d_t00 = (tp["T00"].values - tm["T00"].values) / (2.0 * dt)
-    d_t01 = (tp["T01"].values - tm["T01"].values) / (2.0 * dt)
-    dx_t10 = spatial_derivative(t0["T01"], 1).values
-    dx_t11 = spatial_derivative(t0["T11"], 1).values
-    grid = traj.states[i].grid
-    return {"r0": Field(grid, d_t00 - dx_t10), "r1": Field(grid, d_t01 - dx_t11)}

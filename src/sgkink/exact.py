@@ -19,13 +19,9 @@ __all__ = [
     "BreatherParams",
     "ExactSolution",
     "Kink",
-    "Antikink",
     "Breather",
     "WobblingKink",
-    "ZeroSolution",
-    "BoostedSolution",
     "sech",
-    "evaluate",
     "sample_state",
     "kink_identities",
 ]
@@ -94,15 +90,6 @@ class ExactSolution:
         raise NotImplementedError
 
 
-class ZeroSolution(ExactSolution):
-    topology = Topology.ZERO
-
-    def evaluate(self, t, x):
-        z = np.zeros_like(np.broadcast_arrays(np.asarray(t, float),
-                                              np.asarray(x, float))[0])
-        return z, z.copy(), z.copy()
-
-
 class Kink(ExactSolution):
     topology = Topology.KINK
 
@@ -117,18 +104,6 @@ class Kink(ExactSolution):
         f_x = 2.0 * p.gamma * s
         f_t = -2.0 * p.beta * p.gamma * s
         return f, f_t, f_x
-
-
-class Antikink(ExactSolution):
-    topology = Topology.KINK
-
-    def __init__(self, params: KinkParams):
-        self.params = params
-        self._kink = Kink(params)
-
-    def evaluate(self, t, x):
-        f, f_t, f_x = self._kink.evaluate(t, x)
-        return -f, -f_t, -f_x
 
 
 class Breather(ExactSolution):
@@ -210,30 +185,6 @@ class WobblingKink(ExactSolution):
         f_x = 4.0 * (V_x * U - U_x * V) / den
         f_t = 4.0 * (V_t * U - U_t * V) / den
         return f, f_t, f_x
-
-
-class BoostedSolution(ExactSolution):
-    """Lorentz boost f(t,x) -> f(gamma(t - beta x), gamma(x - beta t))."""
-
-    def __init__(self, base: ExactSolution, beta: float):
-        if not abs(beta) < 1:
-            raise ValueError(f"|beta| must be < 1, got {beta}")
-        self.base = base
-        self.beta = beta
-        self.topology = base.topology
-
-    def evaluate(self, t, x):
-        b = self.beta
-        g = 1.0 / np.sqrt(1.0 - b * b)
-        tau = g * (np.asarray(t, float) - b * np.asarray(x, float))
-        y = g * (np.asarray(x, float) - b * np.asarray(t, float))
-        f, f_t, f_x = self.base.evaluate(tau, y)
-        return f, g * f_t - b * g * f_x, -b * g * f_t + g * f_x
-
-
-def evaluate(sol: ExactSolution, t, x) -> dict:
-    f, f_t, f_x = sol.evaluate(t, x)
-    return {"f": f, "f_t": f_t, "f_x": f_x}
 
 
 def sample_state(sol: ExactSolution, grid: Grid, t: float) -> State:

@@ -27,7 +27,6 @@ __all__ = [
     "make_grid",
     "spatial_derivative",
     "bessel_multiplier",
-    "inner_product",
     "norm",
     "save_field_csv",
     "load_field_csv",
@@ -229,17 +228,6 @@ def bessel_multiplier(f: Field, l: float) -> Field:
     if not f.is_complex:
         out = out.real
     return Field(f.grid, out)
-
-
-def inner_product(f: Field, g: Field) -> complex:
-    """Trapezoid quadrature of f * conj(g) dx."""
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch in inner_product")
-    vals = f.values * np.conj(g.values)
-    out = np.trapezoid(vals, dx=f.grid.dx)
-    if not (f.is_complex or g.is_complex):
-        return float(out.real) if np.iscomplexobj(out) else float(out)
-    return complex(out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .backlund import operator_I
 from .evolve import Trajectory
 from .exact import kink_identities, KinkParams, sech
 from .fields import (Field, Grid, State, Topology, _local_cubic,
-                     bessel_multiplier, spatial_derivative)
+                     bessel_multiplier)
 
 __all__ = [
     "WavePacketSpec",
@@ -34,7 +34,6 @@ __all__ = [
     "gamma_profile",
     "extract_W",
     "predict_asymptotics",
-    "lorentz_boost_field",
 ]
 
 _MIN_EXTRACTION_TIME = 100.0
@@ -226,8 +225,3 @@ def predict_asymptotics(W: ProfileW, t: float, x, target):
         return dx_pred, dt_pred
     raise TypeError(f"unknown prediction target {target!r}")
 
-
-def lorentz_boost_field(s: State) -> Field:
-    """Z phi = t phi_x + x phi_t, the boost generator applied to the state."""
-    phi_x = spatial_derivative(s.phi, 1)
-    return Field(s.grid, s.time * phi_x.values + s.grid.x * s.phi_t.values)

@@ -34,7 +34,6 @@ __all__ = [
     "solve_center",
     "center_velocity",
     "track",
-    "exterior_decay_check",
     "fit_decay_exponent",
 ]
 
@@ -193,20 +192,6 @@ def _decay_bound(t: float, r: float, s: float) -> float:
     """min(t^(-1/4) <r>^(-1/4), <r>^(-s)) at r = |x| - t."""
     jap = np.sqrt(1.0 + r * r)
     return float(min(t ** (-0.25) * jap ** (-0.25), jap ** (-s)))
-
-
-def exterior_decay_check(f: State, K: State, R: float, s: float) -> dict:
-    """Exterior sup of the difference of (f, f_x, f_t) against the decay shape
-    min(t^(-1/4) <|x|-t>^(-1/4), <|x|-t>^(-s)), evaluated at the worst point."""
-    if f.grid != K.grid:
-        raise ValueError("grid mismatch")
-    sup = _exterior_sup(f.grid.x, f.time, R, f.phi.values - K.phi.values,
-                        spatial_derivative(f.phi, 1).values
-                        - spatial_derivative(K.phi, 1).values,
-                        f.phi_t.values - K.phi_t.values)
-    if sup is None:
-        raise ValueError("empty exterior region")
-    return {"lhs": sup[0], "bound": _decay_bound(f.time, sup[1], s)}
 
 
 def fit_decay_exponent(series, window) -> dict:

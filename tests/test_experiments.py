@@ -130,12 +130,14 @@ def cheap_config(tmp_path):
 
 class TestCli:
     def test_import_loads_no_scipy(self):
-        # sgkink runs on numpy alone; scipy is a test-only reference
+        # sgkink runs on numpy alone; scipy is a test-only reference, and
+        # configs run in sequence, with no process pool
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         code = ("import sys, sgkink.cli; print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
+                "for p in ('scipy', 'concurrent.futures', 'multiprocessing') "
+                "if m == p or m.startswith(p + '.')))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
@@ -211,18 +213,29 @@ class TestCli:
         assert (out / "cons" / "report.json").exists()
         assert (out / "cons2" / "report.json").exists()
 
-    def test_run_parallel_env(self, cheap_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("SGKINK_THREADS", "2")
-        other = cheap_config.parent / "cons3.json"
-        other.write_text(json.dumps({**CHEAP, "t_end": 2.0}))
-        out = tmp_path / "par"
-        assert main(["run", str(cheap_config), str(other),
-                     "--out", str(out)]) == 0
+    def test_run_checks_every_config_first(self, cheap_config, tmp_path,
+                                           capsys):
+        # the bad config comes last, and nothing runs before it is refused
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "conservation", "epsilon": 5}))
+        out = tmp_path / "sweep"
+        assert main(["run", str(cheap_config), str(bad),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"invalid config: {bad}: " in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
-    def test_bad_thread_env(self, cheap_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("SGKINK_THREADS", "many")
-        with pytest.raises(SystemExit):
-            main(["run", str(cheap_config), "--out", str(tmp_path / "x")])
+    def test_run_refuses_shared_stems(self, tmp_path, capsys):
+        paths = []
+        for sub, t_end in (("a", 5.0), ("b", 2.0)):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "c.json")
+            paths[-1].write_text(json.dumps({**CHEAP, "t_end": t_end}))
+        out = tmp_path / "sweep"
+        assert main(["run", *map(str, paths), "--out", str(out)]) == 1
+        assert "'c'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failing_run_exits_one(self, tmp_path, capsys):
         # a perturbed kink integrated coarsely drifts E2/E4 past tolerance

@@ -16,7 +16,6 @@ from sgkink.fields import (
     WeightedSobolev,
     _local_cubic,
     bessel_multiplier,
-    inner_product,
     load_field_csv,
     load_field_sgf,
     make_grid,
@@ -206,15 +205,6 @@ class TestNorms:
         f = smooth_field(grid, [(0.3, 0.0, 2.0)])
         s = State(f, f, 0.0, Topology.ZERO)
         assert norm(s, PairEnergy(s)) == 0.0
-
-
-class TestInnerProduct:
-    def test_conjugate_symmetry(self, grid):
-        f = Field(grid, np.exp(-grid.x**2) * (1 + 1j))
-        g = Field(grid, np.exp(-(grid.x - 1) ** 2) * (2 - 1j))
-        assert inner_product(f, g) == pytest.approx(
-            np.conj(inner_product(g, f))
-        )
 
 
 class TestIO:

@@ -16,7 +16,6 @@ from sgkink.scattering import (
     WavePacketSpec,
     extract_W,
     gamma_profile,
-    lorentz_boost_field,
     predict_asymptotics,
     to_complex_u,
     wave_packet,
@@ -207,18 +206,3 @@ class TestPredictAsymptotics:
         with pytest.raises(ValueError):
             predict_asymptotics(profile, 100.0, 99.9, U(0))
 
-
-class TestLorentzBoostField:
-    def test_traveling_wave_identity(self, grid):
-        b, t = 0.4, 3.0
-        prof = np.exp(-((grid.x - b * t) ** 2))
-        dprof = -2 * (grid.x - b * t) * prof
-        s = State(Field(grid, prof), Field(grid, -b * dprof), t, Topology.ZERO)
-        z = lorentz_boost_field(s)
-        expect = (t - b * grid.x) * dprof
-        assert np.max(np.abs(z.values - expect)) < 1e-4
-
-    def test_zero_state(self, grid):
-        z = np.zeros(grid.n)
-        s = State(Field(grid, z), Field(grid, z.copy()), 5.0, Topology.ZERO)
-        assert np.all(lorentz_boost_field(s).values == 0)

@@ -22,9 +22,9 @@ from sgkink.fields import (
 from sgkink.tracking import (
     CenterMode,
     _decay_bound,
+    _exterior_sup,
     _orthogonality,
     center_velocity,
-    exterior_decay_check,
     fit_decay_exponent,
     solve_center,
     track,
@@ -211,13 +211,10 @@ class TestTrack:
             assert r.exterior_l2 == pytest.approx(want["exterior_l2"],
                                                   rel=1e-12, abs=0.0)
             for R, (lhs, bound) in want["exterior_check"].items():
-                ref = sample_state(Kink(KinkParams(tracked.beta, r.center)),
-                                   s.grid, s.time)
-                chk = exterior_decay_check(s, ref, R, 1.0)
-                assert r.exterior_sup[R][0] == chk["lhs"] == pytest.approx(
-                    lhs, rel=1e-12, abs=0.0)
-                assert (_decay_bound(s.time, r.exterior_sup[R][1], 1.0)
-                        == chk["bound"] == pytest.approx(bound, rel=1e-12))
+                assert r.exterior_sup[R][0] == pytest.approx(lhs, rel=1e-12,
+                                                             abs=0.0)
+                assert _decay_bound(s.time, r.exterior_sup[R][1],
+                                    1.0) == pytest.approx(bound, rel=1e-12)
 
     def test_centers_constant(self, tracked_exact):
         centers = [r.center for r in tracked_exact.records]
@@ -240,23 +237,24 @@ class TestTrack:
 
 class TestExteriorDecay:
     def test_zero_for_self(self, grid):
-        s = kink_state(grid, t=2.0)
-        out = exterior_decay_check(s, s, 1.0, 1.0)
-        assert out["lhs"] == 0.0
+        z = np.zeros(grid.n)
+        assert _exterior_sup(grid.x, 2.0, 1.0, z, z, z)[0] == 0.0
 
-    def test_bound_shrinks_with_time(self):
-        # at fixed |x| - t the bound decreases at least like t^{-1/4}
-        r = 5.0
-        jap = np.sqrt(1 + r * r)
-        b1 = min(10.0**-0.25 * jap**-0.25, jap**-1.0)
-        b2 = min(20.0**-0.25 * jap**-0.25, jap**-1.0)
-        assert b2 <= b1 * 2**0.25 / 2**0.25 + 1e-15
-        assert b2 / b1 <= 1.0
+    @given(r=st.floats(-5.0, 50.0), s=st.floats(0.0, 2.0),
+           t1=st.floats(1.0, 100.0), t2=st.floats(1.0, 100.0))
+    @settings(max_examples=50, deadline=None)
+    def test_bound_does_not_increase_in_time(self, r, s, t1, t2):
+        # at fixed |x| - t, min(t^(-1/4) <r>^(-1/4), <r>^(-s))
+        jap = np.sqrt(1.0 + r * r)
+        for t in (t1, t2):
+            assert _decay_bound(t, r, s) == pytest.approx(
+                min(t**-0.25 * jap**-0.25, jap**-s), rel=1e-15)
+        lo, hi = sorted((t1, t2))
+        assert _decay_bound(hi, r, s) <= _decay_bound(lo, r, s)
 
-    def test_empty_exterior_raises(self, grid):
-        s = kink_state(grid, t=100.0)
-        with pytest.raises(ValueError):
-            exterior_decay_check(s, s, 10.0, 1.0)
+    def test_empty_exterior_is_none(self, grid):
+        z = np.zeros(grid.n)
+        assert _exterior_sup(grid.x, 100.0, 10.0, z, z, z) is None
 
 
 class TestFitDecayExponent:
