@@ -226,6 +226,43 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        None,        # no file: OSError
+        "{not json",  # json.JSONDecodeError, a ValueError
+        "[1, 2]",    # not an object: TypeError
+    ], ids=["missing", "bad-json", "not-object"])
+    def test_run_refuses_unloadable_config(self, text, tmp_path, capsys):
+        # run shares validate's loader, so it exits 1 with a message, not a
+        # traceback, for each error that validate catches
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"invalid config: {path}: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_run_reports_every_bad_config(self, cheap_config, tmp_path,
+                                          capsys):
+        # every config is loaded, so one command names all the bad ones
+        bad = []
+        for stem, cfg in (("eps", {"name": "conservation", "epsilon": 5}),
+                          ("m", {"name": "conservation", "m": 3})):
+            bad.append(tmp_path / f"{stem}.json")
+            bad[-1].write_text(json.dumps(cfg))
+        assert main(["run", str(bad[0]), str(cheap_config), str(bad[1]),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in err] == list(map(str, bad))
+
+    def test_validate_names_path(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "conservation", "epsilon": 5}))
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid config: {bad}: ")
+
     def test_run_refuses_shared_stems(self, tmp_path, capsys):
         paths = []
         for sub, t_end in (("a", 5.0), ("b", 2.0)):
