@@ -9,14 +9,17 @@ one-weight case and the 4th-order Yoshida scheme its three-weight case;
 adjacent half-kicks are fused, and the blow-up guard runs once per recorded
 snapshot.  Its kicks call numpy's pocketfft gufuncs (the kernels behind
 np.fft.rfft and np.fft.irfft) on preallocated buffers, which skips the
-wrappers' fixed per-call cost and gives the same bits.  Conserved
-quantities E0, P and the higher invariants E2, E4 are functionals of a
-single State: time derivatives beyond phi_t are eliminated through the
-equation itself (phi_tt = phi_xx - sin phi).
+wrappers' fixed per-call cost and gives the same bits.  Both backends are
+generators: `snapshots` yields each State as it is reached, and `evolve`
+holds them all in a Trajectory.  Conserved quantities E0, P and the higher
+invariants E2, E4 are functionals of a single State: time derivatives
+beyond phi_t are eliminated through the equation itself
+(phi_tt = phi_xx - sin phi).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,12 +31,12 @@ __all__ = [
     "SchemeKind",
     "Scheme",
     "Trajectory",
+    "snapshots",
     "evolve",
     "conserved_quantities",
 ]
 
 _BLOWUP = 1e6
-_CLAMP = 2  # boundary cells held at their asymptotic tail values
 
 
 class SchemeKind(Enum):
@@ -95,16 +98,17 @@ def _whole_steps(span: float, dt: float, name: str) -> int:
     return int(round(steps))
 
 
-def evolve(s0: State, scheme: Scheme, t_end: float,
-           snapshot_every: float) -> Trajectory:
-    """Integrate s0 to t_end, recording snapshots every snapshot_every.
+def snapshots(s0: State, scheme: Scheme, t_end: float,
+              snapshot_every: float) -> Iterator[State]:
+    """Integrate s0 to t_end, yielding a snapshot every snapshot_every.
 
     Both t_end - s0.time and snapshot_every must be whole multiples of dt
     (to 1e-9 steps); otherwise ValueError, rather than a rounded step count.
-    The last step is always recorded.  The blow-up guard checks each recorded
-    snapshot only, so detection can lag by up to one snapshot stride.  The
-    leapfrog refuses dt > 0.9 dx; the spectral schemes refuse kink topology
-    and step the half spectra of phi and phi_t.
+    s0 comes first and the last step is always yielded.  The blow-up guard
+    checks each yielded snapshot only, so detection can lag by up to one
+    snapshot stride.  The leapfrog refuses dt > 0.9 dx; the spectral schemes
+    refuse kink topology and step the half spectra of phi and phi_t.  Every
+    refusal is raised by this call, before the returned generator runs.
     """
     dt = scheme.dt
     dx = s0.grid.dx
@@ -113,37 +117,39 @@ def evolve(s0: State, scheme: Scheme, t_end: float,
     if scheme.kind is SchemeKind.LEAPFROG:
         if dt > 0.9 * dx + 1e-14:
             raise ValueError(f"CFL violation: dt={dt} > 0.9*dx={0.9*dx}")
-    elif s0.topology is Topology.KINK:
+        return _leapfrog_run(s0, dt, n_steps, stride)
+    if s0.topology is Topology.KINK:
         raise ValueError("spectral scheme requires zero topology")
-
-    traj = Trajectory(states=[])
-    if scheme.kind is SchemeKind.LEAPFROG:
-        _leapfrog_run(s0, dt, n_steps, stride, traj.states.append)
-    else:
-        _composition_run(_DRIFT_WEIGHTS[scheme.kind], s0, dt, n_steps,
-                         stride, traj.states.append)
-    return traj
+    return _composition_run(_DRIFT_WEIGHTS[scheme.kind], s0, dt, n_steps,
+                            stride)
 
 
-def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int, record):
+def evolve(s0: State, scheme: Scheme, t_end: float,
+           snapshot_every: float) -> Trajectory:
+    """Every snapshot of snapshots(s0, scheme, t_end, snapshot_every), held."""
+    return Trajectory(list(snapshots(s0, scheme, t_end, snapshot_every)))
+
+
+def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     """f_next = 2f - f_prev + dt^2 (f_xx - sin f), 4th-order f_xx, in place.
 
     f_prev, f_cur and f_next are three preallocated buffers that rotate each
     step.  A step writes the interior of f_next with out= ufuncs and one
-    scratch array, and _clamp copies the boundary cells.  Recorded states
-    own their arrays.
+    scratch array; the two stencil-starved cells at either end hold s0's
+    values in all three buffers.  Yielded states own their arrays.
     """
     grid = s0.grid
     f_prev = np.array(s0.phi.values, dtype=float)
     accel0 = _fd_stencil(f_prev, grid.dx, 2) - np.sin(f_prev)
     f_cur = f_prev + dt * s0.phi_t.values + 0.5 * dt * dt * accel0
-    _clamp(f_cur, f_prev)
-    f_next = np.empty_like(f_cur)
+    # tail values are constants of the motion
+    f_cur[:2], f_cur[-2:] = f_prev[:2], f_prev[-2:]
+    f_next = f_prev.copy()
     tmp = np.empty(grid.n - 4)
     # the interior rows of _fd_stencil's order-2 stencil, times dt^2
     c = (dt / grid.dx) ** 2 / 12.0
     c16, c_mid, dt2 = 16.0 * c, 2.0 - 30.0 * c, dt * dt
-    record(s0)
+    yield s0
     t0 = s0.time
     for n in range(1, n_steps + 1):
         inner = f_next[2:-2]
@@ -158,23 +164,16 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int, record):
         inner -= tmp
         np.multiply(f_cur[2:-2], c_mid, out=tmp)
         inner += tmp
-        _clamp(f_next, f_prev)
         if n % stride == 0 or n == n_steps:
             _guard(f_next)
             phi_t = (f_next - f_prev) / (2.0 * dt)
-            record(State(Field(grid, f_cur.copy()), Field(grid, phi_t),
-                         t0 + n * dt, s0.topology))
+            yield State(Field(grid, f_cur.copy()), Field(grid, phi_t),
+                        t0 + n * dt, s0.topology)
         f_prev, f_cur, f_next = f_cur, f_next, f_prev
 
 
-def _clamp(f_new: np.ndarray, f_ref: np.ndarray) -> None:
-    # tail values are constants of the motion; pin the stencil-starved cells
-    f_new[:_CLAMP] = f_ref[:_CLAMP]
-    f_new[-_CLAMP:] = f_ref[-_CLAMP:]
-
-
 def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
-                     stride: int, record):
+                     stride: int):
     """Composition of kick-drift-kick Strang steps of sizes w*dt, w in weights.
 
     The state is held as the rfft half spectra of phi and phi_t.  Drift: the
@@ -184,10 +183,13 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
     into a preallocated buffer by the gufunc that np.fft itself calls; the
     kick weight is the rfft's normalisation factor.  Adjacent half-kicks are
     fused, across steps too (first-same-as-last), and split only on steps
-    that record; such a step inverts phi_t once, between the two halves of
-    the kick, so each recorded phi_t is synchronised with phi.  Recorded
-    states own fresh arrays.
+    that yield; such a step inverts phi_t once, between the two halves of
+    the kick, so each yielded phi_t is synchronised with phi.  weights must
+    be a palindrome, so both halves are the same spectrum.  Yielded states
+    own fresh arrays.
     """
+    if tuple(weights) != tuple(reversed(weights)):
+        raise ValueError(f"composition weights {weights} are not a palindrome")
     # numpy loads numpy.fft on first use; importing it here keeps it out of
     # `import sgkink`
     from numpy.fft import _pocketfft_umath as pfu
@@ -216,7 +218,7 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
         rfft(x, -weight, out=sin_hat)
         z[1] += sin_hat
 
-    record(s0)
+    yield s0
     for step in range(1, n_steps + 1):
         for i, (cos_w, sinc_w, wsin_w) in enumerate(drifts):
             if i:
@@ -234,10 +236,9 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
         kick(tail, snap[0])
         pfu.irfft(z[1], 1.0 / n, out=snap[1])
         _guard(snap)
-        record(State(Field(grid, snap[0]), Field(grid, snap[1]),
-                     s0.time + step * dt, s0.topology))
-        rfft(x, -head, out=sin_hat)
-        z[1] += sin_hat
+        yield State(Field(grid, snap[0]), Field(grid, snap[1]),
+                    s0.time + step * dt, s0.topology)
+        z[1] += sin_hat  # the head half-kick: rfft(x, -head) is sin_hat
 
 
 # ---------------------------------------------------------------------------

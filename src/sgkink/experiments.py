@@ -19,10 +19,9 @@ from .backlund import backlund_residual, forward_transform, inverse_transform
 from .evolve import (
     Scheme,
     SchemeKind,
-    Trajectory,
     _whole_steps,
     conserved_quantities,
-    evolve,
+    snapshots,
 )
 from .exact import (
     Breather,
@@ -192,29 +191,41 @@ def _perturbed_kink(cfg: ExperimentConfig) -> State:
     )
 
 
-def _evolve(cfg: ExperimentConfig, s0: State, rep: Report | None = None,
-            tag: str = "final") -> Trajectory:
+def _snapshots(cfg: ExperimentConfig, s0: State, rep: Report,
+               tag: str = "final"):
+    """The run's snapshots as they are reached; with save_snapshots, the
+    last one is kept in rep once the generator is exhausted."""
     scheme = Scheme(_SCHEMES[cfg.scheme], cfg.time_step)
-    traj = evolve(s0, scheme, cfg.t_end, snapshot_every=cfg.snapshot_every)
-    if rep is not None and cfg.save_snapshots:
-        last = traj.states[-1]
-        rep.snapshots[f"{tag}_phi"] = last.phi
-        rep.snapshots[f"{tag}_phi_t"] = last.phi_t
-    return traj
+    states = snapshots(s0, scheme, cfg.t_end, cfg.snapshot_every)
+    return _keep_last(states, rep, tag) if cfg.save_snapshots else states
+
+
+def _keep_last(states, rep: Report, tag: str):
+    for last in states:
+        yield last
+    rep.snapshots[f"{tag}_phi"] = last.phi
+    rep.snapshots[f"{tag}_phi_t"] = last.phi_t
 
 
 def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
     s0 = _perturbed_kink(cfg)
     inv = inverse_transform(s0, cfg.beta0, cfg.x0)
     rep.summary["inverse"] = json.loads(inv.to_json())
-    traj = _evolve(cfg, s0, rep, "f")
-    phi_traj = _evolve(cfg, inv.phi, rep, "phi")
-    tracked = track(traj, inv.beta, inv.context.x0 + inv.y,
+    a = inv.context.a0 + inv.delta
+    residuals = []
+
+    def f_states():
+        # f and phi in lockstep; only the residual norms outlive a snapshot
+        for s, p in zip(_snapshots(cfg, s0, rep, "f"),
+                        _snapshots(cfg, inv.phi, rep, "phi"), strict=True):
+            res = backlund_residual(s, p, a)
+            residuals.append((norm(res["R1"], Lp(2)), norm(res["R2"], Lp(2))))
+            yield s
+
+    tracked = track(f_states(), inv.beta, inv.context.x0 + inv.y,
                     CenterMode.ORTHOGONALITY)
     rows = []
-    a = inv.context.a0 + inv.delta
-    for rec, s, p in zip(tracked.records, traj.states, phi_traj.states):
-        res = backlund_residual(s, p, a)
+    for rec, (r1, r2) in zip(tracked.records, residuals, strict=True):
         rows.append({
             "t": rec.time,
             "center": rec.center,
@@ -222,8 +233,8 @@ def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
             "diff_linf": rec.diff_linf,
             "diff_deriv_l2plinf": rec.diff_deriv_l2plinf,
             "diff_pair_energy": rec.diff_pair_energy,
-            "backlund_r1": norm(res["R1"], Lp(2)),
-            "backlund_r2": norm(res["R2"], Lp(2)),
+            "backlund_r1": r1,
+            "backlund_r2": r2,
         })
     rep.tables["tracking"] = rows
     eps = cfg.epsilon
@@ -279,10 +290,8 @@ def _conservation_data(cfg: ExperimentConfig) -> State:
 
 
 def _run_conservation(cfg: ExperimentConfig, rep: Report) -> None:
-    s0 = _conservation_data(cfg)
-    traj = _evolve(cfg, s0, rep)
     rows = []
-    for s in traj.states:
+    for s in _snapshots(cfg, _conservation_data(cfg), rep):
         q = conserved_quantities(s)
         rows.append({"t": s.time, "E0": q["E0"], "P": q["P"],
                      "E2": q["E2"], "E4": q["E4"]})
@@ -299,9 +308,13 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     dphi, dphi_t = _perturbation(cfg)
     s0 = State(Field(cfg.grid, dphi), Field(cfg.grid, dphi_t), 0.0,
                Topology.ZERO)
-    traj = _evolve(cfg, s0, rep)
-    rows = [{"t": s.time, "linf": norm(s.phi, Lp(np.inf))}
-            for s in traj.states]
+    # ExperimentConfig has checked that the predictor times are snapshots
+    predictor_times = [frac * cfg.t_end for frac in _PREDICTOR_FRACTIONS]
+    kept, rows = {}, []
+    for s in _snapshots(cfg, s0, rep):
+        rows.append({"t": s.time, "linf": norm(s.phi, Lp(np.inf))})
+        kept.update((tt, s) for tt in predictor_times
+                    if abs(s.time - tt) <= 1e-9)
     rep.tables["decay"] = rows
     hi = min(200.0, cfg.t_end)
     series = [(r["t"], r["linf"]) for r in rows if 20 <= r["t"] <= hi]
@@ -316,7 +329,7 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     spec = WavePacketSpec(0.1)
     xi_max = min(3.0, _max_reachable_xi(cfg, spec))
     xi_grid = np.linspace(-xi_max, xi_max, 61)
-    W = extract_W(traj, xi_grid, spec, ExtractionMethod.WAVE_PACKET)
+    W = extract_W(s, xi_grid, spec, ExtractionMethod.WAVE_PACKET)  # the last
     rep.tables["profile"] = [
         {"xi": float(x), "re": float(w.real), "im": float(w.imag),
          "abs": float(abs(w))}
@@ -325,10 +338,8 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     sup_w = float(np.max(np.abs(W.W)))
     rep.summary["sup_W"] = sup_w
     ratios = {}
-    for frac in _PREDICTOR_FRACTIONS:
-        tt = frac * cfg.t_end
-        s = traj.state_at(tt)
-        u = to_complex_u(s)
+    for tt in predictor_times:
+        u = to_complex_u(kept[tt])
         mask = np.abs(cfg.grid.x) <= tt / 2
         pred = predict_asymptotics(W, tt, cfg.grid.x[mask], U(0))
         ratios[tt] = float(
@@ -357,8 +368,7 @@ def _max_reachable_xi(cfg: ExperimentConfig, spec: WavePacketSpec) -> float:
 
 def _run_wobbler(cfg: ExperimentConfig, rep: Report) -> None:
     s0 = sample_state(WobblingKink(cfg.beta0), cfg.grid, 0.0)
-    traj = _evolve(cfg, s0, rep)
-    tracked = track(traj, 0.0, cfg.x0, CenterMode.ORTHOGONALITY)
+    tracked = track(_snapshots(cfg, s0, rep), 0.0, cfg.x0, CenterMode.ORTHOGONALITY)
     rows = [{"t": r.time, "center": r.center,
              "diff_pair_energy": r.diff_pair_energy}
             for r in tracked.records]
@@ -374,8 +384,7 @@ def _run_wobbler(cfg: ExperimentConfig, rep: Report) -> None:
 
 def _run_exterior_decay(cfg: ExperimentConfig, rep: Report) -> None:
     s0 = _perturbed_kink(cfg)
-    traj = _evolve(cfg, s0, rep)
-    tracked = track(traj, cfg.beta0, cfg.x0, CenterMode.ORTHOGONALITY,
+    tracked = track(_snapshots(cfg, s0, rep), cfg.beta0, cfg.x0, CenterMode.ORTHOGONALITY,
                     exterior_R=(0.0,))
     rows = []
     for rec in tracked.records:

@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .backlund import operator_I
-from .evolve import Trajectory
 from .exact import kink_identities, KinkParams, sech
 from .fields import (Field, Grid, State, Topology, _local_cubic,
                      bessel_multiplier)
@@ -121,9 +120,9 @@ def _remove_log_phase(raw: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
     return raw * np.exp(-1j / (32.0 * jap) * np.abs(raw) ** 2 * np.log(t))
 
 
-def extract_W(traj: Trajectory, xi_grid, spec: WavePacketSpec,
+def extract_W(s: State, xi_grid, spec: WavePacketSpec,
               method: ExtractionMethod = ExtractionMethod.WAVE_PACKET) -> ProfileW:
-    s = traj.states[-1]
+    """The scattering profile W(xi) read off the final state s."""
     t = s.time
     if t < _MIN_EXTRACTION_TIME:
         raise ValueError(

@@ -9,12 +9,12 @@ t^(-1/2).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .evolve import Trajectory
 from .exact import KinkParams, kink_identities
 from .fields import (
     Field,
@@ -132,10 +132,13 @@ def _center_velocity(phi_t: np.ndarray, f_x: np.ndarray, w: np.ndarray,
     return -num / den
 
 
-def track(traj: Trajectory, beta: float, x0_guess: float,
+def track(states: Iterable[State], beta: float, x0_guess: float,
           mode: CenterMode = CenterMode.ORTHOGONALITY,
           exterior_R: tuple = ()) -> TrackedTrajectory:
     """Per-snapshot center tracking with continuation seeding.
+
+    states is any iterable of States in time order, such as the generator
+    of evolve.snapshots; each is read once and not kept.
 
     After the center solve, each snapshot takes one set of kink identities
     at the center and two derivatives, D phi and D Q, and every record field
@@ -143,7 +146,7 @@ def track(traj: Trajectory, beta: float, x0_guess: float,
     """
     records = []
     guess = x0_guess
-    for s in traj.states:
+    for s in states:
         c = solve_center(s.phi, beta, s.time, guess, mode)
         if records and abs(c - records[-1].center) > 0.5:
             raise RuntimeError(

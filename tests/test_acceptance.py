@@ -97,8 +97,8 @@ def stability_run():
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 200.0,
                   snapshot_every=2.5)
     center0 = inv.context.x0 + inv.y
-    ortho = track(traj, inv.beta, center0, CenterMode.ORTHOGONALITY)
-    pi = track(traj, inv.beta, center0, CenterMode.PI_LEVEL)
+    ortho = track(traj.states, inv.beta, center0, CenterMode.ORTHOGONALITY)
+    pi = track(traj.states, inv.beta, center0, CenterMode.PI_LEVEL)
     return eps, traj, ortho, pi
 
 
@@ -115,8 +115,8 @@ def scattering_long():
     s0 = _gaussian_state(grid, eps)
     traj = evolve(s0, Scheme(SchemeKind.YOSHIDA4_SPECTRAL, 0.015625), 400.0,
                   snapshot_every=5.0)
-    W = extract_W(traj, np.linspace(-3.0, 3.0, 121), WavePacketSpec(0.1),
-                  ExtractionMethod.WAVE_PACKET)
+    W = extract_W(traj.states[-1], np.linspace(-3.0, 3.0, 121),
+                  WavePacketSpec(0.1), ExtractionMethod.WAVE_PACKET)
     return eps, traj, W
 
 
@@ -283,7 +283,7 @@ def test_criterion_10_wobbler_non_decay():
     s0 = sample_state(WobblingKink(0.25), grid, 0.0)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 200.0,
                   snapshot_every=2.0)
-    tracked = track(traj, 0.0, 0.0, CenterMode.ORTHOGONALITY)
+    tracked = track(traj.states, 0.0, 0.0, CenterMode.ORTHOGONALITY)
     window = [r for r in tracked.records if r.time >= 20.0]
     ref = window[0].diff_pair_energy
     inf_val = min(r.diff_pair_energy for r in window)
@@ -332,7 +332,7 @@ def test_extraction_methods_agree(scattering_long):
     """Cross-check, not a numbered criterion: both profile extraction
     methods agree at the final time."""
     _, traj, W = scattering_long
-    W2 = extract_W(traj, W.xi_grid, WavePacketSpec(0.1),
+    W2 = extract_W(traj.states[-1], W.xi_grid, WavePacketSpec(0.1),
                    ExtractionMethod.STATIONARY_PHASE)
     rel = float(np.max(np.abs(W.W - W2.W)) / np.max(np.abs(W.W)))
     assert rel < 0.15, f"method disagreement {rel:.3f}"

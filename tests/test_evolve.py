@@ -14,6 +14,7 @@ from sgkink.evolve import (
     _guard,
     conserved_quantities,
     evolve,
+    snapshots,
 )
 from sgkink.exact import (
     Breather,
@@ -390,29 +391,34 @@ class TestComposition:
         s0 = breather_state(grid)
         phi0, pt0 = s0.phi.values.copy(), s0.phi_t.values.copy()
         states, buffers = [], []
-
-        def record(state):
-            # the routine's scratch arrays, read from its frame at each record
-            f_locals = sys._getframe(1).f_locals
+        dt = grid.dx / 2
+        run = _composition_run(_WEIGHTS[SchemeKind.YOSHIDA4_SPECTRAL], s0, dt,
+                               8, 1)
+        for state in run:
+            # the routine's scratch arrays, read from its suspended frame
+            f_locals = run.gi_frame.f_locals
             buffers.extend(f_locals[k] for k in ("x", "sin_hat", "spec", "row", "z"))
             states.append((state, state.phi.values.copy(),
                            state.phi_t.values.copy()))
-
-        dt = grid.dx / 2
-        _composition_run(_WEIGHTS[SchemeKind.YOSHIDA4_SPECTRAL], s0, dt, 8,
-                         1, record)
         assert states[0][0] is s0
         arrays = [a for state, _, _ in states
                   for a in (state.phi.values, state.phi_t.values)]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:] + buffers:
                 assert not np.shares_memory(a, b)
-        # nothing recorded is written after it was recorded
+        # nothing yielded is written after it was yielded
         for state, phi, pt in states:
             assert np.array_equal(state.phi.values, phi)
             assert np.array_equal(state.phi_t.values, pt)
         assert np.array_equal(s0.phi.values, phi0)
         assert np.array_equal(s0.phi_t.values, pt0)
+
+    def test_refuses_weights_that_are_not_a_palindrome(self, grid):
+        # a recording step reuses the tail half-kick's spectrum as the head's
+        run = _composition_run((0.3, 0.7), breather_state(grid), grid.dx / 2,
+                               4, 1)
+        with pytest.raises(ValueError, match="palindrome"):
+            next(run)
 
     @given(kind=st.sampled_from(list(_WEIGHTS)), stride=st.integers(1, 8))
     @settings(max_examples=10, deadline=None)
@@ -425,6 +431,42 @@ class TestComposition:
         for a, b in ((traj.states[-1].phi, ref.states[-1].phi),
                      (traj.states[-1].phi_t, ref.states[-1].phi_t)):
             assert np.max(np.abs(a.values - b.values)) < 1e-12
+
+
+class TestSnapshots:
+    """The generator behind evolve: same states, refusals raised eagerly."""
+
+    @pytest.mark.parametrize("stride", [1, 3, 5, 16])
+    @pytest.mark.parametrize("kind", list(SchemeKind))
+    def test_bit_equal_to_evolve(self, grid, kind, stride):
+        # 16 steps: strides 3 and 5 leave a forced last snapshot
+        maker = (perturbed_kink_state if kind is SchemeKind.LEAPFROG
+                 else breather_state)
+        s0 = maker(grid)
+        dt = grid.dx / 2
+        args = (s0, Scheme(kind, dt), 16 * dt, stride * dt)
+        streamed = list(snapshots(*args))
+        held = evolve(*args).states
+        assert len(streamed) == len(held) == 1 + -(-16 // stride)
+        assert streamed[0] is s0 and held[0] is s0
+        for a, b in zip(streamed, held):
+            assert a.time == b.time
+            assert np.array_equal(a.phi.values, b.phi.values)
+            assert np.array_equal(a.phi_t.values, b.phi_t.values)
+
+    @pytest.mark.parametrize("kind,t_end,every,match", [
+        (SchemeKind.STRANG_SPLIT_SPECTRAL, 1.0, 0.6, "t_end"),
+        (SchemeKind.STRANG_SPLIT_SPECTRAL, 1.2, 0.5, "snapshot_every"),
+        (SchemeKind.LEAPFROG, 1.2, 0.6, "CFL"),
+        (SchemeKind.YOSHIDA4_SPECTRAL, 1.2, 0.6, "zero topology"),
+    ])
+    def test_refuses_before_iteration(self, grid, kind, t_end, every, match):
+        # dt = 0.3: 1.2 and 0.6 are 4 and 2 steps, 1.0 and 0.5 are not whole;
+        # dt > 0.9 dx
+        s0 = (small_state(grid) if kind is SchemeKind.STRANG_SPLIT_SPECTRAL
+              else kink_state(grid))
+        with pytest.raises(ValueError, match=match):
+            snapshots(s0, Scheme(kind, 0.3), t_end, every)
 
 
 def centered(traj, t):

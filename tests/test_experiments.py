@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,35 @@ class TestRunners:
         assert rep.summary["roundtrip_sup_error"] < 1e-6
 
 
+def traced_peak(cfg):
+    """Peak bytes that tracemalloc sees while run_experiment(cfg) runs."""
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """Runners fold each snapshot into their tables as it arrives, so their
+    memory does not grow with the number of snapshots."""
+
+    @pytest.mark.parametrize("base", [
+        dict(name="kink-stability", x_min=-32.0, x_max=32.0, n=512,
+             snapshot_every=0.5, t_end=10.0),
+        dict(name="conservation", x_min=-64.0, x_max=64.0, n=1024,
+             data="breather", scheme="yoshida4", dt=1 / 16,
+             snapshot_every=0.25, t_end=5.0),
+    ], ids=lambda base: base["name"])
+    def test_peak_memory_flat_in_t_end(self, base):
+        short = ExperimentConfig(**base)
+        long = ExperimentConfig(**{**base, "t_end": 2 * base["t_end"]})
+        run_experiment(short)  # lazy imports (numpy.fft) out of the peaks
+        peaks = [traced_peak(short), traced_peak(long)]
+        assert peaks[1] <= 1.15 * peaks[0], peaks
+
+
 class TestWriteReport:
     def test_files_and_determinism(self, tmp_path):
         cfg = ExperimentConfig(**CHEAP, save_snapshots=True)
@@ -184,7 +214,7 @@ class TestCli:
 
     def test_validate_rejects_predictor_times_off_snapshots(self, tmp_path):
         # 0.375*t_end = 75 is not a multiple of snapshot_every = 2, so the run
-        # would integrate to t = 200 and then fail in state_at(75.0)
+        # would integrate to t = 200 and then find no snapshot at t = 75
         bad = tmp_path / "predictor.json"
         bad.write_text(json.dumps({
             "name": "small-data-scattering", "scheme": "yoshida4",

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from sgkink.evolve import Trajectory
 from sgkink.fields import Field, State, Topology, make_grid
 from sgkink.scattering import (
     ExtractionMethod,
@@ -124,9 +123,9 @@ class TestExtractW:
     @pytest.mark.parametrize("method", list(ExtractionMethod))
     def test_free_flow_oracle(self, grid, method):
         eps, t = 0.05, 400.0
-        traj = Trajectory(states=(free_state(grid, eps, t),))
         xi = np.linspace(-3.0, 3.0, 61)
-        W = extract_W(traj, xi, WavePacketSpec(0.1), method)
+        W = extract_W(free_state(grid, eps, t), xi, WavePacketSpec(0.1),
+                      method)
         # undo the log-phase removal: the free flow has no phase drift
         jap = np.sqrt(1 + xi**2)
         raw = W.W * np.exp(1j / (32 * jap) * np.abs(W.W) ** 2 * np.log(t))
@@ -137,14 +136,13 @@ class TestExtractW:
     def test_zero_trajectory(self, grid):
         z = np.zeros(grid.n)
         s = State(Field(grid, z), Field(grid, z.copy()), 150.0, Topology.ZERO)
-        traj = Trajectory(states=(s,))
-        W = extract_W(traj, np.linspace(-2, 2, 21), WavePacketSpec(0.1))
+        W = extract_W(s, np.linspace(-2, 2, 21), WavePacketSpec(0.1))
         assert np.all(W.W == 0)
 
     def test_rejects_early_extraction(self, grid):
-        traj = Trajectory(states=(free_state(grid, 0.05, 50.0),))
         with pytest.raises(ValueError):
-            extract_W(traj, np.linspace(-2, 2, 21), WavePacketSpec(0.1))
+            extract_W(free_state(grid, 0.05, 50.0), np.linspace(-2, 2, 21),
+                      WavePacketSpec(0.1))
 
 
 @pytest.fixture(scope="module")

@@ -137,7 +137,7 @@ def exact_run(grid):
     s0 = kink_state(grid, beta=0.2)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 10.0,
                   snapshot_every=0.5)
-    return traj, track(traj, 0.2, 0.0, CenterMode.ORTHOGONALITY,
+    return traj, track(traj.states, 0.2, 0.0, CenterMode.ORTHOGONALITY,
                        exterior_R=(2.0,))
 
 
@@ -154,7 +154,7 @@ def perturbed_run(grid):
                Field(grid, base.phi_t.values - bump), 0.0, Topology.KINK)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 10.0,
                   snapshot_every=0.5)
-    return traj, track(traj, 0.3, 0.0, CenterMode.ORTHOGONALITY,
+    return traj, track(traj.states, 0.3, 0.0, CenterMode.ORTHOGONALITY,
                        exterior_R=(2.0, 5.0))
 
 
