@@ -188,7 +188,7 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
     be a palindrome, so both halves are the same spectrum.  Yielded states
     own fresh arrays.
     """
-    if tuple(weights) != tuple(reversed(weights)):
+    if weights != weights[::-1]:
         raise ValueError(f"composition weights {weights} are not a palindrome")
     # numpy loads numpy.fft on first use; importing it here keeps it out of
     # `import sgkink`

@@ -1,7 +1,5 @@
 """Time integrators, trajectories, and conserved-quantity diagnostics."""
 
-import sys
-
 import numpy as np
 import pytest
 from numpy.fft import _pocketfft_umath as pfu
