@@ -14,7 +14,9 @@ generators: `snapshots` yields each State as it is reached, and `evolve`
 holds them all in a Trajectory.  Conserved quantities E0, P and the higher
 invariants E2, E4 are functionals of a single State: time derivatives
 beyond phi_t are eliminated through the equation itself
-(phi_tt = phi_xx - sin phi).
+(phi_tt = phi_xx - sin phi).  E2 and E4 sum their two null families in
+closed form, from three stacked finite-difference calls whose results, and
+the other named intermediates, fill one workspace cached per grid size.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -245,55 +248,67 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
 # Conserved quantities
 
 
+@lru_cache(maxsize=1)
+def _workspace(n: int) -> np.ndarray:
+    """The scratch rows of conserved_quantities, one buffer per grid size
+    shared by every call, so conserved_quantities is not reentrant."""
+    return np.empty((15, n))
+
+
 def conserved_quantities(s: State) -> dict:
     """Energy E0, momentum P, and the higher invariants E2, E4.
 
     E2 and E4 integrate the energy currents of the two null directions
-    d_s = (d_t + s d_x)/sqrt(2), s = -1, +1; each family is the other with
-    s negated.  Time derivatives beyond phi_t come from the equation.
+    d_s = (d_t + s d_x)/sqrt(2), s = -1, +1.  Each density is a polynomial
+    in s, so the sum of the two families is twice its even part, written
+    here in closed form with a = phi_t, b = phi_x, S = a^2 + b^2, T = 2ab,
+    C = phi_tt + phi_xx, C2 = C^2 + 4 phi_tx^2, E = phi_ttt + 3 phi_txx and
+    F = 3 phi_ttx + phi_xxx:
+
+      j2 = C2/2 - (S^2 + T^2)/8 + S cos(phi)/2
+      j4 = (E^2 + F^2)/4 + 5/8 (S C2 + 4 T C phi_tx)
+           + 5/12 ((S a + T b) 4 phi_txx + (S b + T a) 2 (phi_ttx + phi_xxx))
+           + (S^3 + 3 S T^2)/32 - 3/16 (S^2 + T^2) cos(phi)
+           + 3/4 (S C + 2 T phi_tx) sin(phi) + C2 cos(phi)/4
+
+    Time derivatives beyond phi_t come from the equation.  The named
+    intermediates live in one cached workspace (see _workspace).
     """
     dx = s.grid.dx
-    phi = s.phi.values
-    pt = s.phi_t.values
-    px = _fd_stencil(phi, dx, 1)
-    pxx = _fd_stencil(phi, dx, 2)
-    pxxx = _fd_stencil(pxx, dx, 1)
-    ptx = _fd_stencil(pt, dx, 1)
-    ptxx = _fd_stencil(pt, dx, 2)
-    cosphi = np.cos(phi)
-    sinphi = np.sin(phi)
-    sin_half = np.sin(0.5 * phi)
-    ptt = pxx - sinphi
-    pttx = _fd_stencil(ptt, dx, 1)
-    pttt = ptxx - pt * cosphi
+    w = _workspace(s.grid.n)
+    # each stacked derivative reads and writes two adjacent rows
+    (pt, phi, ptx, px, ptxx, pxx, ptt, pxxx, pttx,
+     cosphi, sinphi, sin_half, pttt, S, T) = w
+    pt[:], phi[:] = s.phi_t.values, s.phi.values
+    _fd_stencil(w[0:2], dx, 1, out=w[2:4])
+    _fd_stencil(w[0:2], dx, 2, out=w[4:6])
+    np.cos(phi, out=cosphi)
+    np.sin(phi, out=sinphi)
+    np.sin(0.5 * phi, out=sin_half)
+    np.subtract(pxx, sinphi, out=ptt)
+    _fd_stencil(w[5:7], dx, 1, out=w[7:9])
+    np.subtract(ptxx, pt * cosphi, out=pttt)
+    np.add(pt * pt, px * px, out=S)
+    np.multiply(pt, 2.0 * px, out=T)
 
     def integrate(density):
-        return float(np.trapezoid(density, dx=dx))
+        # the trapezoid rule without np.trapezoid's three n-length temporaries
+        return float(dx * (density.sum() - 0.5 * (density[0] + density[-1])))
 
     # 1 - cos phi as 2 sin^2(phi/2): no cancellation for small phi
-    e0 = integrate(0.5 * (pt**2 + px**2) + 2.0 * sin_half * sin_half)
-    p_mom = integrate(0.5 * pt * px)
+    e0 = integrate(0.5 * S + 2.0 * sin_half * sin_half)
+    p_mom = 0.25 * integrate(T)
 
-    r2 = np.sqrt(2.0)
-    j2 = j4 = 0.0
-    for sgn in (-1.0, 1.0):
-        u1 = (pt + sgn * px) / r2
-        u2 = 0.5 * (ptt + 2.0 * sgn * ptx + pxx)
-        u3 = (pttt + 3.0 * sgn * pttx + 3.0 * ptxx + sgn * pxxx) / (2.0 * r2)
-        u3x = (pttt + sgn * pttx - ptxx - sgn * pxxx) / (2.0 * r2)
-        q1 = u1 * u1
-        q2 = u2 * u2
-        # quartic terms: the exact null-current identities close only with
-        # u1^4 in J2 and u1^3 (u3 - u3x) in J4 (verified symbolically)
-        j2 += q2 - 0.25 * q1 * q1 + 0.5 * q1 * cosphi
-        j4 += (
-            u3 * u3
-            + 2.5 * q1 * q2
-            + (5.0 / 3.0) * q1 * u1 * (u3 - u3x)
-            + 0.125 * q1 * q1 * q1
-            - 0.375 * q1 * q1 * cosphi
-            + 1.5 * q1 * u2 * sinphi
-            + 0.5 * q2 * cosphi
-        )
+    C = ptt + pxx
+    C2 = C * C + 4.0 * ptx * ptx
+    Q = S * S + T * T
+    j2 = 0.5 * C2 - 0.125 * Q + 0.5 * S * cosphi
+    j4 = 0.25 * ((pttt + 3.0 * ptxx) ** 2 + (3.0 * pttx + pxxx) ** 2)
+    j4 += 0.625 * (S * C2 + 4.0 * T * C * ptx)
+    j4 += (5.0 / 12.0) * ((S * pt + T * px) * (4.0 * ptxx)
+                          + (S * px + T * pt) * (2.0 * (pttx + pxxx)))
+    j4 += S * (S * S + 3.0 * T * T) / 32.0
+    j4 += (0.25 * C2 - 0.1875 * Q) * cosphi
+    j4 += 0.75 * (S * C + 2.0 * T * ptx) * sinphi
 
     return {"E0": e0, "P": p_mom, "E2": integrate(j2), "E4": integrate(j4)}

@@ -123,18 +123,15 @@ class State:
         return self.phi.grid
 
 
-# 4th-order finite difference stencils.  Interior: central 5-point.
-# Boundaries: one-sided 5/6-point stencils of the same order.
-_D1_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D1_LEFT = [
-    np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
-    np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0,
-]
-_D2_INTERIOR = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_D2_LEFT = [
-    np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0,
-    np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0,
-]
+# 4th-order finite difference stencils, in twelfths.  Interior: central
+# 5-point.  Boundaries: one-sided 5/6-point stencils of the same order, the
+# columns of an (m, 2) matrix acting on the m edge samples read inwards; the
+# right edge is mirrored, with an odd derivative's sign.
+_D1_LEFT = np.array([[-25.0, -3.0], [48.0, -10.0], [-36.0, 18.0],
+                     [16.0, -6.0], [-3.0, 1.0]])
+_D2_LEFT = np.array([[45.0, 10.0], [-154.0, -15.0], [214.0, -4.0],
+                     [-156.0, 14.0], [61.0, -6.0], [-10.0, 1.0]])
+_EDGES = {1: (_D1_LEFT, -_D1_LEFT), 2: (_D2_LEFT, _D2_LEFT)}
 
 
 def spatial_derivative(f: Field, order: int) -> Field:
@@ -142,25 +139,38 @@ def spatial_derivative(f: Field, order: int) -> Field:
     return Field(f.grid, _fd_stencil(f.values, f.grid.dx, order))
 
 
-def _fd_stencil(v: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """spatial_derivative on raw samples, for hot loops that skip Field checks."""
+def _fd_stencil(v: np.ndarray, dx: float, order: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """spatial_derivative on raw samples, for hot loops that skip Field checks.
+
+    A stacked v, (..., n), is differentiated row by row, each row's bits as
+    in a call on that row alone.  out, if given, must not overlap v.
+    """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    out = np.empty_like(v, dtype=complex if np.iscomplexobj(v) else float)
+    if out is None:
+        out = np.empty_like(v, dtype=complex if np.iscomplexobj(v) else float)
+    inner = out[..., 2:-2]
+    tmp = np.empty_like(inner)
     if order == 1:
-        interior, left, sign = _D1_INTERIOR, _D1_LEFT, -1.0
+        np.subtract(v[..., 3:-1], v[..., 1:-3], out=inner)
+        inner *= 8.0
+        np.subtract(v[..., 4:], v[..., :-4], out=tmp)
+        inner -= tmp
     else:
-        interior, left, sign = _D2_INTERIOR, _D2_LEFT, 1.0
-    half = len(interior) // 2
-    out[half:-half] = sum(
-        c * v[i : len(v) - (len(interior) - 1 - i)] for i, c in enumerate(interior)
-    )
-    for row, stencil in enumerate(left):
-        m = len(stencil)
-        out[row] = stencil @ v[:m]
-        # mirrored one-sided stencil at the right boundary
-        out[-1 - row] = sign * (stencil @ v[::-1][:m])
-    out /= dx**order
+        np.add(v[..., 3:-1], v[..., 1:-3], out=inner)
+        inner *= 16.0
+        np.add(v[..., 4:], v[..., :-4], out=tmp)
+        inner -= tmp
+        np.multiply(v[..., 2:-2], 30.0, out=tmp)
+        inner -= tmp
+    # each row's edge is its own (1, m) @ (m, 2) product in matmul's outer
+    # loop, so a row's bits do not depend on how many rows are stacked
+    left, right = _EDGES[order]
+    m = len(left)
+    np.matmul(v[..., None, :m], left, out=out[..., None, :2])
+    np.matmul(v[..., None, :-m - 1:-1], right, out=out[..., None, :-3:-1])
+    out /= 12.0 * dx**order
     return out
 
 

@@ -1,5 +1,7 @@
 """Time integrators, trajectories, and conserved-quantity diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.fft import _pocketfft_umath as pfu
@@ -562,6 +564,22 @@ class TestConservedQuantities:
         q, ref = conserved_quantities(s), reference_conserved(s)
         for key in ("E0", "P", "E2", "E4"):
             assert abs(q[key] - ref[key]) <= 1e-13 * max(abs(ref[key]), 1.0), key
+
+    def test_reuses_its_workspace(self):
+        # the conserve benchmark's breather; after one warm-up call the
+        # intermediates live in the cached workspace, so a call's own
+        # temporaries stay below 12 grid-length arrays
+        grid = make_grid(-64.0, 64.0, 4096)
+        s = sample_state(Breather(BreatherParams(0.0, 0.8, 0.0, 0.0)), grid,
+                         0.0)
+        conserved_quantities(s)
+        tracemalloc.start()
+        try:
+            conserved_quantities(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * grid.n * 8
 
     @pytest.mark.parametrize("maker,scheme", [
         ("kink", SchemeKind.LEAPFROG),

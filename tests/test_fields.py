@@ -14,6 +14,7 @@ from sgkink.fields import (
     State,
     Topology,
     WeightedSobolev,
+    _fd_stencil,
     _local_cubic,
     bessel_multiplier,
     load_field_csv,
@@ -90,6 +91,23 @@ class TestSpatialDerivative:
     def test_rejects_higher_order(self, grid):
         with pytest.raises(ValueError):
             spatial_derivative(Field(grid, np.zeros(grid.n)), 3)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_rows_match_single_rows(self, order, dtype):
+        rng = np.random.default_rng(order)
+        v = rng.normal(size=(3, 64)).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.normal(size=v.shape)
+        stacked = _fd_stencil(v, 0.3, order)
+        for row, d in zip(v, stacked):
+            assert np.array_equal(_fd_stencil(row, 0.3, order), d)
+
+    def test_writes_out_in_place(self, grid):
+        v = np.array([np.sin(grid.x), np.cos(grid.x)])
+        out = np.empty_like(v)
+        assert _fd_stencil(v, grid.dx, 1, out=out) is out
+        assert np.array_equal(out, _fd_stencil(v, grid.dx, 1))
 
 
 class TestBesselMultiplier:
