@@ -3,9 +3,11 @@
 Two backends: a leapfrog finite-difference scheme that handles kink-topology
 (non-periodic) fields, each step one fused in-place update of three rotating
 preallocated buffers, and one kick-drift-kick composition routine for
-zero-topology fields, which holds (phi, phi_t) as their numpy.fft half spectra
-and propagates the linear part exactly there.  Strang splitting is its
-one-weight case and the 4th-order Yoshida scheme its three-weight case;
+zero-topology fields.  That routine holds (phi, phi_t) as the two one-way
+waves U+- = phi_t^ +- i|xi| phi^ of their numpy.fft half spectra, plus the
+mean mode phi^(0) as a scalar; the free wave equation is diagonal in them, so
+each exact drift is one in-place complex multiplication.  Strang splitting is
+its one-weight case and the 4th-order Yoshida scheme its three-weight case;
 adjacent half-kicks are fused, and the blow-up guard runs once per recorded
 snapshot.  Its kicks call numpy's pocketfft gufuncs (the kernels behind
 np.fft.rfft and np.fft.irfft) on preallocated buffers, which skips the
@@ -110,8 +112,8 @@ def snapshots(s0: State, scheme: Scheme, t_end: float,
     s0 comes first and the last step is always yielded.  The blow-up guard
     checks each yielded snapshot only, so detection can lag by up to one
     snapshot stride.  The leapfrog refuses dt > 0.9 dx; the spectral schemes
-    refuse kink topology and step the half spectra of phi and phi_t.  Every
-    refusal is raised by this call, before the returned generator runs.
+    refuse kink topology and step the one-way waves phi_t^ +- i|xi| phi^.
+    Every refusal is raised by this call, before the returned generator runs.
     """
     dt = scheme.dt
     dx = s0.grid.dx
@@ -179,17 +181,21 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
                      stride: int):
     """Composition of kick-drift-kick Strang steps of sizes w*dt, w in weights.
 
-    The state is held as the rfft half spectra of phi and phi_t.  Drift: the
-    exact propagator of the free wave equation, a multiplication by the
-    cos, sinc and xi*sin symbols into a second spectrum buffer.  Kick: the
-    nonlinearity on phi_t, one irfft of phi, a sin and one rfft, each written
+    The state is held as the two one-way waves U+- = phi_t^ +- i|xi| phi^
+    of the rfft half spectra, one (2, n//2+1) array, and the mean mode
+    phi^(0) as a scalar beside it (at xi=0 both rows are phi_t^(0)).  The
+    free wave equation is diagonal in U, so a drift by h, its exact
+    propagator, is one in-place multiplication by [e^{i|xi|h}, e^{-i|xi|h}]
+    and phi^(0) += h U+(0).  Kick: the nonlinearity on phi_t, which adds
+    one spectrum to both rows; phi^ = (U+ - U-)/(2i|xi|) is formed in a
+    preallocated buffer, then one irfft, a sin and one rfft, each written
     into a preallocated buffer by the gufunc that np.fft itself calls; the
     kick weight is the rfft's normalisation factor.  Adjacent half-kicks are
     fused, across steps too (first-same-as-last), and split only on steps
-    that yield; such a step inverts phi_t once, between the two halves of
-    the kick, so each yielded phi_t is synchronised with phi.  weights must
-    be a palindrome, so both halves are the same spectrum.  Yielded states
-    own fresh arrays.
+    that yield; such a step inverts phi_t^ = (U+ + U-)/2 once, between the
+    two halves of the kick, so each yielded phi_t is synchronised with phi.
+    weights must be a palindrome, so both halves are the same spectrum.
+    Yielded states own fresh arrays.
     """
     if weights != weights[::-1]:
         raise ValueError(f"composition weights {weights} are not a palindrome")
@@ -199,49 +205,52 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
 
     grid, n = s0.grid, s0.grid.n
     axi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
-    drifts = []
-    for w in weights:
-        h = w * dt
-        # sin(|xi| h)/|xi| with the xi=0 limit h
-        sinc = np.where(axi > 0, np.sin(axi * h) / np.where(axi > 0, axi, 1.0), h)
-        drifts.append((np.cos(axi * h), sinc, axi * np.sin(axi * h)))
+    drifts = [(w * dt, np.exp(np.multiply.outer((1j, -1j), axi * (w * dt))))
+              for w in weights]
+    inv = np.divide(-0.5j, axi, out=np.zeros(axi.size, complex), where=axi > 0)
     inner = [0.5 * (a + b) * dt for a, b in zip(weights, weights[1:])]
     head, tail = 0.5 * weights[0] * dt, 0.5 * weights[-1] * dt
     phi = s0.phi.values
     z = np.fft.rfft([phi, s0.phi_t.values - head * np.sin(phi)])
-    spec = np.empty_like(z)
-    row, sin_hat = np.empty_like(z)
+    U = z[1] + np.multiply.outer((1j, -1j), axi) * z[0]
+    (up, um), phi_hat0 = U, z[0, 0]
+    ph, sin_hat = np.empty_like(z)
     x = np.empty(n)
     rfft = pfu.rfft_n_even if n % 2 == 0 else pfu.rfft_n_odd
 
     def kick(weight, phi_out):
-        # z[1] -= weight * rfft(sin(phi)), phi = irfft(z[0]) left in phi_out
-        pfu.irfft(z[0], 1.0 / n, out=phi_out)
+        # U -= weight * rfft(sin(phi)) on both rows, phi left in phi_out
+        np.subtract(up, um, out=ph)
+        np.multiply(ph, inv, out=ph)
+        ph[0] = phi_hat0
+        pfu.irfft(ph, 1.0 / n, out=phi_out)
         np.sin(phi_out, out=x)
         rfft(x, -weight, out=sin_hat)
-        z[1] += sin_hat
+        # row by row: a broadcast add allocates a copy of U
+        np.add(up, sin_hat, out=up)
+        np.add(um, sin_hat, out=um)
 
     yield s0
     for step in range(1, n_steps + 1):
-        for i, (cos_w, sinc_w, wsin_w) in enumerate(drifts):
+        for i, (h, phase) in enumerate(drifts):
             if i:
                 kick(inner[i - 1], x)
-            np.multiply(cos_w, z, out=spec)
-            np.multiply(sinc_w, z[1], out=row)
-            spec[0] += row
-            np.multiply(wsin_w, z[0], out=row)
-            spec[1] -= row
-            z, spec = spec, z
+            np.multiply(U, phase, out=U)
+            phi_hat0 += h * up[0]
         if step % stride and step != n_steps:
             kick(tail + head, x)
             continue
         snap = np.empty((2, n))
         kick(tail, snap[0])
-        pfu.irfft(z[1], 1.0 / n, out=snap[1])
+        # phi_t^ = (U+ + U-)/2, the 1/2 carried by the normalisation factor
+        np.add(up, um, out=ph)
+        pfu.irfft(ph, 0.5 / n, out=snap[1])
         _guard(snap)
         yield State(Field(grid, snap[0]), Field(grid, snap[1]),
                     s0.time + step * dt, s0.topology)
-        z[1] += sin_hat  # the head half-kick: rfft(x, -head) is sin_hat
+        # the head half-kick, whose spectrum rfft(x, -head) is sin_hat
+        np.add(up, sin_hat, out=up)
+        np.add(um, sin_hat, out=um)
 
 
 # ---------------------------------------------------------------------------

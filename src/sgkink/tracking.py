@@ -161,7 +161,7 @@ def track(states: Iterable[State], beta: float, x0_guess: float,
         d0 = phi - ids["Q"]
         d1 = f_x - _fd_stencil(ids["Q"], dx, 1)
         d2 = phi_t - ids["Q_t"]
-        dens = d0 * d0 + d1 * d1 + d2 * d2
+        dens = d0 * d0 + d1 * d1 + d2 * d2 if exterior_R else None
         ext = {R: float(np.sqrt(np.sum(dens[np.abs(x) >= s.time + R]) * dx))
                for R in exterior_R}
         sup = {R: _exterior_sup(x, s.time, R, d0, d1, d2) for R in exterior_R}

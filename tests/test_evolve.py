@@ -1,5 +1,6 @@
 """Time integrators, trajectories, and conserved-quantity diagnostics."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -110,36 +111,42 @@ def reference_steps(phi, pt, grid, weights, dt, n_steps):
 def reference_composition(weights, s0, dt, n_steps, stride):
     """The composition routine with its kicks on the public numpy.fft calls.
 
-    Returns (time, phi, phi_t) for every recorded step after s0.
+    The same one-way waves U+- = phi_t^ +- i|xi| phi^, scalar phi^(0) and
+    operation order, with allocating arithmetic.  Returns (time, phi, phi_t)
+    for every recorded step after s0.
     """
     grid, n = s0.grid, s0.grid.n
     axi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
-    drifts = []
-    for w in weights:
-        h = w * dt
-        sinc = np.where(axi > 0, np.sin(axi * h) / np.where(axi > 0, axi, 1.0), h)
-        drifts.append((np.cos(axi * h), sinc, axi * np.sin(axi * h)))
+    drifts = [(w * dt, np.exp(np.multiply.outer((1j, -1j), axi * (w * dt))))
+              for w in weights]
+    inv = np.divide(-0.5j, axi, out=np.zeros(axi.size, complex), where=axi > 0)
     inner = [0.5 * (a + b) * dt for a, b in zip(weights, weights[1:])]
     head, tail = 0.5 * weights[0] * dt, 0.5 * weights[-1] * dt
     phi = s0.phi.values
     z = np.fft.rfft([phi, s0.phi_t.values - head * np.sin(phi)])
-    spec = np.empty_like(z)
+    U = z[1] + np.multiply.outer((1j, -1j), axi) * z[0]
+    phi_hat0 = z[0, 0]
+
+    def inverse_phi():
+        ph = (U[0] - U[1]) * inv
+        ph[0] = phi_hat0
+        return np.fft.irfft(ph, n)
+
     out = []
     for step in range(1, n_steps + 1):
-        for i, (cos_w, sinc_w, wsin_w) in enumerate(drifts):
+        for i, (h, phase) in enumerate(drifts):
             if i:
-                z[1] -= inner[i - 1] * np.fft.rfft(np.sin(np.fft.irfft(z[0], n)))
-            np.multiply(cos_w, z, out=spec)
-            spec[0] += sinc_w * z[1]
-            spec[1] -= wsin_w * z[0]
-            z, spec = spec, z
-        phi = np.fft.irfft(z[0], n)
+                U += -inner[i - 1] * np.fft.rfft(np.sin(inverse_phi()))
+            U *= phase
+            phi_hat0 += h * U[0, 0]
+        phi = inverse_phi()
         sin_hat = np.fft.rfft(np.sin(phi))
         recording = step % stride == 0 or step == n_steps
-        z[1] -= (tail if recording else tail + head) * sin_hat
+        U += -(tail if recording else tail + head) * sin_hat
         if recording:
-            out.append((s0.time + step * dt, phi, np.fft.irfft(z[1], n)))
-            z[1] -= head * sin_hat
+            out.append((s0.time + step * dt, phi,
+                        np.fft.irfft(0.5 * (U[0] + U[1]), n)))
+            U += -head * sin_hat
     return out
 
 
@@ -354,6 +361,51 @@ class TestComposition:
             assert np.max(np.abs(state.phi_t.values - pt)) < 1e-11
 
     @pytest.mark.parametrize("n", [2048, 1023])
+    @pytest.mark.parametrize("kind", list(_WEIGHTS))
+    def test_matches_reference_with_nonzero_means(self, kind, n):
+        # a constant in phi and phi_t: the xi=0 mode, held as a scalar beside
+        # the one-way waves, grows linearly in phi
+        grid = Grid(-64.0, 64.0, n)
+        b = breather_state(grid)
+        s0 = State(Field(grid, b.phi.values + 2e-3),
+                   Field(grid, b.phi_t.values + 1e-3), 0.0, Topology.ZERO)
+        dt = 1.0 / 32
+        traj = evolve(s0, Scheme(kind, dt), 2.0, snapshot_every=0.5)
+        phi, pt = s0.phi.values, s0.phi_t.values
+        for state in traj.states[1:]:
+            phi, pt = reference_steps(phi, pt, grid, _WEIGHTS[kind], dt, 16)
+            assert np.max(np.abs(state.phi.values - phi)) < 1e-11
+            assert np.max(np.abs(state.phi_t.values - pt)) < 1e-11
+        assert abs(np.mean(traj.states[-1].phi.values)
+                   - np.mean(s0.phi.values)) > 1e-3
+
+    def test_steps_between_records_allocate_no_grid_array(self):
+        n, k = 4096, 40
+        grid = make_grid(-128.0, 128.0, n)
+        run = _composition_run(_WEIGHTS[SchemeKind.YOSHIDA4_SPECTRAL],
+                               small_state(grid), grid.dx / 2, 2 * k, k)
+        next(run)
+        next(run)  # set-up and one stride: every buffer exists and is warm
+        peaks = []
+
+        def before_snapshot(frame, event, arg):
+            # a recording step allocates its snapshot with np.empty; the peak
+            # traced until then covers the k - 1 steps that record nothing
+            # and the drifts of the k-th
+            if event == "c_call" and arg is np.empty and not peaks:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        tracemalloc.start()
+        sys.setprofile(before_snapshot)
+        try:
+            next(run)
+        finally:
+            sys.setprofile(None)
+            tracemalloc.stop()
+        assert peaks, "no snapshot allocation seen"
+        assert peaks[0] < 8 * n
+
+    @pytest.mark.parametrize("n", [2048, 1023])
     @pytest.mark.parametrize("stride", [1, 3, 8])
     @pytest.mark.parametrize("kind", list(_WEIGHTS))
     def test_bit_identical_to_public_fft_kicks(self, kind, stride, n):
@@ -397,7 +449,7 @@ class TestComposition:
         for state in run:
             # the routine's scratch arrays, read from its suspended frame
             f_locals = run.gi_frame.f_locals
-            buffers.extend(f_locals[k] for k in ("x", "sin_hat", "spec", "row", "z"))
+            buffers.extend(f_locals[k] for k in ("x", "sin_hat", "ph", "U"))
             states.append((state, state.phi.values.copy(),
                            state.phi_t.values.copy()))
         assert states[0][0] is s0
