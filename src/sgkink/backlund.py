@@ -6,11 +6,11 @@ so f is the direction of a linear 2x2 system in x pinned at f(center) = pi;
 the RK4 one-step matrices of every cell outward from the anchor (the stable
 direction: the tails attract) are composed by a rescaled prefix scan.
 inverse_transform recovers (delta, y, phi) from a near-kink state in stages
-on F = (F1, F2, F3): quasi-Newton on F2 with a closed-form linearized solve,
-F1 explicit, and F3 by the orthogonality center solve of tracking.
-The I-operator, a damped linear sweep outward from the kink center, and the
-difference reconstruction implement the integral identities used to convert
-the phi-decay into decay of f minus the recentered kink.
+on F = (F1, F2, F3): quasi-Newton on F2, F1 explicit, and F3 by the
+orthogonality center solve of tracking.  The linearized F2 solve, the
+I-operator and the difference reconstruction are one kink-weighted integral:
+a damped linear sweep on each side of the kink center, inward from the ends
+for F2 and outward from the center for I.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .tracking import _orthogonality, solve_center
 
 __all__ = [
     "BacklundConvergenceError",
-    "BacklundParam",
     "FContext",
     "FTriple",
     "InverseResult",
@@ -45,21 +44,14 @@ class BacklundConvergenceError(RuntimeError):
     """inverse_transform stalled or did not reach its tolerance."""
 
 
-@dataclass(frozen=True)
-class BacklundParam:
-    a: float
+def _beta(a: float) -> float:
+    """Kink velocity of the Backlund parameter a; KinkParams.a inverts it."""
+    return (a**2 - 1.0) / (a**2 + 1.0)
 
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("a must be positive")
 
-    @property
-    def beta(self) -> float:
-        return (self.a**2 - 1.0) / (self.a**2 + 1.0)
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / np.sqrt(1.0 - self.beta**2)
+def _check_a(a: float) -> None:
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"a must be positive and finite, got {a}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,7 @@ class InverseResult:
 
     @property
     def beta(self) -> float:
-        return BacklundParam(self.context.a0 + self.delta).beta
+        return _beta(self.context.a0 + self.delta)
 
     @property
     def center(self) -> float:
@@ -144,6 +136,7 @@ def _pair(f: np.ndarray, phi: np.ndarray, a: float) -> tuple:
 
 
 def backlund_residual(f: State, phi: State, a: float) -> dict:
+    _check_a(a)
     if f.grid != phi.grid:
         raise ValueError("grid mismatch")
     if abs(f.time - phi.time) > 1e-12:
@@ -198,6 +191,7 @@ def forward_transform(phi: State, a: float, center: float) -> State:
     """
     if phi.topology is Topology.KINK:
         raise ValueError("forward_transform needs a zero-topology state")
+    _check_a(a)
     grid = phi.grid
     x, dx, n = grid.x, grid.dx, grid.n
     if not (x[0] <= center <= x[-1]):
@@ -256,12 +250,12 @@ def eval_F(delta: float, y: float, v0: Field, v1: Field, u0: Field,
     P, M = _pair(f, v0.values, a_d)
     f1 = ids["Q_x"] + spatial_derivative(u0, 1).values - v1.values - P
     f2 = ids["Q_t"] + u1.values - spatial_derivative(v0, 1).values - M
-    f3, _ = _orthogonality(Field(grid, f), BacklundParam(a_d).beta, 0.0,
+    f3, _ = _orthogonality(Field(grid, f), _beta(a_d), 0.0,
                            ctx.center + y)
     return FTriple(Field(grid, f1), Field(grid, f2), f3)
 
 
-def _cell_integrals(h: np.ndarray, dx: float, q: float = 1.0) -> np.ndarray:
+def _cell_integrals(h: np.ndarray, dx: float, q: float) -> np.ndarray:
     """int_{x_j}^{x_{j+1}} q^((x_{j+1}-x)/dx) h(x) dx over each cell, 4th order.
 
     Cubic interpolation of the integrand through the four surrounding nodes
@@ -278,30 +272,58 @@ def _cell_integrals(h: np.ndarray, dx: float, q: float = 1.0) -> np.ndarray:
     return inc
 
 
-def _cumulative_integrals(h: np.ndarray, dx: float):
-    """(prefix, suffix) integrals of samples h, 4th-order increments.
+def _damped_cumsum(r: np.ndarray, q: float) -> np.ndarray:
+    """J_0 = r_0, J_k = q J_(k-1) + r_k for 0 < q < 1, by log-depth doubling:
+    pass s adds q^s times the partial sums s places back, which cannot
+    overflow."""
+    J, s = np.array(r, dtype=float), 1
+    while s < len(J):
+        J[s:] += q**s * J[:-s]
+        s *= 2
+    return J
 
-    prefix[i] integrates from the left end to x_i accumulating from the left;
-    suffix[i] integrates from x_i to the right end accumulating from the
-    right.  Separate accumulation directions keep the rounding error of each
-    value relative to its own (possibly exponentially small) magnitude.
+
+def _kink_sweep(grid, fv: np.ndarray, c: float, gamma: float,
+                outward: bool) -> np.ndarray:
+    """Outward, int_c^x cosh(z_y)/cosh(z_x) fv(y) dy; inward, the bounded
+    int_(+-inf)^x cosh(z_x)/cosh(z_y) fv(y) dy from the end on x's side.
+
+    z = gamma (x - c).  On one side of c, cosh(z_y)/cosh(z_x) =
+    e^{-gamma|x-y|} (1+e^{-2|z_y|}) / (1+e^{-2|z_x|}), so the integral times
+    (1+e^{-2|z|})^(-+1) is a damped sweep, kernel e^{-gamma dx} per node, of
+    each side on its own (the weight has a corner at c).  The short outward
+    cell from c to the nearest node takes Gauss-Legendre on the local cubic.
     """
-    inc = _cell_integrals(h, dx)
-    prefix = np.concatenate([[0.0], np.cumsum(inc)])
-    suffix = np.concatenate([np.cumsum(inc[::-1])[::-1], [0.0]])
-    return prefix, suffix
-
-
-def _log_cosh(z: np.ndarray) -> np.ndarray:
-    az = np.abs(z)
-    return az + np.log1p(np.exp(-2.0 * az)) - np.log(2.0)
-
-
-def _stable_cosh_times(z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """cosh(z) * v without overflow: the product is assumed bounded."""
-    out = np.zeros_like(v)
-    nz = v != 0.0
-    out[nz] = np.sign(v[nz]) * np.exp(_log_cosh(z[nz]) + np.log(np.abs(v[nz])))
+    x, dx, n = grid.x, grid.dx, grid.n
+    k0 = int(np.searchsorted(x, c))  # first node >= c
+    q = np.exp(-gamma * dx)
+    if outward:  # imports numpy.polynomial; inward sweeps never need it
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(4)
+    out = np.zeros(n)
+    # node indices ordered away from c, reaching back across c so that every
+    # cell has its 4-point stencil; signed z keeps the integrand smooth there
+    right = np.arange(max(0, min(k0 - 1, n - 4)), n)
+    left = np.arange(min(n - 1, max(k0, 3)), -1, -1)
+    for sign, idx, first in ((1.0, right, k0 - right[0]),
+                             (-1.0, left, left[0] - k0 + 1)):
+        if first >= len(idx):
+            continue
+        z = gamma * sign * (x[idx] - c)
+        e = 1.0 + np.exp(-2.0 * z)
+        if outward:
+            cell = z[first] / gamma  # distance from c to the nearest node
+            u = 0.5 * cell * (gl_nodes + 1.0)
+            short = 0.5 * cell * np.sum(
+                gl_weights * np.exp(-gamma * (cell - u))
+                * (1.0 + np.exp(-2.0 * gamma * u))
+                * _local_cubic(x, fv, c + sign * u))
+            J = _damped_cumsum(np.concatenate(
+                [[short], _cell_integrals(e * fv[idx], dx, q)[first:]]), q)
+            out[idx[first:]] = sign * J / e[first:]
+        else:  # from the far end back to idx[first]
+            cells = _cell_integrals((fv[idx] / e)[::-1], dx, q)
+            J = _damped_cumsum(np.r_[0.0, cells[:len(idx) - first - 1]], q)
+            out[idx[first:]] = -sign * e[first:] * J[::-1]
     return out
 
 
@@ -310,26 +332,16 @@ def solve_linearized_F2(g: Field, ctx: FContext) -> dict:
 
     -w_x - gamma0 cos(Q0/2) w + lambda (1 + a0^-2) sin(Q0/2) = g, with
     lambda fixed by the solvability condition that makes w decay at both
-    ends.  Substituting w = cosh(gamma0 z) v turns the ODE into a plain
-    antiderivative for v; the cosh growth is cancelled analytically, with
-    the product evaluated in log space.
+    ends.  Rearranged, w_x = gamma0 tanh(z) w + r: w is the inward
+    kink-weighted sweep of r from each end toward the kink center.
     """
     grid = g.grid
-    g0 = ctx.gamma0
-    z = g0 * (grid.x - ctx.center)
-    s = sech(z)
+    s = sech(ctx.gamma0 * (grid.x - ctx.center))
     c_lam = 1.0 + 1.0 / ctx.a0**2
     denom = c_lam * float(np.trapezoid(s * s, dx=grid.dx))
     lam = float(np.trapezoid(g.values * s, dx=grid.dx)) / denom
-    # rearranged ODE: w_x = gamma0 tanh(z) w + r
-    r = c_lam * lam * s - g.values
-    prefix, suffix = _cumulative_integrals(r * s, grid.dx)
-    # v = -int_x^inf r sech (right of center) = int_-inf^x r sech (left)
-    k0 = int(np.searchsorted(grid.x, ctx.center))
-    v = np.empty(grid.n)
-    v[:k0] = prefix[:k0]
-    v[k0:] = -suffix[k0:]
-    w = _stable_cosh_times(z, v)
+    w = _kink_sweep(grid, c_lam * lam * s - g.values, ctx.center, ctx.gamma0,
+                    False)
     return {"lambda": lam, "w": Field(grid, w)}
 
 
@@ -379,7 +391,7 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
 
     # stage (iii): F3 = 0 is the orthogonality center condition
     try:
-        y = solve_center(Field(grid, fv), BacklundParam(a_d).beta, 0.0,
+        y = solve_center(Field(grid, fv), _beta(a_d), 0.0,
                          ctx.center) - ctx.center
     except RuntimeError as exc:
         raise BacklundConvergenceError(f"F3 center solve: {exc}") from exc
@@ -396,72 +408,34 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
 # The I-operator and the reconstruction identity
 
 
-def _damped_cumsum(r: np.ndarray, q: float) -> np.ndarray:
-    """J_0 = r_0, J_k = q J_(k-1) + r_k for 0 < q < 1, by log-depth doubling:
-    pass s adds q^s times the partial sums s places back, which cannot
-    overflow."""
-    J, s = np.array(r, dtype=float), 1
-    while s < len(J):
-        J[s:] += q**s * J[:-s]
-        s *= 2
-    return J
-
-
 def operator_I(F: Field, beta: float, center: float, t: float) -> Field:
-    """(I F)(x) = int_cbar^x cosh(g(y-cbar))/cosh(g(x-cbar)) F(y) dy.
-
-    With z = g(x - cbar) and y, x on one side of cbar,
-    cosh(z_y)/cosh(z_x) = e^{-g|x-y|} (1+e^{-2|z_y|}) / (1+e^{-2|z_x|}), so
-    (1+e^{-2|z|}) I is a damped sweep outward from cbar with kernel
-    e^{-g dx} per node, and no cosh is ever evaluated.  Each side is swept
-    on its own, since (1+e^{-2|z|}) F has a corner at cbar; the short cell
-    from cbar to the nearest node takes Gauss-Legendre on the local cubic of
-    F around cbar.
-    """
-    grid = F.grid
-    x, dx, n = grid.x, grid.dx, grid.n
+    """(I F)(x) = int_cbar^x cosh(g(y-cbar))/cosh(g(x-cbar)) F(y) dy, the
+    outward kink-weighted sweep of F from cbar = beta t + center."""
     cbar = beta * t + center
-    if not (x[0] <= cbar <= x[-1]):
+    if not (F.grid.x[0] <= cbar <= F.grid.x[-1]):
         raise ValueError(f"center {cbar} outside grid")
-    gamma = BacklundParam(KinkParams(beta, 0.0).a).gamma
-    fv = F.values
-    k0 = int(np.searchsorted(x, cbar))  # first node >= cbar
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(4)
-    out = np.zeros(n)
-    # node indices in sweep order, reaching back across cbar so that every
-    # cell has its 4-point stencil; signed z keeps each side's h smooth there
-    right = np.arange(max(0, min(k0 - 1, n - 4)), n)
-    left = np.arange(min(n - 1, max(k0, 3)), -1, -1)
-    for sign, idx, first in ((1.0, right, k0 - right[0]),
-                             (-1.0, left, left[0] - k0 + 1)):
-        if first >= len(idx):
-            continue
-        z = gamma * sign * (x[idx] - cbar)
-        h = (1.0 + np.exp(-2.0 * z)) * fv[idx]
-        cell = z[first] / gamma  # distance from cbar to the nearest node
-        u = 0.5 * cell * (gl_nodes + 1.0)
-        short = 0.5 * cell * np.sum(
-            gl_weights * np.exp(-gamma * (cell - u))
-            * (1.0 + np.exp(-2.0 * gamma * u))
-            * _local_cubic(x, fv, cbar + sign * u))
-        q = np.exp(-gamma * dx)
-        J = _damped_cumsum(np.concatenate(
-            [[short], _cell_integrals(h, dx, q)[first:]]), q)
-        out[idx[first:]] = sign * J / (1.0 + np.exp(-2.0 * z[first:]))
-    return Field(grid, out)
+    gamma = KinkParams(beta, 0.0).gamma
+    return Field(F.grid, _kink_sweep(F.grid, F.values, cbar, gamma, True))
+
+
+def _reconstruct(F: Field, beta: float, center: float, t: float) -> Field:
+    """I F - (gamma/2) <I F, sech z> sech z, z = gamma(x - beta t - center),
+    is I F less its sech z component.  Reading the coupling off F instead,
+    as int sign(z) e^{-|z|} F / gamma, puts a corner at c in the trapezoid."""
+    grid = F.grid
+    gamma = KinkParams(beta, center).gamma
+    i_f = operator_I(F, beta, center, t).values
+    weight = sech(gamma * (grid.x - beta * t - center))
+    coupling = float(np.trapezoid(i_f * weight, dx=grid.dx))
+    return Field(grid, i_f - 0.5 * gamma * coupling * weight)
 
 
 def reconstruct_difference(phi: State, beta: float, center: float) -> Field:
     """Leading-order prediction of f - Q(.; beta, center) from phi alone."""
     if phi.topology is Topology.KINK:
         raise ValueError("reconstruction needs a zero-topology state")
-    grid = phi.grid
-    t = phi.time
+    grid, t = phi.grid, phi.time
     p = KinkParams(beta, center)
-    ids = kink_identities(p, t, grid.x)
-    gamma = p.gamma
-    f_arr = phi.phi_t.values - beta * gamma * ids["cos_half"] * phi.phi.values
-    i_f = operator_I(Field(grid, f_arr), beta, center, t)
-    weight = ids["sin_half"]  # sech(gamma(x - beta t - center))
-    coupling = float(np.trapezoid(i_f.values * weight, dx=grid.dx))
-    return Field(grid, i_f.values - 0.5 * gamma * coupling * weight)
+    cos_half = kink_identities(p, t, grid.x)["cos_half"]
+    f_arr = phi.phi_t.values - beta * p.gamma * cos_half * phi.phi.values
+    return _reconstruct(Field(grid, f_arr), beta, center, t)

@@ -16,8 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .backlund import operator_I
-from .exact import kink_identities, KinkParams, sech
+from .backlund import _reconstruct
+from .exact import kink_identities, KinkParams
 from .fields import (Field, Grid, State, Topology, _local_cubic,
                      bessel_multiplier)
 
@@ -190,17 +190,6 @@ def _AB_fields(W: ProfileW, t: float, x: np.ndarray, beta: float,
     return A, B, cos_half, gamma
 
 
-def _kink_diff(W: ProfileW, t: float, x: np.ndarray, beta: float,
-               center: float) -> np.ndarray:
-    A, _, _, gamma = _AB_fields(W, t, x, beta, center)
-    grid = _grid_from_samples(x)
-    cbar = beta * t + center
-    leading = operator_I(Field(grid, A), beta, center, t).values
-    z = gamma * (x - cbar)
-    corr = np.trapezoid(np.sign(z) * np.exp(-np.abs(z)) * A, dx=grid.dx)
-    return leading - 0.5 * sech(z) * corr
-
-
 def predict_asymptotics(W: ProfileW, t: float, x, target):
     """Pointwise large-time predictors; exactly 0 outside the light cone."""
     scalar = np.isscalar(x)
@@ -211,12 +200,12 @@ def predict_asymptotics(W: ProfileW, t: float, x, target):
             raise ValueError("requested xi outside the sampled profile range")
         out = np.where(inside, t**-0.5 * jap**target.l * osc, 0.0 + 0.0j)
         return complex(out[0]) if scalar else out
-    if isinstance(target, KinkDiff):
-        out = _kink_diff(W, t, x, target.beta, target.center)
-        return float(out[0]) if scalar else out
-    if isinstance(target, KinkDerivDiff):
+    if isinstance(target, (KinkDiff, KinkDerivDiff)):
         A, B, cos_half, gamma = _AB_fields(W, t, x, target.beta, target.center)
-        diff = _kink_diff(W, t, x, target.beta, target.center)
+        diff = _reconstruct(Field(_grid_from_samples(x), A), target.beta,
+                            target.center, t).values
+        if isinstance(target, KinkDiff):
+            return float(diff[0]) if scalar else diff
         dx_pred = A + gamma * cos_half * diff
         dt_pred = B - target.beta * gamma * cos_half * diff
         if scalar:

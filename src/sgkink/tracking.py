@@ -60,9 +60,6 @@ class TrackedTrajectory:
     beta: float
     records: tuple
 
-    def series(self, attr: str) -> np.ndarray:
-        return np.array([(r.time, getattr(r, attr)) for r in self.records])
-
 
 def _orthogonality(f: Field, beta: float, t: float, c: float) -> tuple:
     """Grid sums g = int (f - Q) sech(z), z = gamma(x - beta t - c), which is

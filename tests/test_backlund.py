@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from sgkink.backlund import (
     BacklundConvergenceError,
-    BacklundParam,
     FContext,
+    _beta,
+    _cell_integrals,
     _damped_cumsum,
     backlund_residual,
     eval_F,
@@ -105,16 +106,44 @@ def reference_forward(phi, a, center):
     return f, p_x + np.sin(0.5 * (f + pv)) / a - a * np.sin(0.5 * (f - pv))
 
 
-class TestBacklundParam:
+def reference_linearized_F2(g, ctx):
+    """(lambda, w) by w = cosh(z) v, z = gamma0 (x - center), with v the
+    antiderivative of r sech(z) accumulated from the left end left of the
+    center and from the right end right of it, and the cosh product taken
+    in log space."""
+    grid = g.grid
+    z = ctx.gamma0 * (grid.x - ctx.center)
+    s = sech(z)
+    c_lam = 1.0 + 1.0 / ctx.a0**2
+    denom = c_lam * float(np.trapezoid(s * s, dx=grid.dx))
+    lam = float(np.trapezoid(g.values * s, dx=grid.dx)) / denom
+    inc = _cell_integrals((c_lam * lam * s - g.values) * s, grid.dx, 1.0)
+    prefix = np.concatenate([[0.0], np.cumsum(inc)])
+    suffix = np.concatenate([np.cumsum(inc[::-1])[::-1], [0.0]])
+    k0 = int(np.searchsorted(grid.x, ctx.center))
+    v = np.concatenate([prefix[:k0], -suffix[k0:]])
+    log_cosh = np.abs(z) + np.log1p(np.exp(-2.0 * np.abs(z))) - np.log(2.0)
+    w = np.zeros(grid.n)
+    nz = v != 0.0
+    w[nz] = np.sign(v[nz]) * np.exp(log_cosh[nz] + np.log(np.abs(v[nz])))
+    return lam, w
+
+
+class TestBacklundParameter:
     @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5])
     def test_velocity_parameter_correspondence(self, beta):
-        a = KinkParams(beta, 0.0).a
-        p = BacklundParam(a)
-        assert p.beta == pytest.approx(beta, abs=1e-14)
+        assert _beta(KinkParams(beta, 0.0).a) == pytest.approx(beta, abs=1e-14)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            BacklundParam(-1.0)
+    @pytest.mark.parametrize("a", [0.0, -1.2, np.inf, np.nan])
+    def test_forward_transform_rejects_bad_a(self, coarse_grid, a):
+        with pytest.raises(ValueError, match="a must be positive and finite"):
+            forward_transform(small_state(coarse_grid, 0.01), a, 0.0)
+
+    @pytest.mark.parametrize("a", [0.0, -1.2, np.inf, np.nan])
+    def test_residual_rejects_bad_a(self, coarse_grid, a):
+        f = sample_state(Kink(KinkParams(0.2, 0.0)), coarse_grid, 0.0)
+        with pytest.raises(ValueError, match="a must be positive and finite"):
+            backlund_residual(f, zero_state(coarse_grid), a)
 
 
 class TestForwardTransform:
@@ -245,7 +274,7 @@ class TestFunctional:
         f3 = eval_F(delta, y, v0, zero, u0, zero, ctx).F3
         q0 = kink_identities(ctx.params, ctx.t, fine_grid.x)["Q"]
         f = Field(fine_grid, u0.values + q0)
-        beta_d = BacklundParam(ctx.a0 + delta).beta
+        beta_d = _beta(ctx.a0 + delta)
         g = _orthogonality(f, beta_d, 0.0, ctx.center + y)[0]
         assert abs(f3 - g) < 1e-14
 
@@ -268,6 +297,31 @@ class TestLinearizedF2:
         interior = slice(8, -8)
         assert np.max(np.abs(res[interior])) < 1e-8
         assert np.max(np.abs(w.values)) < 10.0
+
+    @given(beta0=st.floats(-0.6, 0.6),
+           where=st.sampled_from(["node", "off-node", "left", "right"]),
+           node=st.integers(-512, 511), frac=st.floats(0.05, 0.95),
+           beyond=st.floats(0.01, 4.0), mu=st.floats(-6.0, 6.0),
+           width=st.floats(0.3, 3.0))
+    @settings(max_examples=40, deadline=None)
+    # centers within four nodes of an end, where a side has under 4 nodes
+    @example(0.3, "node", -512, 0.5, 1.0, 0.0, 1.0)
+    @example(-0.3, "off-node", -510, 0.5, 1.0, -12.0, 1.0)
+    @example(0.3, "off-node", 509, 0.5, 1.0, 12.0, 1.0)
+    @example(-0.3, "node", 511, 0.5, 1.0, 0.0, 1.0)
+    def test_matches_log_space_reference(self, beta0, where, node, frac,
+                                         beyond, mu, width):
+        g = make_grid(-16.0, 16.0, 1024)
+        center = {"node": g.x[g.n // 2 + node],
+                  "off-node": g.x[g.n // 2 + node] + frac * g.dx,
+                  "left": g.x[0] - beyond,  # k0 = 0
+                  "right": g.x[-1] + beyond}[where]  # k0 = n
+        ctx = FContext(beta0, 0.0, center)
+        rhs = Field(g, np.exp(-(((g.x - mu) / width) ** 2)))
+        out = solve_linearized_F2(rhs, ctx)
+        lam, w = reference_linearized_F2(rhs, ctx)
+        assert out["lambda"] == lam
+        assert np.max(np.abs(out["w"].values - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 class TestInverseTransform:

@@ -200,6 +200,20 @@ class TestPredictAsymptotics:
         assert np.max(np.abs(diff[outside])) < 1e-8
         assert np.all(np.isfinite(dx_pred)) and np.all(np.isfinite(dt_pred))
 
+    def test_kink_diff_converges_with_the_grid(self):
+        # a profile that is smooth and negligible at the ends of its range,
+        # so the only corner left is the kink center beta t + 0.1 = 20.1,
+        # off every node of both grids
+        xi = np.linspace(-4.0, 4.0, 81)
+        smooth = ProfileW(xi, np.exp(-xi * xi) * (0.04 + 0.03j), 400.0,
+                          ExtractionMethod.WAVE_PACKET)
+        t, target = 100.0, KinkDiff(0.2, 0.1)
+        fine = make_grid(-128.0, 128.0, 65536)
+        coarse = make_grid(-128.0, 128.0, 2048)
+        ref = predict_asymptotics(smooth, t, fine.x, target)[::32]
+        out = predict_asymptotics(smooth, t, coarse.x, target)
+        assert np.max(np.abs(out - ref)) < 1e-6
+
     def test_scalar_xi_out_of_range_raises(self, profile):
         with pytest.raises(ValueError):
             predict_asymptotics(profile, 100.0, 99.9, U(0))
