@@ -3,18 +3,17 @@
 Two backends: a leapfrog finite-difference scheme that handles kink-topology
 (non-periodic) fields, each step one fused in-place update of three rotating
 preallocated buffers, and one kick-drift-kick composition routine for
-zero-topology fields.  That routine holds (phi, phi_t) as the two one-way
-waves U+- = phi_t^ +- i|xi| phi^ of their numpy.fft half spectra, plus the
-mean mode phi^(0) as a scalar; the free wave equation is diagonal in them, so
-each exact drift is one in-place complex multiplication.  Strang splitting is
-its one-weight case and the 4th-order Yoshida scheme its three-weight case;
-adjacent half-kicks are fused, and the blow-up guard runs once per recorded
-snapshot.  Its kicks call numpy's pocketfft gufuncs (the kernels behind
-np.fft.rfft and np.fft.irfft) on preallocated buffers, which skips the
-wrappers' fixed per-call cost and gives the same bits.  Both backends are
-generators: `snapshots` yields each State as it is reached, and `evolve`
-holds them all in a Trajectory.  Conserved quantities E0, P and the higher
-invariants E2, E4 are functionals of a single State: time derivatives
+zero-topology fields, split at the Klein-Gordon operator: each drift is exact,
+one in-place complex multiplication of the one-way waves phi_t^ +- i<xi> phi^
+of the numpy.fft half spectra, and each kick, by phi - sin phi, is cubic in
+phi.  Strang splitting is its one-weight case and the 4th-order Yoshida scheme
+its three-weight case; adjacent half-kicks are fused, and the blow-up guard
+runs once per recorded snapshot.  Its kicks call numpy's pocketfft gufuncs
+(the kernels behind np.fft.rfft and np.fft.irfft) on preallocated buffers,
+which skips the wrappers' fixed per-call cost and gives the same bits.  Both
+backends are generators: `snapshots` yields each State as it is reached, and
+`evolve` holds them all in a Trajectory.  Conserved quantities E0, P and the
+higher invariants E2, E4 are functionals of a single State: time derivatives
 beyond phi_t are eliminated through the equation itself
 (phi_tt = phi_xx - sin phi).  E2 and E4 sum their two null families in
 closed form, from three stacked finite-difference calls whose results, and
@@ -111,17 +110,20 @@ def snapshots(s0: State, scheme: Scheme, t_end: float,
     (to 1e-9 steps); otherwise ValueError, rather than a rounded step count.
     s0 comes first and the last step is always yielded.  The blow-up guard
     checks each yielded snapshot only, so detection can lag by up to one
-    snapshot stride.  The leapfrog refuses dt > 0.9 dx; the spectral schemes
-    refuse kink topology and step the one-way waves phi_t^ +- i|xi| phi^.
-    Every refusal is raised by this call, before the returned generator runs.
+    snapshot stride.  The leapfrog refuses dt >= 2/sqrt(16/(3 dx^2) + 1), its
+    stability limit (the stencil's symbol is at most 16/(3 dx^2), sin adds 1);
+    the spectral schemes refuse kink topology.  Every refusal is raised by
+    this call, before the returned generator runs.
     """
     dt = scheme.dt
     dx = s0.grid.dx
     n_steps = _whole_steps(t_end - s0.time, dt, "t_end - s0.time")
     stride = _whole_steps(snapshot_every, dt, "snapshot_every")
     if scheme.kind is SchemeKind.LEAPFROG:
-        if dt > 0.9 * dx + 1e-14:
-            raise ValueError(f"CFL violation: dt={dt} > 0.9*dx={0.9*dx}")
+        bound = 2.0 * (16.0 / (3.0 * dx * dx) + 1.0) ** -0.5
+        if dt >= bound:
+            raise ValueError(f"CFL violation: dt={float(dt)!r} >= 2/sqrt(16/"
+                             f"(3 dx^2) + 1) = {bound!r} at dx={dx!r}")
         return _leapfrog_run(s0, dt, n_steps, stride)
     if s0.topology is Topology.KINK:
         raise ValueError("spectral scheme requires zero topology")
@@ -181,19 +183,18 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
                      stride: int):
     """Composition of kick-drift-kick Strang steps of sizes w*dt, w in weights.
 
-    The state is held as the two one-way waves U+- = phi_t^ +- i|xi| phi^
-    of the rfft half spectra, one (2, n//2+1) array, and the mean mode
-    phi^(0) as a scalar beside it (at xi=0 both rows are phi_t^(0)).  The
-    free wave equation is diagonal in U, so a drift by h, its exact
-    propagator, is one in-place multiplication by [e^{i|xi|h}, e^{-i|xi|h}]
-    and phi^(0) += h U+(0).  Kick: the nonlinearity on phi_t, which adds
-    one spectrum to both rows; phi^ = (U+ - U-)/(2i|xi|) is formed in a
-    preallocated buffer, then one irfft, a sin and one rfft, each written
-    into a preallocated buffer by the gufunc that np.fft itself calls; the
-    kick weight is the rfft's normalisation factor.  Adjacent half-kicks are
-    fused, across steps too (first-same-as-last), and split only on steps
-    that yield; such a step inverts phi_t^ = (U+ + U-)/2 once, between the
-    two halves of the kick, so each yielded phi_t is synchronised with phi.
+    A drift by h is the exact flow of phi_tt = phi_xx - phi, a kick
+    phi_t -= h (sin phi - phi).  The state is the two one-way waves
+    U+- = phi_t^ +- i<xi> phi^, <xi> = sqrt(1 + xi^2), of the rfft half
+    spectra, one (2, n//2+1) array, so a drift is one in-place multiplication
+    by [e^{i<xi>h}, e^{-i<xi>h}].  Kick: phi^ = (U+ - U-) (-i/(2<xi>)) is
+    formed in a preallocated buffer, then one irfft, sin phi - phi and one
+    rfft, each written into a preallocated buffer by the gufunc that np.fft
+    itself calls; the kick weight is the rfft's normalisation factor, and the
+    spectrum is added to both rows.  Adjacent half-kicks are fused, across
+    steps too (first-same-as-last), and split only on steps that yield; such
+    a step inverts phi_t^ = (U+ + U-)/2 once, between the two halves of the
+    kick, so each yielded phi_t is synchronised with phi.
     weights must be a palindrome, so both halves are the same spectrum.
     Yielded states own fresh arrays.
     """
@@ -204,41 +205,40 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
     from numpy.fft import _pocketfft_umath as pfu
 
     grid, n = s0.grid, s0.grid.n
-    axi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
-    drifts = [(w * dt, np.exp(np.multiply.outer((1j, -1j), axi * (w * dt))))
+    jxi = np.hypot(1.0, 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx))
+    phases = [np.exp(np.multiply.outer((1j, -1j), jxi * (w * dt)))
               for w in weights]
-    inv = np.divide(-0.5j, axi, out=np.zeros(axi.size, complex), where=axi > 0)
+    inv = -0.5j / jxi
     inner = [0.5 * (a + b) * dt for a, b in zip(weights, weights[1:])]
     head, tail = 0.5 * weights[0] * dt, 0.5 * weights[-1] * dt
     phi = s0.phi.values
-    z = np.fft.rfft([phi, s0.phi_t.values - head * np.sin(phi)])
-    U = z[1] + np.multiply.outer((1j, -1j), axi) * z[0]
-    (up, um), phi_hat0 = U, z[0, 0]
-    ph, sin_hat = np.empty_like(z)
-    x = np.empty(n)
+    z = np.fft.rfft([phi, s0.phi_t.values - head * (np.sin(phi) - phi)])
+    U = z[1] + np.multiply.outer((1j, -1j), jxi) * z[0]
+    up, um = U
+    ph, g_hat = np.empty_like(z)
+    x, y = np.empty((2, n))
     rfft = pfu.rfft_n_even if n % 2 == 0 else pfu.rfft_n_odd
 
     def kick(weight, phi_out):
-        # U -= weight * rfft(sin(phi)) on both rows, phi left in phi_out
+        # U -= weight * rfft(sin(phi) - phi) on both rows, phi in phi_out
         np.subtract(up, um, out=ph)
         np.multiply(ph, inv, out=ph)
-        ph[0] = phi_hat0
         pfu.irfft(ph, 1.0 / n, out=phi_out)
         np.sin(phi_out, out=x)
-        rfft(x, -weight, out=sin_hat)
+        np.subtract(x, phi_out, out=x)
+        rfft(x, -weight, out=g_hat)
         # row by row: a broadcast add allocates a copy of U
-        np.add(up, sin_hat, out=up)
-        np.add(um, sin_hat, out=um)
+        np.add(up, g_hat, out=up)
+        np.add(um, g_hat, out=um)
 
     yield s0
     for step in range(1, n_steps + 1):
-        for i, (h, phase) in enumerate(drifts):
+        for i, phase in enumerate(phases):
             if i:
-                kick(inner[i - 1], x)
+                kick(inner[i - 1], y)
             np.multiply(U, phase, out=U)
-            phi_hat0 += h * up[0]
         if step % stride and step != n_steps:
-            kick(tail + head, x)
+            kick(tail + head, y)
             continue
         snap = np.empty((2, n))
         kick(tail, snap[0])
@@ -248,9 +248,9 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
         _guard(snap)
         yield State(Field(grid, snap[0]), Field(grid, snap[1]),
                     s0.time + step * dt, s0.topology)
-        # the head half-kick, whose spectrum rfft(x, -head) is sin_hat
-        np.add(up, sin_hat, out=up)
-        np.add(um, sin_hat, out=um)
+        # the head half-kick, whose spectrum rfft(x, -head) is g_hat
+        np.add(up, g_hat, out=up)
+        np.add(um, g_hat, out=um)
 
 
 # ---------------------------------------------------------------------------

@@ -173,9 +173,9 @@ def _oscillator(W: ProfileW, t: float, x: np.ndarray):
 
 
 def _grid_from_samples(x: np.ndarray) -> Grid:
+    if x.size < 2 or not np.allclose(np.diff(x), x[1] - x[0]):
+        raise ValueError("integral predictors need an equispaced array of x")
     dx = x[1] - x[0]
-    if not np.allclose(np.diff(x), dx):
-        raise ValueError("integral predictors need equispaced samples")
     return Grid(float(x[0]), float(x[0] + len(x) * dx), len(x))
 
 
@@ -191,7 +191,8 @@ def _AB_fields(W: ProfileW, t: float, x: np.ndarray, beta: float,
 
 
 def predict_asymptotics(W: ProfileW, t: float, x, target):
-    """Pointwise large-time predictors; exactly 0 outside the light cone."""
+    """Large-time predictors; exactly 0 outside the light cone.  U is
+    pointwise; KinkDiff and KinkDerivDiff need an equispaced array x."""
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(target, U):
@@ -205,11 +206,8 @@ def predict_asymptotics(W: ProfileW, t: float, x, target):
         diff = _reconstruct(Field(_grid_from_samples(x), A), target.beta,
                             target.center, t).values
         if isinstance(target, KinkDiff):
-            return float(diff[0]) if scalar else diff
-        dx_pred = A + gamma * cos_half * diff
-        dt_pred = B - target.beta * gamma * cos_half * diff
-        if scalar:
-            return float(dx_pred[0]), float(dt_pred[0])
-        return dx_pred, dt_pred
+            return diff
+        return (A + gamma * cos_half * diff,
+                B - target.beta * gamma * cos_half * diff)
     raise TypeError(f"unknown prediction target {target!r}")
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from sgkink.backlund import (
@@ -28,6 +29,7 @@ from sgkink.fields import (
     Field,
     State,
     Topology,
+    _local_cubic,
     make_grid,
     spatial_derivative,
 )
@@ -127,6 +129,34 @@ def reference_linearized_F2(g, ctx):
     nz = v != 0.0
     w[nz] = np.sign(v[nz]) * np.exp(log_cosh[nz] + np.log(np.abs(v[nz])))
     return lam, w
+
+
+def reference_operator_I(F, beta, center, t):
+    """I F by the plain antiderivative of cosh(z) F, z = gamma (x - cbar),
+    accumulated outward from cbar = beta t + center and divided by cosh(z).
+    As in operator_I, the cells from cbar to the nearest node on each side
+    integrate the local cubic of F, here by adaptive quadrature."""
+    grid = F.grid
+    x, fv = grid.x, F.values
+    cbar = beta * t + center
+    gamma = KinkParams(beta, 0.0).gamma
+    cz = np.cosh(gamma * (x - cbar))
+    inc = _cell_integrals(cz * fv, grid.dx, 1.0)
+
+    def short(a, b):
+        return quad(lambda y: math.cosh(gamma * (y - cbar))
+                    * float(_local_cubic(x, fv, y)[0]), a, b,
+                    epsabs=0.0, epsrel=1e-13)[0]
+
+    k0 = int(np.searchsorted(x, cbar))
+    out = np.zeros(grid.n)
+    if k0 < grid.n:  # x[k0:] right of cbar, the cells from x[k0] summed
+        out[k0:] = (short(cbar, x[k0])
+                    + np.concatenate([[0.0], np.cumsum(inc[k0:])])) / cz[k0:]
+    if k0 > 0:  # x[:k0] left of cbar, the cells to x[k0 - 1] summed
+        left = np.concatenate([np.cumsum(inc[:k0 - 1][::-1])[::-1], [0.0]])
+        out[:k0] = -(short(x[k0 - 1], cbar) + left) / cz[:k0]
+    return out
 
 
 class TestBacklundParameter:
@@ -401,6 +431,29 @@ class TestOperatorI:
         out = operator_I(Field(g, sech(z)), beta, center, t)
         exact = (g.x - cbar) * sech(z)
         assert np.max(np.abs(out.values - exact)) < 1e-9
+
+    @given(beta=st.floats(-0.6, 0.6),
+           where=st.sampled_from(["node", "off-node", "left", "right"]),
+           node=st.integers(-512, 511), frac=st.floats(0.05, 0.95),
+           end=st.integers(0, 3), t=st.floats(0.0, 4.0),
+           mu=st.floats(-6.0, 6.0), width=st.floats(0.3, 3.0))
+    @settings(max_examples=40, deadline=None)
+    # centers on and next to each end node
+    @example(0.3, "left", 0, 0.0, 0, 0.0, 0.0, 1.0)
+    @example(-0.3, "right", 0, 0.0, 3, 0.0, 0.0, 1.0)
+    @example(0.3, "off-node", 510, 0.5, 0, 0.0, 12.0, 1.0)
+    @example(-0.3, "node", 511, 0.5, 0, 0.0, 12.0, 1.0)
+    def test_matches_antiderivative_reference(self, beta, where, node, frac,
+                                              end, t, mu, width):
+        g = make_grid(-16.0, 16.0, 1024)
+        cbar = {"node": g.x[g.n // 2 + node],
+                "off-node": g.x[g.n // 2 + node] + frac * g.dx,
+                "left": g.x[end] + frac * g.dx,  # within 4 nodes of an end
+                "right": g.x[-1 - end] - frac * g.dx}[where]
+        F = Field(g, np.exp(-(((g.x - mu) / width) ** 2)))
+        out = operator_I(F, beta, cbar - beta * t, t).values
+        ref = reference_operator_I(F, beta, cbar - beta * t, t)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_exponential_bound(self):
         g = make_grid(-32.0, 32.0, 4096)

@@ -33,6 +33,7 @@ from sgkink.fields import (
     make_grid,
     spatial_derivative,
 )
+from test_scattering import free_state
 
 
 @pytest.fixture(scope="module")
@@ -91,62 +92,59 @@ _WEIGHTS = {
 
 
 def reference_steps(phi, pt, grid, weights, dt, n_steps):
-    """Unfused kick-drift-kick Strang substeps on the full complex spectrum."""
-    axi = np.abs(2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx))
+    """Unfused kick-drift-kick Strang substeps on the full complex spectrum:
+    the exact Klein-Gordon drift, the kick by phi - sin phi."""
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+    jxi = np.sqrt(1.0 + xi * xi)
     for _ in range(n_steps):
         for w in weights:
             h = w * dt
-            cos_w = np.cos(axi * h)
-            sinc_w = np.where(axi > 0,
-                              np.sin(axi * h) / np.where(axi > 0, axi, 1.0), h)
-            wsin_w = axi * np.sin(axi * h)
-            pt = pt - 0.5 * h * np.sin(phi)
+            c, s = np.cos(jxi * h), np.sin(jxi * h)
+            pt = pt - 0.5 * h * (np.sin(phi) - phi)
             ph, pth = np.fft.fft(phi), np.fft.fft(pt)
-            ph, pth = cos_w * ph + sinc_w * pth, -wsin_w * ph + cos_w * pth
+            ph, pth = c * ph + s / jxi * pth, -jxi * s * ph + c * pth
             phi, pt = np.fft.ifft(ph).real, np.fft.ifft(pth).real
-            pt = pt - 0.5 * h * np.sin(phi)
+            pt = pt - 0.5 * h * (np.sin(phi) - phi)
     return phi, pt
 
 
 def reference_composition(weights, s0, dt, n_steps, stride):
     """The composition routine with its kicks on the public numpy.fft calls.
 
-    The same one-way waves U+- = phi_t^ +- i|xi| phi^, scalar phi^(0) and
-    operation order, with allocating arithmetic.  Returns (time, phi, phi_t)
-    for every recorded step after s0.
+    The same one-way waves U+- = phi_t^ +- i<xi> phi^ and operation order,
+    with allocating arithmetic.  Returns (time, phi, phi_t) for every
+    recorded step after s0.
     """
     grid, n = s0.grid, s0.grid.n
-    axi = 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx)
-    drifts = [(w * dt, np.exp(np.multiply.outer((1j, -1j), axi * (w * dt))))
+    jxi = np.hypot(1.0, 2.0 * np.pi * np.fft.rfftfreq(n, d=grid.dx))
+    phases = [np.exp(np.multiply.outer((1j, -1j), jxi * (w * dt)))
               for w in weights]
-    inv = np.divide(-0.5j, axi, out=np.zeros(axi.size, complex), where=axi > 0)
     inner = [0.5 * (a + b) * dt for a, b in zip(weights, weights[1:])]
     head, tail = 0.5 * weights[0] * dt, 0.5 * weights[-1] * dt
     phi = s0.phi.values
-    z = np.fft.rfft([phi, s0.phi_t.values - head * np.sin(phi)])
-    U = z[1] + np.multiply.outer((1j, -1j), axi) * z[0]
-    phi_hat0 = z[0, 0]
+    z = np.fft.rfft([phi, s0.phi_t.values - head * (np.sin(phi) - phi)])
+    U = z[1] + np.multiply.outer((1j, -1j), jxi) * z[0]
 
     def inverse_phi():
-        ph = (U[0] - U[1]) * inv
-        ph[0] = phi_hat0
-        return np.fft.irfft(ph, n)
+        return np.fft.irfft((U[0] - U[1]) * (-0.5j / jxi), n)
+
+    def kick_spectrum(phi):
+        return np.fft.rfft(np.sin(phi) - phi)
 
     out = []
     for step in range(1, n_steps + 1):
-        for i, (h, phase) in enumerate(drifts):
+        for i, phase in enumerate(phases):
             if i:
-                U += -inner[i - 1] * np.fft.rfft(np.sin(inverse_phi()))
+                U += -inner[i - 1] * kick_spectrum(inverse_phi())
             U *= phase
-            phi_hat0 += h * U[0, 0]
         phi = inverse_phi()
-        sin_hat = np.fft.rfft(np.sin(phi))
+        g_hat = kick_spectrum(phi)
         recording = step % stride == 0 or step == n_steps
-        U += -(tail if recording else tail + head) * sin_hat
+        U += -(tail if recording else tail + head) * g_hat
         if recording:
             out.append((s0.time + step * dt, phi,
                         np.fft.irfft(0.5 * (U[0] + U[1]), n)))
-            U += -head * sin_hat
+            U += -head * g_hat
     return out
 
 
@@ -242,9 +240,21 @@ class TestEvolve:
         assert err < 1e-9
 
     def test_leapfrog_cfl_guard(self, grid):
-        with pytest.raises(ValueError):
-            evolve(kink_state(grid), Scheme(SchemeKind.LEAPFROG, grid.dx * 2),
-                   1.0, snapshot_every=1.0)
+        # refused before the generator runs; at 0.87 dx, 180 steps end 2.46
+        # from the exact kink with no blow-up
+        bound = 2.0 * (16.0 / (3.0 * grid.dx * grid.dx) + 1.0) ** -0.5
+        for dt in (bound, 0.87 * grid.dx, 2.0 * grid.dx):
+            with pytest.raises(ValueError, match=repr(bound)):
+                snapshots(kink_state(grid), Scheme(SchemeKind.LEAPFROG, dt),
+                          180 * dt, 180 * dt)
+
+    def test_leapfrog_stable_just_below_cfl_bound(self, grid):
+        # the bound 2/sqrt(16/(3 dx^2) + 1) is 0.8657 dx at dx = 1/16
+        dt, n_steps = 0.865 * grid.dx, 3000
+        end = evolve(kink_state(grid), Scheme(SchemeKind.LEAPFROG, dt),
+                     n_steps * dt, snapshot_every=n_steps * dt).states[-1]
+        exact = kink_state(grid, t=end.time)
+        assert np.max(np.abs(end.phi.values - exact.phi.values)) < 1e-3
 
     def test_spectral_rejects_kink_topology(self, grid):
         with pytest.raises(ValueError):
@@ -363,8 +373,8 @@ class TestComposition:
     @pytest.mark.parametrize("n", [2048, 1023])
     @pytest.mark.parametrize("kind", list(_WEIGHTS))
     def test_matches_reference_with_nonzero_means(self, kind, n):
-        # a constant in phi and phi_t: the xi=0 mode, held as a scalar beside
-        # the one-way waves, grows linearly in phi
+        # a constant in phi and phi_t: the xi=0 mode, which the Klein-Gordon
+        # drift turns at frequency <0> = 1 like every other mode
         grid = Grid(-64.0, 64.0, n)
         b = breather_state(grid)
         s0 = State(Field(grid, b.phi.values + 2e-3),
@@ -378,6 +388,16 @@ class TestComposition:
             assert np.max(np.abs(state.phi_t.values - pt)) < 1e-11
         assert abs(np.mean(traj.states[-1].phi.values)
                    - np.mean(s0.phi.values)) > 1e-3
+
+    @pytest.mark.parametrize("kind", list(_WEIGHTS))
+    def test_exact_on_small_data(self, grid, kind):
+        # the drift is the exact Klein-Gordon flow and the kick phi - sin phi
+        # is cubic, so at amplitude 1e-6 even dt = 1/2 is exact to rounding
+        s0, exact = free_state(grid, 1e-6, 0.0), free_state(grid, 1e-6, 4.0)
+        end = evolve(s0, Scheme(kind, 0.5), 4.0, snapshot_every=4.0).states[-1]
+        for a, b in ((end.phi, exact.phi), (end.phi_t, exact.phi_t)):
+            scale = np.max(np.abs(b.values))
+            assert np.max(np.abs(a.values - b.values)) < 1e-11 * scale
 
     def test_steps_between_records_allocate_no_grid_array(self):
         n, k = 4096, 40
@@ -449,7 +469,7 @@ class TestComposition:
         for state in run:
             # the routine's scratch arrays, read from its suspended frame
             f_locals = run.gi_frame.f_locals
-            buffers.extend(f_locals[k] for k in ("x", "sin_hat", "ph", "U"))
+            buffers.extend(f_locals[k] for k in ("x", "y", "g_hat", "ph", "U"))
             states.append((state, state.phi.values.copy(),
                            state.phi_t.values.copy()))
         assert states[0][0] is s0
@@ -514,7 +534,7 @@ class TestSnapshots:
     ])
     def test_refuses_before_iteration(self, grid, kind, t_end, every, match):
         # dt = 0.3: 1.2 and 0.6 are 4 and 2 steps, 1.0 and 0.5 are not whole;
-        # dt > 0.9 dx
+        # dt is above the leapfrog's CFL bound at dx = 1/16
         s0 = (small_state(grid) if kind is SchemeKind.STRANG_SPLIT_SPECTRAL
               else kink_state(grid))
         with pytest.raises(ValueError, match=match):
@@ -650,29 +670,27 @@ class TestConservedQuantities:
             drift = max(abs(q[key] - qs[0][key]) for q in qs) / scale
             assert drift < tol, key
 
-    # Strang's energy error is O(dt^2) even for small data (the kick carries
-    # the mass term): 2.2e-7 at dt=1/1024.  Yoshida4 at dt=1/32 sits on the
-    # FD diagnostic's own floor at dx=1/32 (2.0e-7 for width-1 bumps).  The
-    # examples at amplitude 1e-6 hold only because E0's potential is formed
-    # as 2 sin^2(phi/2): 1 - cos(phi) cancels there, and read 4e-5 to 1e-4.
-    @pytest.mark.parametrize("kind,dt", [
-        (SchemeKind.STRANG_SPLIT_SPECTRAL, 1.0 / 1024),
-        (SchemeKind.YOSHIDA4_SPECTRAL, 1.0 / 32),
-    ])
+    # The kick phi - sin phi is cubic, so the splitting error of both schemes
+    # falls with the data.  At dt=1/32 Yoshida4 sits on the FD diagnostic's
+    # own floor at dx=1/32 (up to 4.2e-7, width-1 bumps of amplitude 0.1) and
+    # Strang adds its own error there (up to 7.8e-7).  The examples at
+    # amplitude 1e-6 hold only because E0's potential is formed as
+    # 2 sin^2(phi/2): 1 - cos(phi) cancels there, and read 4e-5 to 1e-4.
+    @pytest.mark.parametrize("kind", list(_WEIGHTS))
     @given(amp=st.floats(0.02, 0.1), sign=st.sampled_from([-1.0, 1.0]),
            amp_t=st.floats(-0.1, 0.1), width=st.floats(1.0, 2.0),
            center=st.floats(-2.0, 2.0))
     @example(amp=1e-6, sign=1.0, amp_t=0.0, width=1.0, center=0.0)
     @example(amp=1e-6, sign=-1.0, amp_t=1e-6, width=1.0, center=0.0)
     @settings(max_examples=5, deadline=None)
-    def test_spectral_conserves_small_bumps(self, kind, dt, amp, sign, amp_t,
+    def test_spectral_conserves_small_bumps(self, kind, amp, sign, amp_t,
                                             width, center):
         # E0 and P drift relative to E0 (|P| <= E0/2), to t=4 every 0.5
         grid = make_grid(-16.0, 16.0, 1024)
         bump = np.exp(-((grid.x - center) / width) ** 2)
         s0 = State(Field(grid, sign * amp * bump), Field(grid, amp_t * bump),
                    0.0, Topology.ZERO)
-        traj = evolve(s0, Scheme(kind, dt), 4.0, snapshot_every=0.5)
+        traj = evolve(s0, Scheme(kind, 1.0 / 32), 4.0, snapshot_every=0.5)
         qs = [conserved_quantities(s) for s in traj.states]
         for key in ("E0", "P"):
             drift = max(abs(q[key] - qs[0][key]) for q in qs) / qs[0]["E0"]

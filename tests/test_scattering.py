@@ -200,6 +200,13 @@ class TestPredictAsymptotics:
         assert np.max(np.abs(diff[outside])) < 1e-8
         assert np.all(np.isfinite(dx_pred)) and np.all(np.isfinite(dt_pred))
 
+    @pytest.mark.parametrize("target", [KinkDiff(0.2, 0.1),
+                                        KinkDerivDiff(0.2, 0.1)])
+    @pytest.mark.parametrize("x", [20.0, [20.0]])
+    def test_kink_diff_refuses_a_single_point(self, profile, target, x):
+        with pytest.raises(ValueError, match="need an equispaced array"):
+            predict_asymptotics(profile, 100.0, x, target)
+
     def test_kink_diff_converges_with_the_grid(self):
         # a profile that is smooth and negligible at the ends of its range,
         # so the only corner left is the kink center beta t + 0.1 = 20.1,
