@@ -27,7 +27,6 @@ from .tracking import _orthogonality, solve_center
 
 __all__ = [
     "BacklundConvergenceError",
-    "FContext",
     "FTriple",
     "InverseResult",
     "backlund_residual",
@@ -49,34 +48,11 @@ def _beta(a: float) -> float:
     return (a**2 - 1.0) / (a**2 + 1.0)
 
 
-def _check_a(a: float) -> None:
+def _check_a(a: float) -> float:
+    """a itself, once it is known to be a valid Backlund parameter."""
     if not 0.0 < a < np.inf:
         raise ValueError(f"a must be positive and finite, got {a}")
-
-
-@dataclass(frozen=True)
-class FContext:
-    """Base point of the functional: kink parameters (beta0, x0) at time t."""
-
-    beta0: float
-    t: float
-    x0: float
-
-    @property
-    def params(self) -> KinkParams:
-        return KinkParams(self.beta0, self.x0)
-
-    @property
-    def a0(self) -> float:
-        return self.params.a
-
-    @property
-    def gamma0(self) -> float:
-        return self.params.gamma
-
-    @property
-    def center(self) -> float:
-        return self.x0 + self.beta0 * self.t
+    return a
 
 
 @dataclass(frozen=True)
@@ -88,21 +64,31 @@ class FTriple:
 
 @dataclass(frozen=True)
 class InverseResult:
+    """The recovered kink is the base kink moved by y at phi.time, with
+    Backlund parameter a = base.a + delta."""
+
     delta: float
     y: float
     phi: State
     residual_norm: float
-    context: FContext
+    base: KinkParams
     newton_steps: int  # accepted stage-(i) steps
     residual_history: tuple  # F2 L2 norm at the start and after each step
 
     @property
+    def a(self) -> float:
+        return self.base.a + self.delta
+
+    @property
     def beta(self) -> float:
-        return _beta(self.context.a0 + self.delta)
+        return _beta(self.a)
 
     @property
     def center(self) -> float:
-        return self.context.x0 + self.y
+        """The recovered kink's x0 in KinkParams' frame: its position at
+        phi.time, base.x0 + base.beta t + y, less beta t."""
+        return (self.base.x0 + self.y
+                + (self.base.beta - self.beta) * self.phi.time)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -232,26 +218,20 @@ def forward_transform(phi: State, a: float, center: float) -> State:
 # The functional F and its linearized solve
 
 
-def _a_delta(ctx: FContext, delta: float) -> float:
-    a = ctx.a0 + delta
-    if a <= 0:
-        raise ValueError(f"a0 + delta must stay positive, got {a}")
-    return a
-
-
 def eval_F(delta: float, y: float, v0: Field, v1: Field, u0: Field,
-           u1: Field, ctx: FContext) -> FTriple:
-    """F1, F2: the Backlund pair of f = Q0 + u0 and phi = v0 at a0 + delta;
-    F3: orthogonality at velocity beta(a0 + delta), center ctx.center + y."""
+           u1: Field, base: KinkParams, t: float) -> FTriple:
+    """F1, F2: the Backlund pair of f = Q(base, t) + u0 and phi = v0 at
+    a = base.a + delta; F3: orthogonality at velocity beta(a), center the
+    base kink's position at t plus y."""
     grid = u0.grid
-    a_d = _a_delta(ctx, delta)
-    ids = kink_identities(ctx.params, ctx.t, grid.x)
+    a_d = _check_a(base.a + delta)
+    ids = kink_identities(base, t, grid.x)
     f = u0.values + ids["Q"]
     P, M = _pair(f, v0.values, a_d)
     f1 = ids["Q_x"] + spatial_derivative(u0, 1).values - v1.values - P
     f2 = ids["Q_t"] + u1.values - spatial_derivative(v0, 1).values - M
     f3, _ = _orthogonality(Field(grid, f), _beta(a_d), 0.0,
-                           ctx.center + y)
+                           base.x0 + base.beta * t + y)
     return FTriple(Field(grid, f1), Field(grid, f2), f3)
 
 
@@ -327,20 +307,22 @@ def _kink_sweep(grid, fv: np.ndarray, c: float, gamma: float,
     return out
 
 
-def solve_linearized_F2(g: Field, ctx: FContext) -> dict:
+def solve_linearized_F2(g: Field, base: KinkParams, t: float) -> dict:
     """Bounded solution (lambda, w) of the linearized F2 equation.
 
-    -w_x - gamma0 cos(Q0/2) w + lambda (1 + a0^-2) sin(Q0/2) = g, with
-    lambda fixed by the solvability condition that makes w decay at both
-    ends.  Rearranged, w_x = gamma0 tanh(z) w + r: w is the inward
-    kink-weighted sweep of r from each end toward the kink center.
+    -w_x - gamma0 cos(Q0/2) w + lambda (1 + a0^-2) sin(Q0/2) = g, Q0 the
+    base kink at time t, with lambda fixed by the solvability condition that
+    makes w decay at both ends.  Rearranged, w_x = gamma0 tanh(z) w + r: w
+    is the inward kink-weighted sweep of r from each end toward the kink
+    center.
     """
     grid = g.grid
-    s = sech(ctx.gamma0 * (grid.x - ctx.center))
-    c_lam = 1.0 + 1.0 / ctx.a0**2
+    center = base.x0 + base.beta * t
+    s = sech(base.gamma * (grid.x - center))
+    c_lam = 1.0 + 1.0 / base.a**2
     denom = c_lam * float(np.trapezoid(s * s, dx=grid.dx))
     lam = float(np.trapezoid(g.values * s, dx=grid.dx)) / denom
-    w = _kink_sweep(grid, c_lam * lam * s - g.values, ctx.center, ctx.gamma0,
+    w = _kink_sweep(grid, c_lam * lam * s - g.values, center, base.gamma,
                     False)
     return {"lambda": lam, "w": Field(grid, w)}
 
@@ -349,21 +331,23 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
                       tol: float = 1e-10, max_iter: int = 50) -> InverseResult:
     """Recover (delta, y, phi) with f the Backlund transform of phi.
 
-    Staged solve: (i) quasi-Newton on F2 = 0 in (delta, v0) with the
-    linearization frozen at the base point, damped by step halving; max_iter
-    bounds this stage only; (ii) v1 read off from F1 = 0; (iii) F3 = 0 in y,
-    the orthogonality center solve of tracking at velocity beta(a0 + delta).
+    The base kink is KinkParams(beta0, x0_guess) at f.time.  Staged solve:
+    (i) quasi-Newton on F2 = 0 in (delta, v0) with the linearization frozen
+    at the base kink, damped by step halving; max_iter bounds this stage
+    only; (ii) v1 read off from F1 = 0; (iii) F3 = 0 in y, the orthogonality
+    center solve of tracking at velocity beta(a0 + delta).
     """
-    grid, dx = f.grid, f.grid.dx
-    ctx = FContext(beta0, f.time, x0_guess)
-    ids = kink_identities(ctx.params, ctx.t, grid.x)
+    grid, dx, t = f.grid, f.grid.dx, f.time
+    base = KinkParams(beta0, x0_guess)
+    a0, c0 = base.a, base.x0 + base.beta * t
+    ids = kink_identities(base, t, grid.x)
     u0 = Field(grid, f.phi.values - ids["Q"])
     u1 = Field(grid, f.phi_t.values - ids["Q_t"])
     fv = u0.values + ids["Q"]  # f, f_x and f_t as eval_F forms them
     f_x = ids["Q_x"] + _fd_stencil(u0.values, dx, 1)
     f_t = ids["Q_t"] + u1.values
     def f2(d, v):
-        return f_t - _fd_stencil(v, dx, 1) - _pair(fv, v, _a_delta(ctx, d))[1]
+        return f_t - _fd_stencil(v, dx, 1) - _pair(fv, v, _check_a(a0 + d))[1]
 
     delta, v0 = 0.0, np.zeros(grid.n)
     r = f2(delta, v0)
@@ -372,7 +356,7 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
         if len(history) > max_iter:
             raise BacklundConvergenceError(
                 f"Newton on F2 failed to reach {tol}: {history[-1]:.3e}")
-        sol = solve_linearized_F2(Field(grid, -r), ctx)
+        sol = solve_linearized_F2(Field(grid, -r), base, t)
         for s in (0.5**k for k in range(10)):  # step halving
             trial = (delta + s * sol["lambda"], v0 + s * sol["w"].values)
             r_new = f2(*trial)
@@ -386,21 +370,20 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
                 "outside the convergence neighborhood")
 
     # stage (ii): v1 explicit from F1 = 0
-    a_d = _a_delta(ctx, delta)
+    a_d = _check_a(a0 + delta)
     v1 = Field(grid, f_x - _pair(fv, v0, a_d)[0])
 
     # stage (iii): F3 = 0 is the orthogonality center condition
     try:
-        y = solve_center(Field(grid, fv), _beta(a_d), 0.0,
-                         ctx.center) - ctx.center
+        y = solve_center(Field(grid, fv), _beta(a_d), 0.0, c0) - c0
     except RuntimeError as exc:
         raise BacklundConvergenceError(f"F3 center solve: {exc}") from exc
 
     phi = State(Field(grid, v0), v1, f.time, Topology.ZERO)
-    tri = eval_F(delta, y, phi.phi, v1, u0, u1, ctx)
+    tri = eval_F(delta, y, phi.phi, v1, u0, u1, base, t)
     residual = float(np.sqrt(norm(tri.F1, Lp(2)) ** 2
                              + norm(tri.F2, Lp(2)) ** 2 + tri.F3**2))
-    return InverseResult(delta, y, phi, residual, ctx, len(history) - 1,
+    return InverseResult(delta, y, phi, residual, base, len(history) - 1,
                          tuple(history))
 
 

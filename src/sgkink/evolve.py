@@ -102,33 +102,43 @@ def _whole_steps(span: float, dt: float, name: str) -> int:
     return int(round(steps))
 
 
-def snapshots(s0: State, scheme: Scheme, t_end: float,
-              snapshot_every: float) -> Iterator[State]:
-    """Integrate s0 to t_end, yielding a snapshot every snapshot_every.
-
-    Both t_end - s0.time and snapshot_every must be whole multiples of dt
-    (to 1e-9 steps); otherwise ValueError, rather than a rounded step count.
-    s0 comes first and the last step is always yielded.  The blow-up guard
-    checks each yielded snapshot only, so detection can lag by up to one
-    snapshot stride.  The leapfrog refuses dt >= 2/sqrt(16/(3 dx^2) + 1), its
-    stability limit (the stencil's symbol is at most 16/(3 dx^2), sin adds 1);
-    the spectral schemes refuse kink topology.  Every refusal is raised by
-    this call, before the returned generator runs.
-    """
+def _run_steps(scheme: Scheme, dx: float, topology: Topology, span: float,
+               snapshot_every: float, span_name: str) -> tuple[int, int]:
+    """(steps, stride) of a run over span, or ValueError for a run that
+    snapshots would refuse: span and snapshot_every must be whole multiples
+    of dt (to 1e-9 steps), rather than rounded; the leapfrog refuses
+    dt >= 2/sqrt(16/(3 dx^2) + 1), its stability limit (the stencil's symbol
+    is at most 16/(3 dx^2), sin adds 1); the spectral schemes refuse kink
+    topology."""
     dt = scheme.dt
-    dx = s0.grid.dx
-    n_steps = _whole_steps(t_end - s0.time, dt, "t_end - s0.time")
+    n_steps = _whole_steps(span, dt, span_name)
     stride = _whole_steps(snapshot_every, dt, "snapshot_every")
     if scheme.kind is SchemeKind.LEAPFROG:
         bound = 2.0 * (16.0 / (3.0 * dx * dx) + 1.0) ** -0.5
         if dt >= bound:
             raise ValueError(f"CFL violation: dt={float(dt)!r} >= 2/sqrt(16/"
                              f"(3 dx^2) + 1) = {bound!r} at dx={dx!r}")
-        return _leapfrog_run(s0, dt, n_steps, stride)
-    if s0.topology is Topology.KINK:
+    elif topology is Topology.KINK:
         raise ValueError("spectral scheme requires zero topology")
-    return _composition_run(_DRIFT_WEIGHTS[scheme.kind], s0, dt, n_steps,
-                            stride)
+    return n_steps, stride
+
+
+def snapshots(s0: State, scheme: Scheme, t_end: float,
+              snapshot_every: float) -> Iterator[State]:
+    """Integrate s0 to t_end, yielding a snapshot every snapshot_every.
+
+    s0 comes first and the last step is always yielded.  The blow-up guard
+    checks each yielded snapshot only, so detection can lag by up to one
+    snapshot stride.  Every refusal (see _run_steps) is raised by this call,
+    before the returned generator runs.
+    """
+    n_steps, stride = _run_steps(scheme, s0.grid.dx, s0.topology,
+                                 t_end - s0.time, snapshot_every,
+                                 "t_end - s0.time")
+    if scheme.kind is SchemeKind.LEAPFROG:
+        return _leapfrog_run(s0, scheme.dt, n_steps, stride)
+    return _composition_run(_DRIFT_WEIGHTS[scheme.kind], s0, scheme.dt,
+                            n_steps, stride)
 
 
 def evolve(s0: State, scheme: Scheme, t_end: float,

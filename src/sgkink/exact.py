@@ -97,13 +97,8 @@ class Kink(ExactSolution):
         self.params = params
 
     def evaluate(self, t, x):
-        p = self.params
-        z = p.gamma * (np.asarray(x, float) - p.beta * t - p.x0)
-        f = 4.0 * _arctan_exp(z)
-        s = sech(z)
-        f_x = 2.0 * p.gamma * s
-        f_t = -2.0 * p.beta * p.gamma * s
-        return f, f_t, f_x
+        ids = kink_identities(self.params, t, x)
+        return ids["Q"], ids["Q_t"], ids["Q_x"]
 
 
 class Breather(ExactSolution):

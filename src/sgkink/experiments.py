@@ -19,6 +19,7 @@ from .backlund import backlund_residual, forward_transform, inverse_transform
 from .evolve import (
     Scheme,
     SchemeKind,
+    _run_steps,
     _whole_steps,
     conserved_quantities,
     snapshots,
@@ -45,9 +46,11 @@ from .fields import (
 )
 from .tracking import CenterMode, _decay_bound, fit_decay_exponent, track
 from .scattering import (
+    _MIN_EXTRACTION_TIME,
     ExtractionMethod,
     U,
     WavePacketSpec,
+    _packet_support,
     extract_W,
     predict_asymptotics,
     to_complex_u,
@@ -78,9 +81,9 @@ _SCHEMES = {
 
 _PERTURBATIONS = ("gaussian", "odd-sech", "custom")
 
-# small-data-scattering extracts the profile from t_end >= _PROFILE_T_MIN on
-# and tests the predictor at these fractions of t_end, which must be snapshots
-_PROFILE_T_MIN = 100.0
+# small-data-scattering extracts the profile from t_end >= _MIN_EXTRACTION_TIME
+# on and tests the predictor at these fractions of t_end, which must be
+# snapshots
 _PREDICTOR_FRACTIONS = (0.375, 0.75)
 
 
@@ -123,9 +126,13 @@ class ExperimentConfig:
         if self.data not in ("kink", "breather", "perturbed-kink"):
             raise ValueError(f"unknown conservation data {self.data!r}")
         if self.name != "backlund-roundtrip":  # the only runner without evolve
-            _whole_steps(self.t_end, self.time_step, "t_end")
-            _whole_steps(self.snapshot_every, self.time_step, "snapshot_every")
-        if self.name == "small-data-scattering" and self.t_end >= _PROFILE_T_MIN:
+            zero = self.name == "small-data-scattering" or (
+                self.name == "conservation" and self.data == "breather")
+            _run_steps(Scheme(_SCHEMES[self.scheme], self.time_step),
+                       self.grid.dx, Topology.ZERO if zero else Topology.KINK,
+                       self.t_end, self.snapshot_every, "t_end")
+        if (self.name == "small-data-scattering"
+                and self.t_end >= _MIN_EXTRACTION_TIME):
             for frac in _PREDICTOR_FRACTIONS:
                 t = frac * self.t_end
                 try:
@@ -211,19 +218,17 @@ def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
     s0 = _perturbed_kink(cfg)
     inv = inverse_transform(s0, cfg.beta0, cfg.x0)
     rep.summary["inverse"] = json.loads(inv.to_json())
-    a = inv.context.a0 + inv.delta
     residuals = []
 
     def f_states():
         # f and phi in lockstep; only the residual norms outlive a snapshot
         for s, p in zip(_snapshots(cfg, s0, rep, "f"),
                         _snapshots(cfg, inv.phi, rep, "phi"), strict=True):
-            res = backlund_residual(s, p, a)
+            res = backlund_residual(s, p, inv.a)
             residuals.append((norm(res["R1"], Lp(2)), norm(res["R2"], Lp(2))))
             yield s
 
-    tracked = track(f_states(), inv.beta, inv.context.x0 + inv.y,
-                    CenterMode.ORTHOGONALITY)
+    tracked = track(f_states(), inv.beta, inv.center, CenterMode.ORTHOGONALITY)
     rows = []
     for rec, (r1, r2) in zip(tracked.records, residuals, strict=True):
         rows.append({
@@ -323,11 +328,11 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     rep.summary["decay_r2"] = fit["r2"]
     rep.check("sup-norm decay exponent is -0.5 +/- 0.1",
               -0.6 <= fit["exponent"] <= -0.4)
-    if cfg.t_end < _PROFILE_T_MIN:
+    if cfg.t_end < _MIN_EXTRACTION_TIME:
         rep.summary["profile"] = "skipped: t_end below extraction threshold"
         return
     spec = WavePacketSpec(0.1)
-    xi_max = min(3.0, _max_reachable_xi(cfg, spec))
+    xi_max = min(3.0, _max_reachable_xi(cfg.grid, s.time, spec))
     xi_grid = np.linspace(-xi_max, xi_max, 61)
     W = extract_W(s, xi_grid, spec, ExtractionMethod.WAVE_PACKET)  # the last
     rep.tables["profile"] = [
@@ -351,19 +356,21 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     rep.check("predictor ratio decreases in time", r2 < r1)
 
 
-def _max_reachable_xi(cfg: ExperimentConfig, spec: WavePacketSpec) -> float:
-    """Largest |xi| whose packet at t_end fits in the grid and light cone."""
-    t = cfg.t_end
-    vmax = min(-cfg.x_min, cfg.x_max) / t
-    lo, hi = 0.0, 1.0 - 1e-12
+def _max_reachable_xi(grid: Grid, t: float, spec: WavePacketSpec) -> float:
+    """Largest xi whose packets at -xi and xi pass wave_packet's support
+    checks at time t: within the grid's nodes and inside the light cone."""
+    edge = min(grid.x[-1], -grid.x[0])
+
+    def fits(xi):
+        v = xi / np.sqrt(1.0 + xi * xi)  # as extract_W maps xi to v
+        hi = _packet_support(t, v, spec)[1]  # the packet at -v ends at -hi
+        return hi <= edge and hi < t
+
+    lo, hi = 0.0, 1.0 - 1e-12  # bisection in v: fits holds on [0, v*)
     for _ in range(60):
         v = 0.5 * (lo + hi)
-        jap = 1.0 / np.sqrt(1.0 - v * v)
-        if v * t + spec.chi_radius * np.sqrt(t) / jap**1.5 < min(vmax, 1.0) * t:
-            lo = v
-        else:
-            hi = v
-    return 0.999 * lo / np.sqrt(1.0 - lo * lo)
+        lo, hi = (v, hi) if fits(v / np.sqrt(1.0 - v * v)) else (lo, v)
+    return lo / np.sqrt(1.0 - lo * lo)
 
 
 def _run_wobbler(cfg: ExperimentConfig, rep: Report) -> None:

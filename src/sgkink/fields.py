@@ -319,19 +319,9 @@ def _l2plus_linf(values: np.ndarray, dx: float) -> float:
 
 
 def _weighted_sobolev(f: Field, m: float, s: float) -> float:
-    x = f.grid.x
-    weight = (1.0 + x**2) ** (s / 2.0)
-    dx = f.grid.dx
-    if float(m).is_integer():
-        total = 0.0
-        g = f
-        for j in range(int(m) + 1):
-            if j > 0:
-                g = spatial_derivative(g, 1)
-            total += _lp(weight * g.values, dx, 2.0)
-        return total
-    weighted = Field(f.grid, weight * f.values)
-    return _lp(bessel_multiplier(weighted, m).values, dx, 2.0)
+    """||<D>^m (<x>^s f)||_2 for every m >= 0; zero-topology fields only."""
+    weighted = Field(f.grid, (1.0 + f.grid.x**2) ** (s / 2.0) * f.values)
+    return _lp(bessel_multiplier(weighted, m).values, f.grid.dx, 2.0)
 
 
 def _pair_energy(d0: np.ndarray, d1: np.ndarray, d2: np.ndarray,

@@ -86,14 +86,19 @@ def to_complex_u(phi: State) -> Field:
     return Field(phi.grid, phi.phi.values + 1j * half.values)
 
 
+def _packet_support(t: float, v: float, spec: WavePacketSpec) -> tuple:
+    """Psi_v's support (lo, hi) = vt -+ chi_radius sqrt(t) / <xi_v>^{3/2}."""
+    jap = 1.0 / np.sqrt(1.0 - v * v)  # <xi_v> for xi_v = v/sqrt(1-v^2)
+    half_width = spec.chi_radius * np.sqrt(t) / jap**1.5
+    return v * t - half_width, v * t + half_width
+
+
 def wave_packet(grid: Grid, t: float, v: float, spec: WavePacketSpec) -> Field:
     """Psi_v = <xi_v>^{3/2} chi(t^{-1/2}<xi_v>^{3/2}(x - vt)) e^{-i sqrt(t^2-x^2)}."""
     if not abs(v) < 1:
         raise ValueError(f"|v| must be < 1, got {v}")
-    jap = 1.0 / np.sqrt(1.0 - v * v)  # <xi_v> for xi_v = v/sqrt(1-v^2)
-    scale = jap**1.5
-    half_width = spec.chi_radius * np.sqrt(t) / scale
-    lo, hi = v * t - half_width, v * t + half_width
+    scale = (1.0 / np.sqrt(1.0 - v * v)) ** 1.5
+    lo, hi = _packet_support(t, v, spec)
     if lo < grid.x[0] or hi > grid.x[-1]:
         raise ValueError(f"packet support [{lo:.2f}, {hi:.2f}] leaks off grid")
     if hi >= t or lo <= -t:

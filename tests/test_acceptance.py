@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from sgkink.backlund import (
-    FContext,
     backlund_residual,
     eval_F,
     forward_transform,
@@ -96,9 +95,8 @@ def stability_run():
     inv = inverse_transform(s0, beta, 0.0)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 200.0,
                   snapshot_every=2.5)
-    center0 = inv.context.x0 + inv.y
-    ortho = track(traj.states, inv.beta, center0, CenterMode.ORTHOGONALITY)
-    pi = track(traj.states, inv.beta, center0, CenterMode.PI_LEVEL)
+    ortho = track(traj.states, inv.beta, inv.center, CenterMode.ORTHOGONALITY)
+    pi = track(traj.states, inv.beta, inv.center, CenterMode.PI_LEVEL)
     return eps, traj, ortho, pi
 
 
@@ -157,11 +155,11 @@ def test_criterion_02_round_trip(fine_grid):
 
 
 def test_criterion_03_functional_slope_and_identity(fine_grid):
-    ctx = FContext(0.3, 0.0, 0.0)
+    base = KinkParams(0.3, 0.0)
     zero = Field(fine_grid, np.zeros(fine_grid.n))
     h = 1e-6
-    fp = eval_F(0.0, h, zero, zero, zero, zero, ctx).F3
-    fm = eval_F(0.0, -h, zero, zero, zero, zero, ctx).F3
+    fp = eval_F(0.0, h, zero, zero, zero, zero, base, 0.0).F3
+    fm = eval_F(0.0, -h, zero, zero, zero, zero, base, 0.0).F3
     slope = (fp - fm) / (2 * h)
     gamma = KinkParams(0.3, 0.0).gamma
     Q = sample_state(Kink(KinkParams(0.3, 0.0)), fine_grid, 0.0).phi.values

@@ -5,13 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from sgkink.backlund import (
     BacklundConvergenceError,
-    FContext,
     _beta,
     _cell_integrals,
     _damped_cumsum,
@@ -108,21 +107,22 @@ def reference_forward(phi, a, center):
     return f, p_x + np.sin(0.5 * (f + pv)) / a - a * np.sin(0.5 * (f - pv))
 
 
-def reference_linearized_F2(g, ctx):
+def reference_linearized_F2(g, base, t):
     """(lambda, w) by w = cosh(z) v, z = gamma0 (x - center), with v the
     antiderivative of r sech(z) accumulated from the left end left of the
     center and from the right end right of it, and the cosh product taken
     in log space."""
     grid = g.grid
-    z = ctx.gamma0 * (grid.x - ctx.center)
+    center = base.x0 + base.beta * t
+    z = base.gamma * (grid.x - center)
     s = sech(z)
-    c_lam = 1.0 + 1.0 / ctx.a0**2
+    c_lam = 1.0 + 1.0 / base.a**2
     denom = c_lam * float(np.trapezoid(s * s, dx=grid.dx))
     lam = float(np.trapezoid(g.values * s, dx=grid.dx)) / denom
     inc = _cell_integrals((c_lam * lam * s - g.values) * s, grid.dx, 1.0)
     prefix = np.concatenate([[0.0], np.cumsum(inc)])
     suffix = np.concatenate([np.cumsum(inc[::-1])[::-1], [0.0]])
-    k0 = int(np.searchsorted(grid.x, ctx.center))
+    k0 = int(np.searchsorted(grid.x, center))
     v = np.concatenate([prefix[:k0], -suffix[k0:]])
     log_cosh = np.abs(z) + np.log1p(np.exp(-2.0 * np.abs(z))) - np.log(2.0)
     w = np.zeros(grid.n)
@@ -275,51 +275,50 @@ class TestForwardTransform:
 
 class TestFunctional:
     def test_vanishes_at_origin(self, fine_grid):
-        ctx = FContext(0.3, 0.0, 0.5)
+        base = KinkParams(0.3, 0.5)
         zero = Field(fine_grid, np.zeros(fine_grid.n))
-        trip = eval_F(0.0, 0.0, zero, zero, zero, zero, ctx)
+        trip = eval_F(0.0, 0.0, zero, zero, zero, zero, base, 0.0)
         assert np.max(np.abs(trip.F1.values)) < 1e-10
         assert np.max(np.abs(trip.F2.values)) < 1e-10
         assert abs(trip.F3) < 1e-10
 
     def test_f3_slope_in_y(self, fine_grid):
-        ctx = FContext(0.3, 0.0, 0.5)
+        base = KinkParams(0.3, 0.5)
         zero = Field(fine_grid, np.zeros(fine_grid.n))
         h = 1e-6
         vals = []
         for y in (h, -h):
-            trip = eval_F(0.0, y, zero, zero, zero, zero, ctx)
+            trip = eval_F(0.0, y, zero, zero, zero, zero, base, 0.0)
             vals.append(trip.F3)
         slope = (vals[0] - vals[1]) / (2 * h)
         assert slope == pytest.approx(4.0, abs=1e-5)
 
 
     def test_f3_is_the_orthogonality_integral(self, fine_grid):
-        ctx = FContext(0.3, 0.5, 0.2)
+        base, t = KinkParams(0.3, 0.2), 0.5
         delta, y = 0.05, 0.1
         bump = np.exp(-fine_grid.x**2)
         u0 = Field(fine_grid, 0.02 * bump)
         v0 = Field(fine_grid, 0.01 * bump)
         zero = Field(fine_grid, np.zeros(fine_grid.n))
-        f3 = eval_F(delta, y, v0, zero, u0, zero, ctx).F3
-        q0 = kink_identities(ctx.params, ctx.t, fine_grid.x)["Q"]
+        f3 = eval_F(delta, y, v0, zero, u0, zero, base, t).F3
+        q0 = kink_identities(base, t, fine_grid.x)["Q"]
         f = Field(fine_grid, u0.values + q0)
-        beta_d = _beta(ctx.a0 + delta)
-        g = _orthogonality(f, beta_d, 0.0, ctx.center + y)[0]
+        beta_d = _beta(base.a + delta)
+        g = _orthogonality(f, beta_d, 0.0, base.x0 + base.beta * t + y)[0]
         assert abs(f3 - g) < 1e-14
 
 
 class TestLinearizedF2:
     def test_residual_and_boundedness(self, fine_grid):
-        ctx = FContext(0.2, 0.0, 0.0)
+        base = KinkParams(0.2, 0.0)
         g = Field(fine_grid, 0.1 * np.exp(-fine_grid.x**2))
-        out = solve_linearized_F2(g, ctx)
+        out = solve_linearized_F2(g, base, 0.0)
         w, lam = out["w"], out["lambda"]
         from sgkink.fields import spatial_derivative
         from sgkink.exact import kink_identities
-        ids = kink_identities(KinkParams(ctx.beta0, ctx.x0), 0.0, fine_grid.x)
-        gamma0 = KinkParams(ctx.beta0, 0.0).gamma
-        a0 = KinkParams(ctx.beta0, 0.0).a
+        ids = kink_identities(base, 0.0, fine_grid.x)
+        gamma0, a0 = base.gamma, base.a
         res = (-spatial_derivative(w, 1).values
                - gamma0 * ids["cos_half"] * w.values
                + lam * (1 + a0**-2) * ids["sin_half"]
@@ -346,10 +345,10 @@ class TestLinearizedF2:
                   "off-node": g.x[g.n // 2 + node] + frac * g.dx,
                   "left": g.x[0] - beyond,  # k0 = 0
                   "right": g.x[-1] + beyond}[where]  # k0 = n
-        ctx = FContext(beta0, 0.0, center)
+        base = KinkParams(beta0, center)
         rhs = Field(g, np.exp(-(((g.x - mu) / width) ** 2)))
-        out = solve_linearized_F2(rhs, ctx)
-        lam, w = reference_linearized_F2(rhs, ctx)
+        out = solve_linearized_F2(rhs, base, 0.0)
+        lam, w = reference_linearized_F2(rhs, base, 0.0)
         assert out["lambda"] == lam
         assert np.max(np.abs(out["w"].values - w)) <= 1e-12 * np.max(np.abs(w))
 
@@ -370,6 +369,17 @@ class TestInverseTransform:
         inv = inverse_transform(f, 0.2, 0.0)
         assert abs(inv.delta) < 1e-8
         assert np.max(np.abs(inv.phi.phi.values)) < 1e-8
+
+    def test_center_is_in_kink_params_frame(self):
+        # the base kink (beta0 0.2, x0 1.5) sits where the data's kink does
+        # at t = 10, but moves at another speed; the recovered x0 must not
+        # carry the base's speed
+        g = make_grid(-64.0, 64.0, 4096)
+        f = sample_state(Kink(KinkParams(0.25, 1.0)), g, 10.0)
+        inv = inverse_transform(f, 0.2, 1.5)
+        assert inv.a == pytest.approx(KinkParams(0.25, 0.0).a, abs=1e-10)
+        q = kink_identities(KinkParams(inv.beta, inv.center), f.time, g.x)
+        assert np.max(np.abs(f.phi.values - q["Q"])) <= 1e-9
 
     def test_raises_typed_error_when_not_converged(self, fine_grid):
         a = KinkParams(0.2, 0.0).a
@@ -442,17 +452,22 @@ class TestOperatorI:
     @example(0.3, "left", 0, 0.0, 0, 0.0, 0.0, 1.0)
     @example(-0.3, "right", 0, 0.0, 3, 0.0, 0.0, 1.0)
     @example(0.3, "off-node", 510, 0.5, 0, 0.0, 12.0, 1.0)
+    @example(0.0, "off-node", 511, 0.5, 0, 0.0, 0.0, 1.0)
     @example(-0.3, "node", 511, 0.5, 0, 0.0, 12.0, 1.0)
     def test_matches_antiderivative_reference(self, beta, where, node, frac,
                                               end, t, mu, width):
         g = make_grid(-16.0, 16.0, 1024)
         cbar = {"node": g.x[g.n // 2 + node],
-                "off-node": g.x[g.n // 2 + node] + frac * g.dx,
+                # the last cell starts at node 510; past node 511 is off grid
+                "off-node": g.x[g.n // 2 + min(node, 510)] + frac * g.dx,
                 "left": g.x[end] + frac * g.dx,  # within 4 nodes of an end
                 "right": g.x[-1 - end] - frac * g.dx}[where]
+        center = cbar - beta * t
+        # at an end node, beta t + center can round off the grid
+        assume(g.x[0] <= beta * t + center <= g.x[-1])
         F = Field(g, np.exp(-(((g.x - mu) / width) ** 2)))
-        out = operator_I(F, beta, cbar - beta * t, t).values
-        ref = reference_operator_I(F, beta, cbar - beta * t, t)
+        out = operator_I(F, beta, center, t).values
+        ref = reference_operator_I(F, beta, center, t)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_exponential_bound(self):

@@ -18,7 +18,10 @@ from sgkink.experiments import (
     run_experiment,
     write_report,
 )
-from sgkink.fields import Field, load_field_csv, make_grid, save_field_csv
+from sgkink.experiments import _max_reachable_xi
+from sgkink.fields import (Field, State, Topology, load_field_csv, make_grid,
+                           save_field_csv)
+from sgkink.scattering import WavePacketSpec, extract_W
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -97,6 +100,19 @@ class TestRunners:
         ))
         assert rep.passed, rep.failures
         assert rep.summary["roundtrip_sup_error"] < 1e-6
+
+
+def test_packet_reach_is_what_wave_packet_accepts():
+    # the last node of [-80, 80) with n = 2048 is 80 - dx, dx = 0.078125;
+    # the reach at t = 100 is bound by it, not by x_max
+    grid = make_grid(-80.0, 80.0, 2048)
+    spec = WavePacketSpec(0.1)
+    xi = _max_reachable_xi(grid, 100.0, spec)
+    zero = Field(grid, np.zeros(grid.n))
+    s = State(zero, zero, 100.0, Topology.ZERO)
+    assert not np.any(extract_W(s, np.linspace(-xi, xi, 61), spec).W)
+    with pytest.raises(ValueError, match="leaks off grid"):
+        extract_W(s, [1.0001 * xi], spec)
 
 
 def traced_peak(cfg):
@@ -212,6 +228,22 @@ class TestCli:
         }))
         assert main(["validate", str(bad)]) == 1
 
+    @pytest.mark.parametrize("cfg, message", [
+        # whole step counts at dt = 0.875 dx, past the leapfrog's CFL bound
+        ({"name": "conservation", "x_min": -64, "x_max": 64, "n": 2048,
+          "dt": 0.0546875, "t_end": 7.0, "snapshot_every": 0.4375},
+         "CFL violation"),
+        ({"name": "conservation", "scheme": "yoshida4"}, "zero topology"),
+        ({"name": "kink-stability", "scheme": "yoshida4"}, "zero topology"),
+    ], ids=["leapfrog-cfl", "conservation-kink-spectral",
+            "kink-stability-spectral"])
+    def test_validate_rejects_what_run_refuses(self, cfg, message, tmp_path,
+                                               capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["validate", str(bad)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_validate_rejects_predictor_times_off_snapshots(self, tmp_path):
         # 0.375*t_end = 75 is not a multiple of snapshot_every = 2, so the run
         # would integrate to t = 200 and then find no snapshot at t = 75
@@ -260,7 +292,8 @@ class TestCli:
         None,        # no file: OSError
         "{not json",  # json.JSONDecodeError, a ValueError
         "[1, 2]",    # not an object: TypeError
-    ], ids=["missing", "bad-json", "not-object"])
+        '{"name": "conservation", "dt": 0}',  # was a ZeroDivisionError
+    ], ids=["missing", "bad-json", "not-object", "zero-dt"])
     def test_run_refuses_unloadable_config(self, text, tmp_path, capsys):
         # run shares validate's loader, so it exits 1 with a message, not a
         # traceback, for each error that validate catches

@@ -1,5 +1,7 @@
 """Grids, derivatives, multipliers, norms, and field I/O."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -214,6 +216,20 @@ class TestNorms:
         f = smooth_field(grid, [(0.7, 1.0, 3.0)])
         vals = [norm(f, WeightedSobolev(m, 1.0)) for m in (0, 1, 2)]
         assert vals[0] <= vals[1] <= vals[2]
+
+    def test_weighted_sobolev_is_one_norm_in_m(self):
+        # at m = 1, s = 0 it is sqrt(||f||^2 + ||f'||^2), by Plancherel;
+        # for f = 0.1 e^{-x^2} both terms are 0.01 sqrt(pi/2)
+        g = make_grid(-64.0, 64.0, 4096)
+        f = Field(g, 0.1 * np.exp(-g.x**2))
+        exact = 0.1 * math.sqrt(2.0 * math.sqrt(math.pi / 2.0))
+        assert norm(f, WeightedSobolev(1, 0.0)) == pytest.approx(
+            exact, rel=1e-10)
+        for m in (1, 2):
+            at = norm(f, WeightedSobolev(m, 0.0))
+            for h in (-1e-9, 1e-9):
+                assert norm(f, WeightedSobolev(m + h, 0.0)) == pytest.approx(
+                    at, rel=1e-8)
 
     def test_weighted_sobolev_weight_grows(self, grid):
         f = smooth_field(grid, [(0.7, 5.0, 3.0)])
