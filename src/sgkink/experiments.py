@@ -181,8 +181,11 @@ def _perturbation(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     if cfg.perturbation == "odd-sech":
         p = -cfg.epsilon * sech(x) * np.tanh(x)
         return p, p.copy()
-    f = load_field_csv(cfg.custom_file)
-    if f.grid != cfg.grid:
+    # the file's nodes are printed decimals, so they match the config's to
+    # rounding, not bit for bit
+    f, grid = load_field_csv(cfg.custom_file), cfg.grid
+    if (f.grid.n != grid.n
+            or np.max(np.abs(f.grid.x - grid.x)) > 1e-9 * grid.dx):
         raise ValueError("custom_file grid does not match the config grid")
     return f.values.real.copy(), f.values.imag.copy()
 

@@ -373,7 +373,9 @@ def load_field_csv(path) -> Field:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     x = data[:, 0]
     n = len(x)
-    grid = make_grid(x[0], x[0] + n * (x[1] - x[0]), n)
+    # the spacing from the end nodes, so that no node's rounding is
+    # multiplied by n on the way to x_max
+    grid = make_grid(x[0], x[0] + n * ((x[-1] - x[0]) / (n - 1)), n)
     if data.shape[1] == 3:
         return Field(grid, data[:, 1] + 1j * data[:, 2])
     return Field(grid, data[:, 1].copy())

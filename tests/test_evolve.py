@@ -13,6 +13,7 @@ from sgkink.evolve import (
     SchemeKind,
     _composition_run,
     _guard,
+    _window,
     conserved_quantities,
     evolve,
     snapshots,
@@ -61,22 +62,44 @@ def perturbed_kink_state(grid, eps=0.01):
                  Field(grid, s0.phi_t.values - bump), 0.0, Topology.KINK)
 
 
+def fast_kink_state(grid):
+    return kink_state(grid, beta=0.6)
+
+
+def every_cell_active_state(grid):
+    # at rest at 0 on both ends, and moving on every interior cell
+    pt = 0.01 * np.sin(np.pi * (grid.x - grid.x_min) / grid.length) ** 2
+    return State(Field(grid, np.zeros(grid.n)), Field(grid, pt), 0.0,
+                 Topology.ZERO)
+
+
+def resting_off_equilibrium_state(grid):
+    # phi_t = 0, but sin 0.5 != 0: the start step moves every interior cell
+    return State(Field(grid, np.full(grid.n, 0.5)),
+                 Field(grid, np.zeros(grid.n)), 0.0, Topology.ZERO)
+
+
 def reference_leapfrog(s0, dt, n_steps, stride):
-    """The allocating leapfrog step: (phi, phi_t) after every stride steps."""
+    """The allocating full-grid leapfrog: (phi, phi_t) every stride steps.
+
+    The interior sum is written in the in-place step's order, so the two
+    differ only where the in-place step freezes cells outside its window;
+    test_reference_step_is_the_fd_scheme ties the sum to _fd_stencil.
+    """
     dx = s0.grid.dx
-
-    def clamp(f_new, f_ref):
-        f_new[:2], f_new[-2:] = f_ref[:2], f_ref[-2:]
-
+    c = (dt / dx) ** 2 / 12.0
     f_prev = s0.phi.values.copy()
     accel = _fd_stencil(f_prev, dx, 2) - np.sin(f_prev)
     f_cur = f_prev + dt * s0.phi_t.values + 0.5 * dt * dt * accel
-    clamp(f_cur, f_prev)
+    f_cur[:2], f_cur[-2:] = f_prev[:2], f_prev[-2:]
     out = []
     for n in range(1, n_steps + 1):
-        accel = _fd_stencil(f_cur, dx, 2) - np.sin(f_cur)
-        f_next = 2.0 * f_cur - f_prev + dt * dt * accel
-        clamp(f_next, f_prev)
+        # the tail cells of f_prev hold s0's values
+        f_next = f_prev.copy()
+        f_next[2:-2] = (np.sin(f_cur[2:-2]) * -(dt * dt) - f_prev[2:-2]
+                        + (f_cur[1:-3] + f_cur[3:-1]) * (16.0 * c)
+                        - (f_cur[:-4] + f_cur[4:]) * c
+                        + f_cur[2:-2] * (2.0 - 30.0 * c))
         if n % stride == 0:
             out.append((f_cur, (f_next - f_prev) / (2.0 * dt)))
         f_prev, f_cur = f_cur, f_next
@@ -313,28 +336,95 @@ class TestEvolve:
 class TestLeapfrog:
     """The in-place leapfrog against the allocating reference step."""
 
-    @pytest.mark.parametrize("maker", [perturbed_kink_state, small_state])
+    @pytest.mark.parametrize("maker", [
+        # the front crosses most of the grid by t = 50
+        perturbed_kink_state,
+        small_state,
+        # the kink's tail sweeps into cells that start frozen
+        fast_kink_state,
+        every_cell_active_state,
+        resting_off_equilibrium_state,
+    ])
     def test_matches_reference_at_every_snapshot(self, grid, maker):
         s0 = maker(grid)
         dt = grid.dx / 2
-        traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, dt), 320 * dt,
-                      snapshot_every=32 * dt)
-        ref = reference_leapfrog(s0, dt, 320, 32)
+        traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, dt), 1600 * dt,
+                      snapshot_every=160 * dt)
+        ref = reference_leapfrog(s0, dt, 1600, 160)
         assert len(traj.states) == len(ref) + 1
-        # the interior sum is reordered, so agreement is to rounding only
+        # same arithmetic in the window; the frozen cells hold the rounding
+        # drift of the reference's full-grid steps back
         for state, (phi, pt) in zip(traj.states[1:], ref):
             assert np.max(np.abs(state.phi.values - phi)) < 1e-11
             assert np.max(np.abs(state.phi_t.values - pt)) < 1e-11
 
-    @given(stride=st.integers(1, 8))
-    @settings(max_examples=8, deadline=None)
+    def test_reference_step_is_the_fd_scheme(self, grid):
+        s0 = perturbed_kink_state(grid)
+        dt = grid.dx / 2
+        (f1, _), (f2, _) = reference_leapfrog(s0, dt, 2, 1)
+        f0 = s0.phi.values
+        accel = _fd_stencil(f1, grid.dx, 2) - np.sin(f1)
+        fd = 2.0 * f1 - f0 + dt * dt * accel
+        assert np.max(np.abs(f2[2:-2] - fd[2:-2])) < 1e-14
+        assert np.array_equal(f2[:2], f0[:2])
+        assert np.array_equal(f2[-2:], f0[-2:])
+
+    def test_window_starts_at_the_solution(self, grid):
+        # what the reference tests above rely on: a moving kink starts with
+        # frozen cells ahead of it, and data active on every cell gets the
+        # whole interior
+        dt = grid.dx / 2
+
+        def first_window(s):
+            phi = s.phi.values
+            return _window(phi, phi + dt * s.phi_t.values, phi[0], phi[-1])
+
+        lo, hi = first_window(fast_kink_state(grid))
+        assert 2 < lo and hi < grid.n - 2
+        assert grid.x[hi] < 30.0
+        assert first_window(every_cell_active_state(grid)) == (2, grid.n - 2)
+
+    def test_frozen_cells_hold_one_value(self, grid):
+        # phi_t = 1e-11 moves a cell 3e-13 in a step, below _QUIET: a frozen
+        # cell takes f_cur's value in all three buffers, so it stays put
+        # and yields phi_t = 0 exactly, on every step
+        s0 = small_state(grid)
+        s0 = State(s0.phi, Field(grid, s0.phi_t.values + 1e-11), 0.0,
+                   Topology.ZERO)
+        dt = grid.dx / 2
+        states = evolve(s0, Scheme(SchemeKind.LEAPFROG, dt), 8 * dt,
+                        snapshot_every=dt).states[1:]
+        far = np.abs(grid.x) > 10.0
+        for s in states:
+            assert not np.any(s.phi_t.values[far])
+            assert np.array_equal(s.phi.values[far], states[0].phi.values[far])
+
+    @given(amp=st.floats(-0.05, 0.05), center=st.floats(-20.0, 20.0),
+           width=st.floats(0.3, 4.0), beta=st.floats(-0.7, 0.7))
+    @settings(max_examples=10, deadline=None)
+    def test_window_matches_reference_on_random_bumps(self, grid, amp, center,
+                                                      width, beta):
+        s0 = kink_state(grid, beta=beta)
+        bump = amp * np.exp(-((grid.x - center) / width) ** 2)
+        s0 = State(Field(grid, s0.phi.values + bump),
+                   Field(grid, s0.phi_t.values + bump), 0.0, Topology.KINK)
+        dt = grid.dx / 2
+        end = evolve(s0, Scheme(SchemeKind.LEAPFROG, dt), 480 * dt,
+                     snapshot_every=480 * dt).states[-1]
+        [(phi, pt)] = reference_leapfrog(s0, dt, 480, 480)
+        assert np.max(np.abs(end.phi.values - phi)) < 1e-11
+        assert np.max(np.abs(end.phi_t.values - pt)) < 1e-11
+
+    @pytest.mark.parametrize("stride", range(1, 9))
     def test_final_state_independent_of_stride(self, grid, stride):
-        # recording copies out of the rotating buffers and never writes them
+        # recording copies out of the rotating buffers and never writes
+        # them, and the window is re-derived on the run's own step count:
+        # 256 steps are 16 re-derivations around a growing front
         s0 = perturbed_kink_state(grid)
         dt = grid.dx / 2
         scheme = Scheme(SchemeKind.LEAPFROG, dt)
-        ref = evolve(s0, scheme, 64 * dt, snapshot_every=64 * dt)
-        traj = evolve(s0, scheme, 64 * dt, snapshot_every=stride * dt)
+        ref = evolve(s0, scheme, 256 * dt, snapshot_every=256 * dt)
+        traj = evolve(s0, scheme, 256 * dt, snapshot_every=stride * dt)
         assert traj.times[-1] == ref.times[-1]
         assert np.array_equal(traj.states[-1].phi.values,
                               ref.states[-1].phi.values)

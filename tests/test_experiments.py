@@ -78,6 +78,26 @@ class TestExperimentConfig:
         rep = run_experiment(cfg)
         assert rep.summary["roundtrip_sup_error"] < 1e-6
 
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_custom_file_grid_matched_by_its_nodes(self, tmp_path, shift):
+        # x_max = 63.9 is no dyadic number, so the grid rebuilt from the
+        # file's decimals is not the config's to the bit; its nodes are
+        grid = make_grid(-64.2, 63.9, 2048)
+        file_grid = make_grid(grid.x_min + shift * grid.dx,
+                              grid.x_max + shift * grid.dx, grid.n)
+        path = tmp_path / "pert.csv"
+        vals = 0.01 * np.exp(-grid.x**2) * (1 + 1j)
+        save_field_csv(Field(file_grid, vals), path)
+        cfg = ExperimentConfig(name="backlund-roundtrip", x_min=grid.x_min,
+                               x_max=grid.x_max, n=grid.n,
+                               perturbation="custom", custom_file=str(path))
+        if shift:
+            with pytest.raises(ValueError, match="does not match the config"):
+                run_experiment(cfg)
+        else:
+            rep = run_experiment(cfg)
+            assert rep.summary["roundtrip_sup_error"] < 1e-6
+
 
 class TestRunners:
     def test_conservation_kink(self):
