@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import KinkParams, kink_identities, sech
-from .fields import (Field, Lp, State, Topology, _fd_stencil, _local_cubic,
+from .fields import (Field, Lp, State, Topology, _fd_stencil, _local_poly,
                      _lp, norm, spatial_derivative)
 from .tracking import _orthogonality, solve_center
 
@@ -173,7 +173,7 @@ def forward_transform(phi: State, a: float, center: float) -> State:
     (1/a - a) sin(phi/2) is a Riccati equation for tan(f/4): f = 4 atan2(y)
     for y' = My, M = [[A, phi_t + B], [B - phi_t, -A]] / 4, y(center) = (1, 1).
     Each side's RK4 one-step matrices, outward from the anchor, are composed
-    by a prefix scan; the partial cells off it sample the local cubic.
+    by a prefix scan; the partial cells off it sample the local quintic.
     """
     if phi.topology is Topology.KINK:
         raise ValueError("forward_transform needs a zero-topology state")
@@ -191,7 +191,7 @@ def forward_transform(phi: State, a: float, center: float) -> State:
     mid = np.c_[v[:, :4] @ [5.0, 15.0, -5.0, 1.0],
                 9.0 * (v[:, 1:-2] + v[:, 2:-1]) - v[:, :-3] - v[:, 3:],
                 v[:, -4:] @ [1.0, -5.0, 15.0, 5.0]] / 16.0
-    p, pt = np.c_[v, mid, _local_cubic(x, v, at)]
+    p, pt = np.c_[v, mid, _local_poly(x, v, at)]
     A = 0.25 * (a + 1.0 / a) * np.cos(0.5 * p)
     B = 0.25 * (1.0 / a - a) * np.sin(0.5 * p)
     M = np.array([A, B + 0.25 * pt, B - 0.25 * pt, -A])
@@ -272,7 +272,7 @@ def _kink_sweep(grid, fv: np.ndarray, c: float, gamma: float,
     e^{-gamma|x-y|} (1+e^{-2|z_y|}) / (1+e^{-2|z_x|}), so the integral times
     (1+e^{-2|z|})^(-+1) is a damped sweep, kernel e^{-gamma dx} per node, of
     each side on its own (the weight has a corner at c).  The short outward
-    cell from c to the nearest node takes Gauss-Legendre on the local cubic.
+    cell from c to the nearest node takes Gauss-Legendre on the local quintic.
     """
     x, dx, n = grid.x, grid.dx, grid.n
     k0 = int(np.searchsorted(x, c))  # first node >= c
@@ -296,7 +296,7 @@ def _kink_sweep(grid, fv: np.ndarray, c: float, gamma: float,
             short = 0.5 * cell * np.sum(
                 gl_weights * np.exp(-gamma * (cell - u))
                 * (1.0 + np.exp(-2.0 * gamma * u))
-                * _local_cubic(x, fv, c + sign * u))
+                * _local_poly(x, fv, c + sign * u))
             J = _damped_cumsum(np.concatenate(
                 [[short], _cell_integrals(e * fv[idx], dx, q)[first:]]), q)
             out[idx[first:]] = sign * J / e[first:]

@@ -52,10 +52,10 @@ _QUIET = 1e-12
 
 class SchemeKind(Enum):
     LEAPFROG = "leapfrog"
-    STRANG_SPLIT_SPECTRAL = "strang-split-spectral"
+    STRANG_SPLIT_SPECTRAL = "strang"
     # Yoshida triple-jump composition of the Strang step: 4th order in time,
     # needed where 2nd-order truncation would swamp a conservation tolerance
-    YOSHIDA4_SPECTRAL = "yoshida4-spectral"
+    YOSHIDA4_SPECTRAL = "yoshida4"
 
 
 # drift weights per composition; Yoshida: w1, 1-2*w1, w1, w1 = 1/(2-2^(1/3))

@@ -73,12 +73,6 @@ EXPERIMENT_NAMES = (
     "exterior-decay",
 )
 
-_SCHEMES = {
-    "leapfrog": SchemeKind.LEAPFROG,
-    "strang": SchemeKind.STRANG_SPLIT_SPECTRAL,
-    "yoshida4": SchemeKind.YOSHIDA4_SPECTRAL,
-}
-
 _PERTURBATIONS = ("gaussian", "odd-sech", "custom")
 
 # small-data-scattering extracts the profile from t_end >= _MIN_EXTRACTION_TIME
@@ -114,7 +108,7 @@ class ExperimentConfig:
             )
         if not 0.0 < self.epsilon <= 0.2:
             raise ValueError(f"epsilon must lie in (0, 0.2], got {self.epsilon}")
-        if self.scheme not in _SCHEMES:
+        if self.scheme not in {k.value for k in SchemeKind}:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.perturbation not in _PERTURBATIONS:
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
@@ -128,7 +122,7 @@ class ExperimentConfig:
         if self.name != "backlund-roundtrip":  # the only runner without evolve
             zero = self.name == "small-data-scattering" or (
                 self.name == "conservation" and self.data == "breather")
-            _run_steps(Scheme(_SCHEMES[self.scheme], self.time_step),
+            _run_steps(Scheme(SchemeKind(self.scheme), self.time_step),
                        self.grid.dx, Topology.ZERO if zero else Topology.KINK,
                        self.t_end, self.snapshot_every, "t_end")
         if (self.name == "small-data-scattering"
@@ -205,7 +199,7 @@ def _snapshots(cfg: ExperimentConfig, s0: State, rep: Report,
                tag: str = "final"):
     """The run's snapshots as they are reached; with save_snapshots, the
     last one is kept in rep once the generator is exhausted."""
-    scheme = Scheme(_SCHEMES[cfg.scheme], cfg.time_step)
+    scheme = Scheme(SchemeKind(cfg.scheme), cfg.time_step)
     states = snapshots(s0, scheme, cfg.t_end, cfg.snapshot_every)
     return _keep_last(states, rep, tag) if cfg.save_snapshots else states
 

@@ -174,49 +174,34 @@ def _fd_stencil(v: np.ndarray, dx: float, order: int,
     return out
 
 
-def _local_cubic(x: np.ndarray, v: np.ndarray, at, nu: int = 0) -> np.ndarray:
-    """Not-a-knot cubic spline through the 16 nodes around each point of `at`
-    (all nodes if fewer), evaluated there, or its slope for nu=1.
+def _local_poly(x: np.ndarray, v: np.ndarray, at, nu: int = 0) -> np.ndarray:
+    """Degree-5 Lagrange polynomial through the 6 nodes around each point of
+    `at`, evaluated there, or its slope for nu=1.
 
-    A point's window is the 8 nodes on either side of its cell, shifted to
-    stay inside x; on that window this is CubicSpline(x[w], v[..., w]).  The
-    slope system of every window is one batched np.linalg.solve.  v is (n,)
-    or (rows, n), real or complex; the result is v.shape[:-1] + (len(at),).
+    A point's window is the 3 nodes on either side of its cell, shifted to
+    stay inside x.  The weights are products of node differences, so no
+    system is solved.  v is (n,) or (rows, n), real or complex; the result
+    is v.shape[:-1] + (len(at),).
     """
     x, v = np.asarray(x, dtype=float), np.asarray(v)
     at = np.atleast_1d(np.asarray(at, dtype=float))
-    n, m, pts = len(x), min(16, len(x)), np.arange(len(at))
-    if m < 4:
-        raise ValueError(f"a not-a-knot cubic needs 4 or more nodes, got {n}")
-    start = np.clip(np.searchsorted(x, at) - m // 2, 0, n - m)
-    w = start[:, None] + np.arange(m)
-    xw = x[w]
-    y = np.moveaxis(v.reshape(-1, n)[:, w], 0, -1)  # (points, m, rows)
-    h = np.diff(xw)[..., None]
-    slope = np.diff(y, axis=1) / h
-    d0, d1 = xw[:, 2, None] - xw[:, 0, None], xw[:, -1, None] - xw[:, -3, None]
-    A = np.zeros((len(at), m, m))
-    k = np.arange(1, m - 1)
-    A[:, k, k - 1], A[:, k, k + 1] = h[:, 1:, 0], h[:, :-1, 0]
-    A[:, k, k] = 2.0 * (h[:, :-1, 0] + h[:, 1:, 0])
-    A[:, 0, :2] = np.c_[h[:, 1, 0], d0]
-    A[:, -1, -2:] = np.c_[d1, h[:, -2, 0]]
-    b = np.concatenate([
-        ((h[:, 0] + 2.0 * d0) * h[:, 1] * slope[:, 0]
-         + h[:, 0] ** 2 * slope[:, 1])[:, None] / d0[:, None],
-        3.0 * (h[:, 1:] * slope[:, :-1] + h[:, :-1] * slope[:, 1:]),
-        (h[:, -1] ** 2 * slope[:, -2] + (2.0 * d1 + h[:, -1]) * h[:, -2]
-         * slope[:, -1])[:, None] / d1[:, None]], axis=1)
-    s = np.linalg.solve(A, b)
-    # the cubic on each point's cell, in CubicHermiteSpline's coefficients
-    j = np.clip(np.searchsorted(x, at, side="right") - 1 - start, 0, m - 2)
-    hj, sj, s1, sl = h[pts, j], s[pts, j], s[pts, j + 1], slope[pts, j]
-    t = (sj + s1 - 2.0 * sl) / hj
-    c0, c1 = t / hj, (sl - sj) / hj - t
-    u = (at - xw[pts, j])[:, None]
-    out = (((c0 * u + c1) * u + sj) * u + y[pts, j] if nu == 0
-           else (3.0 * c0 * u + 2.0 * c1) * u + sj)
-    return out.T.reshape(v.shape[:-1] + (len(at),))
+    n = len(x)
+    if n < 6:
+        raise ValueError(f"6-node interpolation needs n >= 6 nodes, got {n}")
+    start = np.clip(np.searchsorted(x, at, side="right") - 3, 0, n - 6)
+    w = start[:, None] + np.arange(6)
+    xw, d, eye = x[w], at[:, None] - x[w], np.eye(6, dtype=bool)
+    # l_j = prod_(k != j) (at - x_k) / (x_j - x_k); its slope sums, over
+    # m != j, the same products with factor m left out as well
+    den = np.prod(np.where(eye, 1.0, xw[:, :, None] - xw[:, None, :]), -1)
+    if nu == 0:
+        num = np.prod(np.where(eye, 1.0, d[:, None, :]), -1)
+    else:
+        skip = eye[:, None, :] | eye[None, :, :]
+        num = np.sum(np.prod(np.where(skip, 1.0, d[:, None, None, :]), -1),
+                     -1, where=~eye)
+    out = np.sum(num / den * v.reshape(-1, n)[:, w], -1)
+    return out.reshape(v.shape[:-1] + (len(at),))
 
 
 def _check_zero_topology(f: Field) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .backlund import _reconstruct
 from .exact import kink_identities, KinkParams
-from .fields import (Field, Grid, State, Topology, _local_cubic,
+from .fields import (Field, Grid, State, Topology, _local_poly,
                      bessel_multiplier)
 
 __all__ = [
@@ -141,7 +141,15 @@ def extract_W(s: State, xi_grid, spec: WavePacketSpec,
     if method is ExtractionMethod.WAVE_PACKET:
         raw = gamma_profile(u, t, v, spec)
     else:
-        uv = _local_cubic(u.grid.x, u.values, v * t)
+        x, rays = u.grid.x, v * t
+        off = np.flatnonzero((rays < x[0]) | (rays > x[-1]))
+        if off.size:
+            k = off[0]
+            end = x[0] if rays[k] < x[0] else x[-1]
+            raise ValueError(f"ray x = vt = {rays[k]:.2f} (xi = "
+                             f"{xi_grid[k]:g}) lies past the grid end "
+                             f"{end:.2f}")
+        uv = _local_poly(x, u.values, rays)
         rho = t / jap  # rho = sqrt(t^2 - (vt)^2)
         raw = np.sqrt(t) * np.exp(1j * rho) * uv
     return ProfileW(xi_grid, _remove_log_phase(raw, xi_grid, t), t, method)

@@ -21,7 +21,7 @@ from .fields import (
     State,
     _fd_stencil,
     _l2plus_linf,
-    _local_cubic,
+    _local_poly,
     _pair_energy,
     norm,  # noqa: F401 -- perfbench's tracer test reads sgkink.tracking.norm
     spatial_derivative,
@@ -88,7 +88,7 @@ def solve_center(f: Field, beta: float, t: float, guess: float,
             raise RuntimeError("orthogonality center solve did not converge")
         return c
     # pi-level: the sign change of f - pi nearest beta t + guess, at most 6
-    # away, then Newton on the local cubic kept inside that cell (bisection)
+    # away, then Newton on the local quintic kept inside that cell (bisection)
     x, g, xc = f.grid.x, f.values - np.pi, beta * t + guess
     cells = np.flatnonzero((g[:-1] * g[1:] <= 0.0) & (x[1:] >= xc - 6.0)
                            & (x[:-1] <= xc + 6.0))
@@ -98,12 +98,12 @@ def solve_center(f: Field, beta: float, t: float, guess: float,
     lo, hi, rising = x[k], x[k + 1], g[k + 1] > g[k]
     c = 0.5 * (lo + hi)
     for _ in range(100):
-        val = _local_cubic(x, g, c)[0]
+        val = _local_poly(x, g, c)[0]
         if (val < 0.0) == rising:
             lo = c
         else:
             hi = c
-        new = c - val / _local_cubic(x, g, c, nu=1)[0]
+        new = c - val / _local_poly(x, g, c, nu=1)[0]
         if not lo <= new <= hi:
             new = 0.5 * (lo + hi)
         if abs(new - c) <= 1e-13:

@@ -28,7 +28,7 @@ from sgkink.fields import (
     Field,
     State,
     Topology,
-    _local_cubic,
+    _local_poly,
     make_grid,
     spatial_derivative,
 )
@@ -135,7 +135,7 @@ def reference_operator_I(F, beta, center, t):
     """I F by the plain antiderivative of cosh(z) F, z = gamma (x - cbar),
     accumulated outward from cbar = beta t + center and divided by cosh(z).
     As in operator_I, the cells from cbar to the nearest node on each side
-    integrate the local cubic of F, here by adaptive quadrature."""
+    integrate the local quintic of F, here by adaptive quadrature."""
     grid = F.grid
     x, fv = grid.x, F.values
     cbar = beta * t + center
@@ -145,7 +145,7 @@ def reference_operator_I(F, beta, center, t):
 
     def short(a, b):
         return quad(lambda y: math.cosh(gamma * (y - cbar))
-                    * float(_local_cubic(x, fv, y)[0]), a, b,
+                    * float(_local_poly(x, fv, y)[0]), a, b,
                     epsabs=0.0, epsrel=1e-13)[0]
 
     k0 = int(np.searchsorted(x, cbar))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sgkink.cli import main
+from sgkink.evolve import SchemeKind
 from sgkink.experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
@@ -61,6 +62,13 @@ class TestExperimentConfig:
         kwargs = {**CHEAP, **bad}
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    def test_scheme_names_are_the_kind_values(self):
+        assert [k.value for k in SchemeKind] == ["leapfrog", "strang",
+                                                 "yoshida4"]
+        with pytest.raises(ValueError,
+                           match="unknown scheme 'strang-split-spectral'"):
+            ExperimentConfig(**{**CHEAP, "scheme": "strang-split-spectral"})
 
     def test_missing_custom_file(self, tmp_path):
         with pytest.raises(ValueError):

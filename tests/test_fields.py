@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BarycentricInterpolator
 
 from sgkink.fields import (
     Field,
@@ -17,7 +17,7 @@ from sgkink.fields import (
     Topology,
     WeightedSobolev,
     _fd_stencil,
-    _local_cubic,
+    _local_poly,
     bessel_multiplier,
     load_field_csv,
     load_field_sgf,
@@ -265,34 +265,66 @@ class TestIO:
         assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
-class TestLocalCubic:
-    @given(steps=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=15),
+class TestLocalPoly:
+    @given(steps=st.lists(st.floats(0.2, 1.0), min_size=5, max_size=5),
            seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([0, 1]))
     @settings(max_examples=60, deadline=None)
-    def test_matches_cubic_spline(self, steps, seed, nu):
-        # on 4-16 nodes the window is every node: CubicSpline itself
+    def test_matches_barycentric(self, steps, seed, nu):
+        # on 6 nodes the window is every node: the interpolating quintic
         rng = np.random.default_rng(seed)
         x = np.cumsum([0.0] + steps)
-        v = rng.normal(size=(2, len(x)))
+        v = rng.normal(size=(2, 6))
         at = rng.uniform(x[0], x[-1], 9)
-        want = CubicSpline(x, v, axis=1)(at, nu)
-        assert np.max(np.abs(_local_cubic(x, v, at, nu) - want)) <= 1e-13
-        cplx = _local_cubic(x, v[0] + 1j * v[1], at, nu)
-        assert np.max(np.abs(cplx - (want[0] + 1j * want[1]))) <= 1e-13
+        for vals in (v, v[0] + 1j * v[1]):
+            poly = BarycentricInterpolator(x, vals, axis=-1)
+            want = poly(at) if nu == 0 else poly.derivative(at)
+            err = np.max(np.abs(_local_poly(x, vals, at, nu) - want))
+            assert err <= 1e-12 * np.max(np.abs(want))
 
-    def test_window_is_16_nodes_around_the_point(self, grid):
-        x = grid.x
-        v = np.sin(x) * np.exp(-x**2 / 50)
-        for p in (-31.99, -3.3, 0.0, 1e-3, 7.0, x[-1]):
-            k = int(np.clip(np.searchsorted(x, p) - 8, 0, grid.n - 16))
-            near = slice(k, k + 16)
-            assert _local_cubic(x, v, p)[0] == pytest.approx(
-                float(CubicSpline(x[near], v[near])(p)), abs=1e-15)
+    @given(coef=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_reproduces_quintics(self, coef, seed):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(np.r_[-2.0, rng.uniform(0.1, 0.4, 19)])
+        at = np.r_[x[0], rng.uniform(x[0], x[-1], 20), x[-1]]
+        scale = np.polyval(np.abs(coef), np.max(np.abs(x)))
+        for nu in (0, 1):
+            want = np.polyval(np.polyder(coef, nu), at)
+            got = _local_poly(x, np.polyval(coef, x), at, nu)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(scale, 1.0)
+
+    def test_window_is_6_nodes_around_the_point(self, grid):
+        # a point in the cell [x_j, x_(j+1)] takes x_(j-2)..x_(j+3), the
+        # window shifted inward at either end; on a node only the slope
+        # tells the windows apart
+        x, n = grid.x, grid.n
+        v = np.random.default_rng(3).normal(size=n)
+        cases = [(x[100] + 0.3 * grid.dx, 98), (x[100], 98), (x[0], 0),
+                 (x[1] + 0.1 * grid.dx, 0), (x[3] - 0.5 * grid.dx, 0),
+                 (x[3] + 0.5 * grid.dx, 1), (x[-4] + 0.5 * grid.dx, n - 6),
+                 (x[-3] + 0.5 * grid.dx, n - 6), (x[-1], n - 6)]
+        for p, k in cases:
+            poly = BarycentricInterpolator(x[k:k + 6], v[k:k + 6])
+            assert _local_poly(x, v, p)[0] == pytest.approx(poly(p),
+                                                            abs=1e-13)
+            assert _local_poly(x, v, p, nu=1)[0] == pytest.approx(
+                poly.derivative(p), rel=1e-12)
+
+    def test_error_falls_with_the_grid(self):
+        at = np.random.default_rng(4).uniform(-3.0, 3.0, 2000)
+
+        def err(m):
+            x = np.arange(-8 * m, 8 * m) / m
+            got = _local_poly(x, np.exp(-x**2) * np.cos(3 * x), at)
+            return np.max(np.abs(got - np.exp(-at**2) * np.cos(3 * at)))
+
+        assert err(16) >= 40.0 * err(32)
 
     def test_shapes_and_short_input(self):
-        x = np.arange(5.0)
-        assert _local_cubic(x, x**3, [0.5, 2.5]) == pytest.approx(
-            [0.125, 15.625], rel=1e-14)
-        assert _local_cubic(x, np.zeros((3, 5)), 1.0).shape == (3, 1)
+        x = np.arange(6.0)
+        assert _local_poly(x, x**5, [0.5, 2.5]) == pytest.approx(
+            [0.03125, 97.65625], rel=1e-14)
+        assert _local_poly(x, np.zeros((3, 6)), 1.0).shape == (3, 1)
         with pytest.raises(ValueError):
-            _local_cubic(x[:3], x[:3], 1.0)
+            _local_poly(x[:5], x[:5], 1.0)

@@ -139,6 +139,20 @@ class TestExtractW:
         W = extract_W(s, np.linspace(-2, 2, 21), WavePacketSpec(0.1))
         assert np.all(W.W == 0)
 
+    @pytest.mark.parametrize("method, message", [
+        (ExtractionMethod.WAVE_PACKET, "leaks off grid"),
+        (ExtractionMethod.STATIONARY_PHASE,
+         r"ray x = vt = -94\.87 \(xi = -3\) lies past the grid end -64\.00"),
+    ], ids=["wave-packet", "stationary-phase"])
+    def test_rays_off_the_grid_refused(self, method, message):
+        # at t=100, xi = -3 puts the ray at vt = -94.87, past x[0] = -64
+        small = make_grid(-64.0, 64.0, 1024)
+        s = State(Field(small, 0.01 * np.exp(-small.x**2)),
+                  Field(small, np.zeros(small.n)), 100.0, Topology.ZERO)
+        with pytest.raises(ValueError, match=message):
+            extract_W(s, np.linspace(-3.0, 3.0, 61), WavePacketSpec(0.1),
+                      method)
+
     def test_rejects_early_extraction(self, grid):
         with pytest.raises(ValueError):
             extract_W(free_state(grid, 0.05, 50.0), np.linspace(-2, 2, 21),
