@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 
+_INVERSE_TOL, _INVERSE_MAX_ITER = 1e-10, 50  # inverse_transform stage (i)
+
+
 class BacklundConvergenceError(RuntimeError):
     """inverse_transform stalled or did not reach its tolerance."""
 
@@ -72,8 +75,12 @@ class InverseResult:
     phi: State
     residual_norm: float
     base: KinkParams
-    newton_steps: int  # accepted stage-(i) steps
     residual_history: tuple  # F2 L2 norm at the start and after each step
+
+    @property
+    def newton_steps(self) -> int:
+        """Accepted stage-(i) steps."""
+        return len(self.residual_history) - 1
 
     @property
     def a(self) -> float:
@@ -327,15 +334,14 @@ def solve_linearized_F2(g: Field, base: KinkParams, t: float) -> dict:
     return {"lambda": lam, "w": Field(grid, w)}
 
 
-def inverse_transform(f: State, beta0: float, x0_guess: float,
-                      tol: float = 1e-10, max_iter: int = 50) -> InverseResult:
+def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
     """Recover (delta, y, phi) with f the Backlund transform of phi.
 
     The base kink is KinkParams(beta0, x0_guess) at f.time.  Staged solve:
     (i) quasi-Newton on F2 = 0 in (delta, v0) with the linearization frozen
-    at the base kink, damped by step halving; max_iter bounds this stage
-    only; (ii) v1 read off from F1 = 0; (iii) F3 = 0 in y, the orthogonality
-    center solve of tracking at velocity beta(a0 + delta).
+    at the base kink, damped by step halving; _INVERSE_MAX_ITER bounds this
+    stage only; (ii) v1 read off from F1 = 0; (iii) F3 = 0 in y, the
+    orthogonality center solve of tracking at velocity beta(a0 + delta).
     """
     grid, dx, t = f.grid, f.grid.dx, f.time
     base = KinkParams(beta0, x0_guess)
@@ -352,10 +358,10 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
     delta, v0 = 0.0, np.zeros(grid.n)
     r = f2(delta, v0)
     history = [_lp(r, dx, 2.0)]
-    while not history[-1] < tol:  # NaN-safe
-        if len(history) > max_iter:
-            raise BacklundConvergenceError(
-                f"Newton on F2 failed to reach {tol}: {history[-1]:.3e}")
+    while not history[-1] < _INVERSE_TOL:  # NaN-safe
+        if len(history) > _INVERSE_MAX_ITER:
+            raise BacklundConvergenceError(f"Newton on F2 failed to reach "
+                                           f"{_INVERSE_TOL}: {history[-1]:.3e}")
         sol = solve_linearized_F2(Field(grid, -r), base, t)
         for s in (0.5**k for k in range(10)):  # step halving
             trial = (delta + s * sol["lambda"], v0 + s * sol["w"].values)
@@ -383,8 +389,7 @@ def inverse_transform(f: State, beta0: float, x0_guess: float,
     tri = eval_F(delta, y, phi.phi, v1, u0, u1, base, t)
     residual = float(np.sqrt(norm(tri.F1, Lp(2)) ** 2
                              + norm(tri.F2, Lp(2)) ** 2 + tri.F3**2))
-    return InverseResult(delta, y, phi, residual, base, len(history) - 1,
-                         tuple(history))
+    return InverseResult(delta, y, phi, residual, base, tuple(history))
 
 
 # ---------------------------------------------------------------------------

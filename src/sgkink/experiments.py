@@ -44,12 +44,11 @@ from .fields import (
     norm,
     save_field_sgf,
 )
-from .tracking import CenterMode, _decay_bound, fit_decay_exponent, track
+from .tracking import _decay_bound, fit_decay_exponent, track
 from .scattering import (
     _MIN_EXTRACTION_TIME,
     ExtractionMethod,
     U,
-    WavePacketSpec,
     _packet_support,
     extract_W,
     predict_asymptotics,
@@ -119,12 +118,13 @@ class ExperimentConfig:
                 raise ValueError(f"custom_file {self.custom_file} does not exist")
         if self.data not in ("kink", "breather", "perturbed-kink"):
             raise ValueError(f"unknown conservation data {self.data!r}")
+        # built as the run builds it, so a grid too narrow for the kink's
+        # tails or a custom_file on another grid is refused before any run
+        s0 = _initial_state(self)
         if self.name != "backlund-roundtrip":  # the only runner without evolve
-            zero = self.name == "small-data-scattering" or (
-                self.name == "conservation" and self.data == "breather")
             _run_steps(Scheme(SchemeKind(self.scheme), self.time_step),
-                       self.grid.dx, Topology.ZERO if zero else Topology.KINK,
-                       self.t_end, self.snapshot_every, "t_end")
+                       self.grid.dx, s0.topology, self.t_end,
+                       self.snapshot_every, "t_end")
         if (self.name == "small-data-scattering"
                 and self.t_end >= _MIN_EXTRACTION_TIME):
             for frac in _PREDICTOR_FRACTIONS:
@@ -184,6 +184,19 @@ def _perturbation(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return f.values.real.copy(), f.values.imag.copy()
 
 
+def _initial_state(cfg: ExperimentConfig) -> State:
+    """The state cfg's experiment starts from."""
+    if cfg.name in ("kink-stability", "exterior-decay"):
+        return _perturbed_kink(cfg)
+    if cfg.name == "conservation":
+        return _conservation_data(cfg)
+    if cfg.name == "wobbler":
+        return sample_state(WobblingKink(cfg.beta0), cfg.grid, 0.0)
+    dphi, dphi_t = _perturbation(cfg)  # the zero-topology experiments
+    return State(Field(cfg.grid, dphi), Field(cfg.grid, dphi_t), 0.0,
+                 Topology.ZERO)
+
+
 def _perturbed_kink(cfg: ExperimentConfig) -> State:
     base = sample_state(Kink(KinkParams(cfg.beta0, cfg.x0)), cfg.grid, 0.0)
     dphi, dphi_t = _perturbation(cfg)
@@ -212,7 +225,7 @@ def _keep_last(states, rep: Report, tag: str):
 
 
 def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
-    s0 = _perturbed_kink(cfg)
+    s0 = _initial_state(cfg)
     inv = inverse_transform(s0, cfg.beta0, cfg.x0)
     rep.summary["inverse"] = json.loads(inv.to_json())
     residuals = []
@@ -225,9 +238,9 @@ def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
             residuals.append((norm(res["R1"], Lp(2)), norm(res["R2"], Lp(2))))
             yield s
 
-    tracked = track(f_states(), inv.beta, inv.center, CenterMode.ORTHOGONALITY)
+    records = track(f_states(), inv.beta, inv.center)
     rows = []
-    for rec, (r1, r2) in zip(tracked.records, residuals, strict=True):
+    for rec, (r1, r2) in zip(records, residuals, strict=True):
         rows.append({
             "t": rec.time,
             "center": rec.center,
@@ -259,9 +272,7 @@ def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _run_backlund_roundtrip(cfg: ExperimentConfig, rep: Report) -> None:
-    dphi, dphi_t = _perturbation(cfg)
-    phi = State(Field(cfg.grid, dphi), Field(cfg.grid, dphi_t), 0.0,
-                Topology.ZERO)
+    phi = _initial_state(cfg)
     a = KinkParams(cfg.beta0, 0.0).a
     f = forward_transform(phi, a, cfg.x0)
     res = backlund_residual(f, phi, a)
@@ -293,7 +304,7 @@ def _conservation_data(cfg: ExperimentConfig) -> State:
 
 def _run_conservation(cfg: ExperimentConfig, rep: Report) -> None:
     rows = []
-    for s in _snapshots(cfg, _conservation_data(cfg), rep):
+    for s in _snapshots(cfg, _initial_state(cfg), rep):
         q = conserved_quantities(s)
         rows.append({"t": s.time, "E0": q["E0"], "P": q["P"],
                      "E2": q["E2"], "E4": q["E4"]})
@@ -307,9 +318,7 @@ def _run_conservation(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
-    dphi, dphi_t = _perturbation(cfg)
-    s0 = State(Field(cfg.grid, dphi), Field(cfg.grid, dphi_t), 0.0,
-               Topology.ZERO)
+    s0 = _initial_state(cfg)
     # ExperimentConfig has checked that the predictor times are snapshots
     predictor_times = [frac * cfg.t_end for frac in _PREDICTOR_FRACTIONS]
     kept, rows = {}, []
@@ -328,10 +337,9 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     if cfg.t_end < _MIN_EXTRACTION_TIME:
         rep.summary["profile"] = "skipped: t_end below extraction threshold"
         return
-    spec = WavePacketSpec(0.1)
-    xi_max = min(3.0, _max_reachable_xi(cfg.grid, s.time, spec))
+    xi_max = min(3.0, _max_reachable_xi(cfg.grid, s.time))
     xi_grid = np.linspace(-xi_max, xi_max, 61)
-    W = extract_W(s, xi_grid, spec, ExtractionMethod.WAVE_PACKET)  # the last
+    W = extract_W(s, xi_grid, ExtractionMethod.WAVE_PACKET)  # the last
     rep.tables["profile"] = [
         {"xi": float(x), "re": float(w.real), "im": float(w.imag),
          "abs": float(abs(w))}
@@ -343,7 +351,7 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     for tt in predictor_times:
         u = to_complex_u(kept[tt])
         mask = np.abs(cfg.grid.x) <= tt / 2
-        pred = predict_asymptotics(W, tt, cfg.grid.x[mask], U(0))
+        pred = predict_asymptotics(W, tt, cfg.grid.x[mask], U())
         ratios[tt] = float(
             np.max(np.abs(u.values[mask] - pred)) / (tt**-0.5 * sup_w)
         )
@@ -353,14 +361,14 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     rep.check("predictor ratio decreases in time", r2 < r1)
 
 
-def _max_reachable_xi(grid: Grid, t: float, spec: WavePacketSpec) -> float:
+def _max_reachable_xi(grid: Grid, t: float) -> float:
     """Largest xi whose packets at -xi and xi pass wave_packet's support
     checks at time t: within the grid's nodes and inside the light cone."""
     edge = min(grid.x[-1], -grid.x[0])
 
     def fits(xi):
         v = xi / np.sqrt(1.0 + xi * xi)  # as extract_W maps xi to v
-        hi = _packet_support(t, v, spec)[1]  # the packet at -v ends at -hi
+        hi = _packet_support(t, v)[1]  # the packet at -v ends at -hi
         return hi <= edge and hi < t
 
     lo, hi = 0.0, 1.0 - 1e-12  # bisection in v: fits holds on [0, v*)
@@ -371,11 +379,9 @@ def _max_reachable_xi(grid: Grid, t: float, spec: WavePacketSpec) -> float:
 
 
 def _run_wobbler(cfg: ExperimentConfig, rep: Report) -> None:
-    s0 = sample_state(WobblingKink(cfg.beta0), cfg.grid, 0.0)
-    tracked = track(_snapshots(cfg, s0, rep), 0.0, cfg.x0, CenterMode.ORTHOGONALITY)
+    records = track(_snapshots(cfg, _initial_state(cfg), rep), 0.0, cfg.x0)
     rows = [{"t": r.time, "center": r.center,
-             "diff_pair_energy": r.diff_pair_energy}
-            for r in tracked.records]
+             "diff_pair_energy": r.diff_pair_energy} for r in records]
     rep.tables["tracking"] = rows
     window = [r for r in rows if r["t"] >= 20]
     if window:
@@ -387,20 +393,19 @@ def _run_wobbler(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _run_exterior_decay(cfg: ExperimentConfig, rep: Report) -> None:
-    s0 = _perturbed_kink(cfg)
-    tracked = track(_snapshots(cfg, s0, rep), cfg.beta0, cfg.x0, CenterMode.ORTHOGONALITY,
-                    exterior_R=(0.0,))
+    records = track(_snapshots(cfg, _initial_state(cfg), rep), cfg.beta0,
+                    cfg.x0, exterior=True)
     rows = []
-    for rec in tracked.records:
+    for rec in records:
         if rec.time < 10:
             continue
-        if rec.exterior_sup[0.0] is None:
+        if rec.exterior_sup is None:
             raise ValueError(f"empty exterior region at t={rec.time}")
-        lhs, r = rec.exterior_sup[0.0]
+        lhs, r = rec.exterior_sup
         bound = _decay_bound(rec.time, r, cfg.s)
         rows.append({"t": rec.time, "lhs": lhs, "bound": bound,
                      "ratio": lhs / bound,
-                     "exterior_l2": rec.exterior_l2[0.0]})
+                     "exterior_l2": rec.exterior_l2})
     rep.tables["exterior"] = rows
     ratios = [r["ratio"] for r in rows]
     rep.summary["max_ratio"] = max(ratios)

@@ -22,7 +22,6 @@ from .fields import (Field, Grid, State, Topology, _local_poly,
                      bessel_multiplier)
 
 __all__ = [
-    "WavePacketSpec",
     "ExtractionMethod",
     "ProfileW",
     "U",
@@ -36,26 +35,15 @@ __all__ = [
 ]
 
 _MIN_EXTRACTION_TIME = 100.0
+_CHI_RADIUS = 0.1  # c, the wave-packet bump's radius
 
 
-@dataclass(frozen=True)
-class WavePacketSpec:
+def _chi(y):
     """Bump chi(y) = (1 - (y/c)^2)^4 / (256 c / 315) supported on (-c, c)."""
-
-    chi_radius: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 < self.chi_radius < 0.25:
-            raise ValueError(
-                f"chi_radius must lie in (0, 0.25), got {self.chi_radius}"
-            )
-
-    def chi(self, y):
-        y = np.asarray(y, dtype=float)
-        u = y / self.chi_radius
-        inside = np.abs(u) < 1.0
-        vals = np.where(inside, (1.0 - np.minimum(u * u, 1.0)) ** 4, 0.0)
-        return vals / (self.chi_radius * 256.0 / 315.0)
+    u = np.asarray(y, dtype=float) / _CHI_RADIUS
+    inside = np.abs(u) < 1.0
+    vals = np.where(inside, (1.0 - np.minimum(u * u, 1.0)) ** 4, 0.0)
+    return vals / (_CHI_RADIUS * 256.0 / 315.0)
 
 
 class ExtractionMethod(Enum):
@@ -86,36 +74,36 @@ def to_complex_u(phi: State) -> Field:
     return Field(phi.grid, phi.phi.values + 1j * half.values)
 
 
-def _packet_support(t: float, v: float, spec: WavePacketSpec) -> tuple:
-    """Psi_v's support (lo, hi) = vt -+ chi_radius sqrt(t) / <xi_v>^{3/2}."""
+def _packet_support(t: float, v: float) -> tuple:
+    """Psi_v's support (lo, hi) = vt -+ c sqrt(t) / <xi_v>^{3/2}."""
     jap = 1.0 / np.sqrt(1.0 - v * v)  # <xi_v> for xi_v = v/sqrt(1-v^2)
-    half_width = spec.chi_radius * np.sqrt(t) / jap**1.5
+    half_width = _CHI_RADIUS * np.sqrt(t) / jap**1.5
     return v * t - half_width, v * t + half_width
 
 
-def wave_packet(grid: Grid, t: float, v: float, spec: WavePacketSpec) -> Field:
+def wave_packet(grid: Grid, t: float, v: float) -> Field:
     """Psi_v = <xi_v>^{3/2} chi(t^{-1/2}<xi_v>^{3/2}(x - vt)) e^{-i sqrt(t^2-x^2)}."""
     if not abs(v) < 1:
         raise ValueError(f"|v| must be < 1, got {v}")
     scale = (1.0 / np.sqrt(1.0 - v * v)) ** 1.5
-    lo, hi = _packet_support(t, v, spec)
+    lo, hi = _packet_support(t, v)
     if lo < grid.x[0] or hi > grid.x[-1]:
         raise ValueError(f"packet support [{lo:.2f}, {hi:.2f}] leaks off grid")
     if hi >= t or lo <= -t:
         raise ValueError("packet support leaks outside the light cone")
     x = grid.x
-    env = scale * spec.chi(scale * (x - v * t) / np.sqrt(t))
+    env = scale * _chi(scale * (x - v * t) / np.sqrt(t))
     phase = np.where(np.abs(x) < t, np.sqrt(np.maximum(t * t - x * x, 0.0)), 0.0)
     return Field(grid, env * np.exp(-1j * phase))
 
 
-def gamma_profile(u: Field, t: float, v_list, spec: WavePacketSpec) -> np.ndarray:
+def gamma_profile(u: Field, t: float, v_list) -> np.ndarray:
     """gamma(t, v) = int u conj(Psi_v) dx for each v."""
     if t < 1.0:
         raise ValueError(f"need t >= 1, got {t}")
     out = np.empty(len(v_list), dtype=complex)
     for k, v in enumerate(v_list):
-        psi = wave_packet(u.grid, t, float(v), spec)
+        psi = wave_packet(u.grid, t, float(v))
         out[k] = np.trapezoid(u.values * np.conj(psi.values), dx=u.grid.dx)
     return out
 
@@ -125,7 +113,7 @@ def _remove_log_phase(raw: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
     return raw * np.exp(-1j / (32.0 * jap) * np.abs(raw) ** 2 * np.log(t))
 
 
-def extract_W(s: State, xi_grid, spec: WavePacketSpec,
+def extract_W(s: State, xi_grid,
               method: ExtractionMethod = ExtractionMethod.WAVE_PACKET) -> ProfileW:
     """The scattering profile W(xi) read off the final state s."""
     t = s.time
@@ -139,7 +127,7 @@ def extract_W(s: State, xi_grid, spec: WavePacketSpec,
     v = xi_grid / jap
     u = to_complex_u(s)
     if method is ExtractionMethod.WAVE_PACKET:
-        raw = gamma_profile(u, t, v, spec)
+        raw = gamma_profile(u, t, v)
     else:
         x, rays = u.grid.x, v * t
         off = np.flatnonzero((rays < x[0]) | (rays > x[-1]))
@@ -157,9 +145,7 @@ def extract_W(s: State, xi_grid, spec: WavePacketSpec,
 
 @dataclass(frozen=True)
 class U:
-    """Radiation predictor <D>^l phi + i <D>^{l-1} phi_t."""
-
-    l: float = 0.0
+    """Radiation predictor phi + i <D>^{-1} phi_t, the complex u."""
 
 
 @dataclass(frozen=True)
@@ -212,7 +198,7 @@ def predict_asymptotics(W: ProfileW, t: float, x, target):
         inside, xi, jap, osc = _oscillator(W, t, x)
         if np.any(inside & (np.abs(xi) > np.max(np.abs(W.xi_grid)))):
             raise ValueError("requested xi outside the sampled profile range")
-        out = np.where(inside, t**-0.5 * jap**target.l * osc, 0.0 + 0.0j)
+        out = np.where(inside, t**-0.5 * osc, 0.0 + 0.0j)
         return complex(out[0]) if scalar else out
     if isinstance(target, (KinkDiff, KinkDerivDiff)):
         A, B, cos_half, gamma = _AB_fields(W, t, x, target.beta, target.center)

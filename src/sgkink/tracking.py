@@ -1,17 +1,16 @@
 """Kink-center selection, velocity estimation, and decay diagnostics.
 
-Two center definitions are exposed: the orthogonality condition
-int (f - Q(.; beta, c)) sech(gamma(x - beta t - c)) dx = 0, solved by Newton
-with its analytic slope, and the pi-level condition f(beta t + c) = pi.  Their
-mutual distance is itself a diagnostic: for small perturbations it decays like
-t^(-1/2).
+solve_center finds the orthogonality center, int (f - Q(.; beta, c))
+sech(gamma(x - beta t - c)) dx = 0, by Newton with its analytic slope, and
+pi_level_center the pi-level center f(beta t + c) = pi; track follows the
+first.  Their mutual distance is itself a diagnostic: for small
+perturbations it decays like t^(-1/2).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,19 +27,13 @@ from .fields import (
 )
 
 __all__ = [
-    "CenterMode",
     "TrackRecord",
-    "TrackedTrajectory",
     "solve_center",
+    "pi_level_center",
     "center_velocity",
     "track",
     "fit_decay_exponent",
 ]
-
-
-class CenterMode(Enum):
-    ORTHOGONALITY = "orthogonality"
-    PI_LEVEL = "pi-level"
 
 
 @dataclass(frozen=True)
@@ -51,14 +44,8 @@ class TrackRecord:
     diff_linf: float
     diff_deriv_l2plinf: float
     diff_pair_energy: float
-    exterior_l2: dict  # R -> exterior L2 of the difference over |x| >= t+R
-    exterior_sup: dict  # R -> (sup of |d0|+|d1|+|d2|, |x|-t there) or None
-
-
-@dataclass(frozen=True)
-class TrackedTrajectory:
-    beta: float
-    records: tuple
+    exterior_l2: float | None  # L2 of the difference over |x| >= t
+    exterior_sup: tuple | None  # (sup of |d0|+|d1|+|d2| there, |x|-t at it)
 
 
 def _orthogonality(f: Field, beta: float, t: float, c: float) -> tuple:
@@ -73,22 +60,24 @@ def _orthogonality(f: Field, beta: float, t: float, c: float) -> tuple:
             float(np.trapezoid(slope, dx=f.grid.dx)))
 
 
-def solve_center(f: Field, beta: float, t: float, guess: float,
-                 mode: CenterMode = CenterMode.ORTHOGONALITY) -> float:
-    if mode is CenterMode.ORTHOGONALITY:
-        c = guess
-        for _ in range(80):
-            g_val, slope = _orthogonality(f, beta, t, c)
-            if abs(g_val) < 1e-12:
-                return c
-            if abs(slope) < 1.0:
-                raise RuntimeError(f"degenerate center slope {slope:.3e}")
-            c -= g_val / slope
-        if abs(_orthogonality(f, beta, t, c)[0]) > 1e-10:
-            raise RuntimeError("orthogonality center solve did not converge")
-        return c
-    # pi-level: the sign change of f - pi nearest beta t + guess, at most 6
-    # away, then Newton on the local quintic kept inside that cell (bisection)
+def solve_center(f: Field, beta: float, t: float, guess: float) -> float:
+    """The orthogonality center: Newton on _orthogonality from guess."""
+    c = guess
+    for _ in range(80):
+        g_val, slope = _orthogonality(f, beta, t, c)
+        if abs(g_val) < 1e-12:
+            return c
+        if abs(slope) < 1.0:
+            raise RuntimeError(f"degenerate center slope {slope:.3e}")
+        c -= g_val / slope
+    if abs(_orthogonality(f, beta, t, c)[0]) > 1e-10:
+        raise RuntimeError("orthogonality center solve did not converge")
+    return c
+
+
+def pi_level_center(f: Field, beta: float, t: float, guess: float) -> float:
+    """The sign change of f - pi nearest beta t + guess, at most 6 away, then
+    Newton on the local quintic kept inside that cell (bisection)."""
     x, g, xc = f.grid.x, f.values - np.pi, beta * t + guess
     cells = np.flatnonzero((g[:-1] * g[1:] <= 0.0) & (x[1:] >= xc - 6.0)
                            & (x[:-1] <= xc + 6.0))
@@ -130,9 +119,8 @@ def _center_velocity(phi_t: np.ndarray, f_x: np.ndarray, w: np.ndarray,
 
 
 def track(states: Iterable[State], beta: float, x0_guess: float,
-          mode: CenterMode = CenterMode.ORTHOGONALITY,
-          exterior_R: tuple = ()) -> TrackedTrajectory:
-    """Per-snapshot center tracking with continuation seeding.
+          exterior: bool = False) -> tuple:
+    """One TrackRecord per snapshot: solve_center with continuation seeding.
 
     states is any iterable of States in time order, such as the generator
     of evolve.snapshots; each is read once and not kept.
@@ -140,11 +128,12 @@ def track(states: Iterable[State], beta: float, x0_guess: float,
     After the center solve, each snapshot takes one set of kink identities
     at the center and two derivatives, D phi and D Q, and every record field
     reads the differences d0 = phi - Q, d1 = D phi - D Q, d2 = phi_t - Q_t.
+    exterior adds the norms over |x| >= t to each record (else None).
     """
     records = []
     guess = x0_guess
     for s in states:
-        c = solve_center(s.phi, beta, s.time, guess, mode)
+        c = solve_center(s.phi, beta, s.time, guess)
         if records and abs(c - records[-1].center) > 0.5:
             raise RuntimeError(
                 f"center jumped by {abs(c - records[-1].center):.3f} at "
@@ -158,10 +147,11 @@ def track(states: Iterable[State], beta: float, x0_guess: float,
         d0 = phi - ids["Q"]
         d1 = f_x - _fd_stencil(ids["Q"], dx, 1)
         d2 = phi_t - ids["Q_t"]
-        dens = d0 * d0 + d1 * d1 + d2 * d2 if exterior_R else None
-        ext = {R: float(np.sqrt(np.sum(dens[np.abs(x) >= s.time + R]) * dx))
-               for R in exterior_R}
-        sup = {R: _exterior_sup(x, s.time, R, d0, d1, d2) for R in exterior_R}
+        ext = sup = None
+        if exterior:
+            dens = d0 * d0 + d1 * d1 + d2 * d2
+            ext = float(np.sqrt(np.sum(dens[np.abs(x) >= s.time]) * dx))
+            sup = _exterior_sup(x, s.time, d0, d1, d2)
         records.append(TrackRecord(
             time=s.time,
             center=c,
@@ -173,14 +163,14 @@ def track(states: Iterable[State], beta: float, x0_guess: float,
             exterior_l2=ext,
             exterior_sup=sup,
         ))
-    return TrackedTrajectory(beta, tuple(records))
+    return tuple(records)
 
 
-def _exterior_sup(x: np.ndarray, t: float, R: float, d0: np.ndarray,
-                  d1: np.ndarray, d2: np.ndarray):
-    """(sup of |d0| + |d1| + |d2| over |x| >= t + R, |x| - t where it is
+def _exterior_sup(x: np.ndarray, t: float, d0: np.ndarray, d1: np.ndarray,
+                  d2: np.ndarray):
+    """(sup of |d0| + |d1| + |d2| over |x| >= t, |x| - t where it is
     taken), or None if that region is empty."""
-    mask = np.abs(x) >= t + R
+    mask = np.abs(x) >= t
     if not np.any(mask):
         return None
     total = (np.abs(d0) + np.abs(d1) + np.abs(d2))[mask]

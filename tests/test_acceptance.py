@@ -42,12 +42,11 @@ from sgkink.fields import (
 from sgkink.scattering import (
     ExtractionMethod,
     U,
-    WavePacketSpec,
     extract_W,
     predict_asymptotics,
     to_complex_u,
 )
-from sgkink.tracking import CenterMode, fit_decay_exponent, track
+from sgkink.tracking import fit_decay_exponent, pi_level_center, track
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -95,8 +94,13 @@ def stability_run():
     inv = inverse_transform(s0, beta, 0.0)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 200.0,
                   snapshot_every=2.5)
-    ortho = track(traj.states, inv.beta, inv.center, CenterMode.ORTHOGONALITY)
-    pi = track(traj.states, inv.beta, inv.center, CenterMode.PI_LEVEL)
+    ortho = track(traj.states, inv.beta, inv.center)
+    # the pi-level centers, each solve seeded with the last center as track
+    # seeds its own
+    pi, guess = [], inv.center
+    for s in traj.states:
+        guess = pi_level_center(s.phi, inv.beta, s.time, guess)
+        pi.append(guess)
     return eps, traj, ortho, pi
 
 
@@ -115,7 +119,7 @@ def scattering_long():
     traj = evolve(s0, Scheme(SchemeKind.YOSHIDA4_SPECTRAL, 0.0625), 400.0,
                   snapshot_every=5.0)
     W = extract_W(traj.states[-1], np.linspace(-3.0, 3.0, 121),
-                  WavePacketSpec(0.1), ExtractionMethod.WAVE_PACKET)
+                  ExtractionMethod.WAVE_PACKET)
     return eps, traj, W
 
 
@@ -203,10 +207,10 @@ def test_criterion_04_conservation():
 
 def test_criterion_05_stability_witness(stability_run):
     eps, _, ortho, _ = stability_run
-    early = [r for r in ortho.records if r.time <= 100.0]
+    early = [r for r in ortho if r.time <= 100.0]
     max_pair = max(r.diff_pair_energy for r in early)
-    at5 = next(r for r in ortho.records if r.time >= 5.0).diff_linf
-    at100 = next(r for r in ortho.records if r.time >= 100.0).diff_linf
+    at5 = next(r for r in ortho if r.time >= 5.0).diff_linf
+    at100 = next(r for r in ortho if r.time >= 100.0).diff_linf
     ratio = at100 / at5
     ok = max_pair <= 10 * eps and ratio <= 0.5
     _report(5, ok, f"max pair norm / eps {max_pair / eps:.2f} (<= 10), "
@@ -255,7 +259,7 @@ def test_criterion_08_predictor_residual(scattering_long):
         s = traj.state_at(t)
         u = to_complex_u(s)
         mask = np.abs(grid.x) <= t / 2
-        pred = predict_asymptotics(W, t, grid.x[mask], U(0))
+        pred = predict_asymptotics(W, t, grid.x[mask], U())
         ratios[t] = float(np.max(np.abs(u.values[mask] - pred))
                           / (t**-0.5 * sup_w))
     ok = ratios[300.0] <= 0.25 and ratios[300.0] < ratios[150.0]
@@ -265,11 +269,10 @@ def test_criterion_08_predictor_residual(scattering_long):
 
 def test_criterion_09_center_boundedness_and_mode_agreement(stability_run):
     eps, _, ortho, pi = stability_run
-    centers = [r.center for r in ortho.records]
+    centers = [r.center for r in ortho]
     excursion = max(abs(c - centers[0]) for c in centers)
-    diffs = np.array([abs(a.center - b.center)
-                      for a, b in zip(ortho.records, pi.records)])
-    ts = np.array([r.time for r in ortho.records])
+    diffs = np.array([abs(a - b) for a, b in zip(centers, pi, strict=True)])
+    ts = np.array([r.time for r in ortho])
     jap = np.sqrt(1.0 + ts * ts)
     C = float(np.max(diffs * np.sqrt(jap) / (10 * eps)))
     ok = excursion <= 10 * eps and np.isfinite(C) and C < 100.0
@@ -282,8 +285,7 @@ def test_criterion_10_wobbler_non_decay():
     s0 = sample_state(WobblingKink(0.25), grid, 0.0)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 200.0,
                   snapshot_every=2.0)
-    tracked = track(traj.states, 0.0, 0.0, CenterMode.ORTHOGONALITY)
-    window = [r for r in tracked.records if r.time >= 20.0]
+    window = [r for r in track(traj.states, 0.0, 0.0) if r.time >= 20.0]
     ref = window[0].diff_pair_energy
     inf_val = min(r.diff_pair_energy for r in window)
     ok = inf_val >= 0.5 * ref
@@ -331,7 +333,7 @@ def test_extraction_methods_agree(scattering_long):
     """Cross-check, not a numbered criterion: both profile extraction
     methods agree at the final time."""
     _, traj, W = scattering_long
-    W2 = extract_W(traj.states[-1], W.xi_grid, WavePacketSpec(0.1),
+    W2 = extract_W(traj.states[-1], W.xi_grid,
                    ExtractionMethod.STATIONARY_PHASE)
     rel = float(np.max(np.abs(W.W - W2.W)) / np.max(np.abs(W.W)))
     assert rel < 0.15, f"method disagreement {rel:.3f}"

@@ -381,11 +381,14 @@ class TestInverseTransform:
         q = kink_identities(KinkParams(inv.beta, inv.center), f.time, g.x)
         assert np.max(np.abs(f.phi.values - q["Q"])) <= 1e-9
 
-    def test_raises_typed_error_when_not_converged(self, fine_grid):
+    def test_raises_typed_error_when_not_converged(self, fine_grid,
+                                                   monkeypatch):
+        monkeypatch.setattr("sgkink.backlund._INVERSE_TOL", 1e-30)
+        monkeypatch.setattr("sgkink.backlund._INVERSE_MAX_ITER", 2)
         a = KinkParams(0.2, 0.0).a
         f = forward_transform(small_state(fine_grid, 0.02), a, 0.0)
-        with pytest.raises(BacklundConvergenceError):
-            inverse_transform(f, 0.2, 0.0, tol=1e-30, max_iter=2)
+        with pytest.raises(BacklundConvergenceError, match="failed to reach"):
+            inverse_transform(f, 0.2, 0.0)
 
     def test_center_solve_failure_is_typed(self, fine_grid, monkeypatch):
         def fail(*args, **kwargs):

@@ -8,7 +8,10 @@ import pytest
 from numpy.fft import _pocketfft_umath as pfu
 from hypothesis import example, given, settings, strategies as st
 
+import sgkink.evolve
 from sgkink.evolve import (
+    _QUIET,
+    _WINDOW_STEPS,
     Scheme,
     SchemeKind,
     _composition_run,
@@ -77,6 +80,52 @@ def resting_off_equilibrium_state(grid):
     # phi_t = 0, but sin 0.5 != 0: the start step moves every interior cell
     return State(Field(grid, np.full(grid.n, 0.5)),
                  Field(grid, np.zeros(grid.n)), 0.0, Topology.ZERO)
+
+
+def clamped_cell_state(grid, cell):
+    # zero but for one clamped cell, 5e-12 off its end value: active, while
+    # the start step passes on at most a sixth of it to the interior cells,
+    # which stay quiet; only a scan that takes in the clamped cells sees it
+    phi = np.zeros(grid.n)
+    phi[cell] = 5e-12
+    return State(Field(grid, phi), Field(grid, np.zeros(grid.n)), 0.0,
+                 Topology.ZERO)
+
+
+def left_clamped_cell_state(grid):
+    return clamped_cell_state(grid, 1)
+
+
+def right_clamped_cell_state(grid):
+    return clamped_cell_state(grid, -2)
+
+
+LEAPFROG_MAKERS = [
+    # the front crosses most of the grid by t = 50
+    perturbed_kink_state,
+    small_state,
+    # the kink's tail sweeps into cells that start frozen
+    fast_kink_state,
+    every_cell_active_state,
+    resting_off_equilibrium_state,
+]
+
+
+def full_grid_window(f_prev, f_cur, left, right):
+    """The reference for _window: its rule on a scan of all n cells."""
+    n = f_cur.size
+    reach = 2 * _WINDOW_STEPS + 2
+
+    def active(end):
+        return np.flatnonzero(~((np.abs(f_cur - end) <= _QUIET)
+                                & (np.abs(f_prev - end) <= _QUIET)))
+
+    from_left, from_right = active(left), active(right)
+    first = from_left[0] if from_left.size else n
+    last = from_right[-1] if from_right.size else -1
+    lo = min(max(first - reach, 2), n - 2)
+    hi = max(min(last + 1 + reach, n - 2), lo)
+    return int(lo), int(hi)
 
 
 def reference_leapfrog(s0, dt, n_steps, stride):
@@ -336,15 +385,7 @@ class TestEvolve:
 class TestLeapfrog:
     """The in-place leapfrog against the allocating reference step."""
 
-    @pytest.mark.parametrize("maker", [
-        # the front crosses most of the grid by t = 50
-        perturbed_kink_state,
-        small_state,
-        # the kink's tail sweeps into cells that start frozen
-        fast_kink_state,
-        every_cell_active_state,
-        resting_off_equilibrium_state,
-    ])
+    @pytest.mark.parametrize("maker", LEAPFROG_MAKERS)
     def test_matches_reference_at_every_snapshot(self, grid, maker):
         s0 = maker(grid)
         dt = grid.dx / 2
@@ -377,12 +418,35 @@ class TestLeapfrog:
 
         def first_window(s):
             phi = s.phi.values
-            return _window(phi, phi + dt * s.phi_t.values, phi[0], phi[-1])
+            return _window(phi, phi + dt * s.phi_t.values, phi[0], phi[-1],
+                           2, grid.n - 2)
 
         lo, hi = first_window(fast_kink_state(grid))
         assert 2 < lo and hi < grid.n - 2
         assert grid.x[hi] < 30.0
         assert first_window(every_cell_active_state(grid)) == (2, grid.n - 2)
+
+    @pytest.mark.parametrize("maker", LEAPFROG_MAKERS + [
+        left_clamped_cell_state, right_clamped_cell_state])
+    def test_window_scan_matches_the_full_grid(self, grid, maker,
+                                               monkeypatch):
+        # _window scans the last window and 2 cells a side; at every
+        # re-derivation of the run it must find the full-grid scan's window
+        windowed = sgkink.evolve._window
+        seen = []
+
+        def checked(f_prev, f_cur, left, right, lo, hi):
+            got = windowed(f_prev, f_cur, left, right, lo, hi)
+            assert got == full_grid_window(f_prev, f_cur, left, right)
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(sgkink.evolve, "_window", checked)
+        dt = grid.dx / 2
+        for _ in snapshots(maker(grid), Scheme(SchemeKind.LEAPFROG, dt),
+                           1600 * dt, 160 * dt):
+            pass
+        assert len(seen) == 1600 // _WINDOW_STEPS
 
     def test_frozen_cells_hold_one_value(self, grid):
         # phi_t = 1e-11 moves a cell 3e-13 in a step, below _QUIET: a frozen

@@ -22,10 +22,14 @@ from sgkink.experiments import (
 from sgkink.experiments import _max_reachable_xi
 from sgkink.fields import (Field, State, Topology, load_field_csv, make_grid,
                            save_field_csv)
-from sgkink.scattering import WavePacketSpec, extract_W
+from sgkink.scattering import extract_W
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# a kink-stability run whose grid is too narrow for the kink's tails
+NARROW = {"name": "kink-stability", "x_min": -8.0, "x_max": 8.0, "n": 256,
+          "t_end": 2.0}
 
 CHEAP = dict(
     name="conservation",
@@ -96,14 +100,14 @@ class TestExperimentConfig:
         path = tmp_path / "pert.csv"
         vals = 0.01 * np.exp(-grid.x**2) * (1 + 1j)
         save_field_csv(Field(file_grid, vals), path)
-        cfg = ExperimentConfig(name="backlund-roundtrip", x_min=grid.x_min,
-                               x_max=grid.x_max, n=grid.n,
-                               perturbation="custom", custom_file=str(path))
-        if shift:
+        kwargs = dict(name="backlund-roundtrip", x_min=grid.x_min,
+                      x_max=grid.x_max, n=grid.n, perturbation="custom",
+                      custom_file=str(path))
+        if shift:  # refused when the config loads, before any run
             with pytest.raises(ValueError, match="does not match the config"):
-                run_experiment(cfg)
+                ExperimentConfig(**kwargs)
         else:
-            rep = run_experiment(cfg)
+            rep = run_experiment(ExperimentConfig(**kwargs))
             assert rep.summary["roundtrip_sup_error"] < 1e-6
 
 
@@ -134,13 +138,12 @@ def test_packet_reach_is_what_wave_packet_accepts():
     # the last node of [-80, 80) with n = 2048 is 80 - dx, dx = 0.078125;
     # the reach at t = 100 is bound by it, not by x_max
     grid = make_grid(-80.0, 80.0, 2048)
-    spec = WavePacketSpec(0.1)
-    xi = _max_reachable_xi(grid, 100.0, spec)
+    xi = _max_reachable_xi(grid, 100.0)
     zero = Field(grid, np.zeros(grid.n))
     s = State(zero, zero, 100.0, Topology.ZERO)
-    assert not np.any(extract_W(s, np.linspace(-xi, xi, 61), spec).W)
+    assert not np.any(extract_W(s, np.linspace(-xi, xi, 61)).W)
     with pytest.raises(ValueError, match="leaks off grid"):
-        extract_W(s, [1.0001 * xi], spec)
+        extract_W(s, [1.0001 * xi])
 
 
 def traced_peak(cfg):
@@ -281,6 +284,26 @@ class TestCli:
             "snapshot_every": 2, "t_end": 200,
         }))
         assert main(["validate", str(bad)]) == 1
+
+    def test_validate_rejects_a_grid_too_narrow(self, tmp_path, capsys):
+        # the kink's tails are not at 0 and 2 pi on [-8, 8), so its initial
+        # data cannot be built; validate builds them, as the run would
+        bad = tmp_path / "narrow.json"
+        bad.write_text(json.dumps(NARROW))
+        assert main(["validate", str(bad)]) == 1
+        assert "grid too narrow" in capsys.readouterr().err
+
+    def test_run_refuses_a_grid_too_narrow_before_running(
+            self, cheap_config, tmp_path, capsys):
+        bad = tmp_path / "narrow.json"
+        bad.write_text(json.dumps(NARROW))
+        out = tmp_path / "sweep"
+        assert main(["run", str(cheap_config), str(bad),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "grid too narrow" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_validate_shipped_configs(self):
         paths = sorted(CONFIGS.glob("*.json"))

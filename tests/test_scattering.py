@@ -2,17 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from sgkink.fields import Field, State, Topology, make_grid
 from sgkink.scattering import (
+    _CHI_RADIUS,
     ExtractionMethod,
     KinkDerivDiff,
     KinkDiff,
     ProfileW,
     U,
-    WavePacketSpec,
+    _chi,
     extract_W,
     gamma_profile,
     predict_asymptotics,
@@ -45,37 +45,28 @@ def analytic_free_W(eps, xiv):
     return (2 * np.pi) ** -0.5 * (1 + xiv**2) ** 0.75 * hat * np.exp(-1j * np.pi / 4)
 
 
-class TestWavePacketSpec:
-    @given(c=st.floats(0.01, 0.24))
-    @settings(max_examples=15, deadline=None)
-    def test_unit_integral_and_positivity(self, c):
-        spec = WavePacketSpec(c)
-        val, _ = quad(spec.chi, -c, c)
+class TestChi:
+    def test_unit_integral_and_positivity(self):
+        c = _CHI_RADIUS
+        val, _ = quad(_chi, -c, c)
         assert val == pytest.approx(1.0, abs=1e-10)
         ys = np.linspace(-2 * c, 2 * c, 801)
-        assert np.all(spec.chi(ys) >= 0)
-        assert np.all(spec.chi(ys[np.abs(ys) >= c]) == 0)
-
-    def test_rejects_bad_radius(self):
-        for c in (0.0, 0.3, -0.1):
-            with pytest.raises(ValueError):
-                WavePacketSpec(c)
+        assert np.all(_chi(ys) >= 0)
+        assert np.all(_chi(ys[np.abs(ys) >= c]) == 0)
 
 
 class TestWavePacket:
     def test_localized_near_ray(self, grid):
-        spec = WavePacketSpec(0.1)
         t, v = 200.0, 0.4
-        psi = wave_packet(grid, t, v, spec)
+        psi = wave_packet(grid, t, v)
         support = np.abs(psi.values) > 0
         assert np.all(np.abs(grid.x[support] - v * t)
-                      <= spec.chi_radius * np.sqrt(t) + grid.dx)
+                      <= _CHI_RADIUS * np.sqrt(t) + grid.dx)
 
     def test_support_errors(self):
         g = make_grid(-64.0, 64.0, 1024)
-        spec = WavePacketSpec(0.1)
         with pytest.raises(ValueError):
-            wave_packet(g, 200.0, 0.9, spec)  # ray leaves the grid
+            wave_packet(g, 200.0, 0.9)  # ray leaves the grid
 
 
 class TestToComplexU:
@@ -106,16 +97,15 @@ class TestToComplexU:
 class TestGammaProfile:
     def test_zero_field(self, grid):
         u = Field(grid, np.zeros(grid.n, dtype=complex))
-        out = gamma_profile(u, 150.0, [0.0, 0.3], WavePacketSpec(0.1))
+        out = gamma_profile(u, 150.0, [0.0, 0.3])
         assert np.all(out == 0)
 
     def test_normalization_probe(self, grid):
-        spec = WavePacketSpec(0.1)
         t, v = 150.0, 0.2
-        psi = wave_packet(grid, t, v, spec)
+        psi = wave_packet(grid, t, v)
         n2 = np.trapezoid(np.abs(psi.values) ** 2, dx=grid.dx)
         u = Field(grid, psi.values / n2)
-        out = gamma_profile(u, t, [v], spec)
+        out = gamma_profile(u, t, [v])
         assert abs(out[0] - 1.0) < 1e-12
 
 
@@ -124,8 +114,7 @@ class TestExtractW:
     def test_free_flow_oracle(self, grid, method):
         eps, t = 0.05, 400.0
         xi = np.linspace(-3.0, 3.0, 61)
-        W = extract_W(free_state(grid, eps, t), xi, WavePacketSpec(0.1),
-                      method)
+        W = extract_W(free_state(grid, eps, t), xi, method)
         # undo the log-phase removal: the free flow has no phase drift
         jap = np.sqrt(1 + xi**2)
         raw = W.W * np.exp(1j / (32 * jap) * np.abs(W.W) ** 2 * np.log(t))
@@ -136,7 +125,7 @@ class TestExtractW:
     def test_zero_trajectory(self, grid):
         z = np.zeros(grid.n)
         s = State(Field(grid, z), Field(grid, z.copy()), 150.0, Topology.ZERO)
-        W = extract_W(s, np.linspace(-2, 2, 21), WavePacketSpec(0.1))
+        W = extract_W(s, np.linspace(-2, 2, 21))
         assert np.all(W.W == 0)
 
     @pytest.mark.parametrize("method, message", [
@@ -150,13 +139,11 @@ class TestExtractW:
         s = State(Field(small, 0.01 * np.exp(-small.x**2)),
                   Field(small, np.zeros(small.n)), 100.0, Topology.ZERO)
         with pytest.raises(ValueError, match=message):
-            extract_W(s, np.linspace(-3.0, 3.0, 61), WavePacketSpec(0.1),
-                      method)
+            extract_W(s, np.linspace(-3.0, 3.0, 61), method)
 
     def test_rejects_early_extraction(self, grid):
         with pytest.raises(ValueError):
-            extract_W(free_state(grid, 0.05, 50.0), np.linspace(-2, 2, 21),
-                      WavePacketSpec(0.1))
+            extract_W(free_state(grid, 0.05, 50.0), np.linspace(-2, 2, 21))
 
 
 @pytest.fixture(scope="module")
@@ -170,12 +157,12 @@ class TestPredictAsymptotics:
     def test_light_cone_support(self, profile):
         t = 200.0
         x = np.array([-250.0, -200.0, 200.0, 250.0])
-        out = predict_asymptotics(profile, t, x, U(0))
+        out = predict_asymptotics(profile, t, x, U())
         assert np.all(out == 0)
 
     def test_center_of_cone_value(self, profile):
         t = 200.0
-        out = predict_asymptotics(profile, t, 0.0, U(0))
+        out = predict_asymptotics(profile, t, 0.0, U())
         assert abs(out) == pytest.approx(
             t**-0.5 * abs(profile.interpolate(0.0)), rel=1e-12
         )
@@ -188,7 +175,7 @@ class TestPredictAsymptotics:
         s = free_state(grid, eps, t)
         u = to_complex_u(s)
         mask = np.abs(grid.x) <= t / 2
-        pred = predict_asymptotics(Wp, t, grid.x[mask], U(0))
+        pred = predict_asymptotics(Wp, t, grid.x[mask], U())
         resid = np.max(np.abs(u.values[mask] - pred))
         assert resid / (t**-0.5 * np.max(np.abs(Wp.W))) < 0.01
 
@@ -197,7 +184,7 @@ class TestPredictAsymptotics:
         Wp = ProfileW(xi, np.zeros(21, dtype=complex), 200.0,
                       ExtractionMethod.WAVE_PACKET)
         g = make_grid(-64.0, 64.0, 1024)
-        assert np.all(predict_asymptotics(Wp, 100.0, g.x, U(0)) == 0)
+        assert np.all(predict_asymptotics(Wp, 100.0, g.x, U()) == 0)
         assert np.all(predict_asymptotics(Wp, 100.0, g.x, KinkDiff(0.2, 0.0))
                       == 0)
 
@@ -237,5 +224,5 @@ class TestPredictAsymptotics:
 
     def test_scalar_xi_out_of_range_raises(self, profile):
         with pytest.raises(ValueError):
-            predict_asymptotics(profile, 100.0, 99.9, U(0))
+            predict_asymptotics(profile, 100.0, 99.9, U())
 

@@ -19,12 +19,12 @@ from sgkink.fields import (
     spatial_derivative,
 )
 from sgkink.tracking import (
-    CenterMode,
     _decay_bound,
     _exterior_sup,
     _orthogonality,
     center_velocity,
     fit_decay_exponent,
+    pi_level_center,
     solve_center,
     track,
 )
@@ -40,17 +40,20 @@ def kink_state(grid, beta=0.3, c=0.0, t=0.0):
 
 
 class TestSolveCenter:
-    @pytest.mark.parametrize("mode", list(CenterMode))
-    def test_exact_kink(self, grid, mode):
+    """The orthogonality and pi-level centers, each its own function."""
+
+    @pytest.mark.parametrize("center", [solve_center, pi_level_center])
+    def test_exact_kink(self, grid, center):
         s = kink_state(grid, beta=0.3, c=1.25, t=2.0)
-        c = solve_center(s.phi, 0.3, 2.0, 1.55, mode)
+        c = center(s.phi, 0.3, 2.0, 1.55)
         assert c == pytest.approx(1.25, abs=1e-9)
 
+    @pytest.mark.parametrize("center", [solve_center, pi_level_center])
     @given(h=st.floats(-2.0, 2.0))
     @settings(max_examples=20, deadline=None)
-    def test_translation_equivariance(self, grid, h):
+    def test_translation_equivariance(self, grid, center, h):
         s = kink_state(grid, beta=0.3, c=h)
-        c = solve_center(s.phi, 0.3, 0.0, h + 0.2)
+        c = center(s.phi, 0.3, 0.0, h + 0.2)
         assert c == pytest.approx(h, abs=1e-9)
 
     def test_odd_perturbation_keeps_pi_level_center(self, grid):
@@ -59,7 +62,7 @@ class TestSolveCenter:
         z = grid.x - beta * t - c0
         pert = 0.01 * sech(z) * np.tanh(z)  # odd about the moving center
         f = Field(grid, s.phi.values + pert)
-        c = solve_center(f, beta, t, c0 + 0.1, CenterMode.PI_LEVEL)
+        c = pi_level_center(f, beta, t, c0 + 0.1)
         assert c == pytest.approx(c0, abs=1e-8)
 
     @given(beta=st.floats(-0.6, 0.6), c=st.floats(-2.0, 2.0),
@@ -84,14 +87,14 @@ class TestSolveCenter:
 
         s = kink_state(grid, beta=beta, c=c, t=t)
         f = Field(grid, s.phi.values + bump(grid.x))
-        got = solve_center(f, beta, t, c + shift, CenterMode.PI_LEVEL)
+        got = pi_level_center(f, beta, t, c + shift)
         assert got == pytest.approx(c + brentq(level, -1.0, 1.0, xtol=1e-14),
                                     abs=1e-9)
 
     def test_pi_level_without_sign_change(self, grid):
         flat = Field(grid, np.full(grid.n, 0.3))
         with pytest.raises(RuntimeError, match="no sign change"):
-            solve_center(flat, 0.0, 0.0, 0.0, CenterMode.PI_LEVEL)
+            pi_level_center(flat, 0.0, 0.0, 0.0)
 
     @given(beta=st.floats(-0.6, 0.6), c=st.floats(-2.0, 2.0),
            t=st.floats(0.0, 2.0), amp=st.floats(-0.05, 0.05),
@@ -110,7 +113,7 @@ class TestSolveCenter:
     def test_error_far_from_any_kink(self, grid):
         flat = Field(grid, np.full(grid.n, 0.3))
         with pytest.raises(RuntimeError):
-            solve_center(flat, 0.0, 0.0, 0.0, CenterMode.ORTHOGONALITY)
+            solve_center(flat, 0.0, 0.0, 0.0)
 
 
 class TestCenterVelocity:
@@ -135,13 +138,12 @@ def exact_run(grid):
     s0 = kink_state(grid, beta=0.2)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 10.0,
                   snapshot_every=0.5)
-    return traj, track(traj.states, 0.2, 0.0, CenterMode.ORTHOGONALITY,
-                       exterior_R=(2.0,))
+    return traj, 0.2, track(traj.states, 0.2, 0.0, exterior=True)
 
 
 @pytest.fixture(scope="module")
 def tracked_exact(exact_run):
-    return exact_run[1]
+    return exact_run[2]
 
 
 @pytest.fixture(scope="module")
@@ -152,11 +154,10 @@ def perturbed_run(grid):
                Field(grid, base.phi_t.values - bump), 0.0, Topology.KINK)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 10.0,
                   snapshot_every=0.5)
-    return traj, track(traj.states, 0.3, 0.0, CenterMode.ORTHOGONALITY,
-                       exterior_R=(2.0, 5.0))
+    return traj, 0.3, track(traj.states, 0.3, 0.0, exterior=True)
 
 
-def public_record(s, beta, c, exterior_R):
+def public_record(s, beta, c):
     """Each TrackRecord field from its public-API definition."""
     ref = sample_state(Kink(KinkParams(beta, c)), s.grid, s.time)
     d0 = Field(s.grid, s.phi.values - ref.phi.values)
@@ -169,20 +170,17 @@ def public_record(s, beta, c, exterior_R):
         "diff_linf": norm(d0, Lp(np.inf)),
         "diff_deriv_l2plinf": norm(d1, L2PlusLinf()) + norm(d2, L2PlusLinf()),
         "diff_pair_energy": norm(s, PairEnergy(ref)),
-        "exterior_l2": {
-            R: float(np.sqrt(np.sum(dens[np.abs(s.grid.x) >= s.time + R])
-                             * s.grid.dx))
-            for R in exterior_R
-        },
+        "exterior_l2": float(np.sqrt(np.sum(dens[np.abs(s.grid.x) >= s.time])
+                                     * s.grid.dx)),
         # (sup, bound) of the exterior check at s = 1; the decay shape has
         # t^(-1/4), so there is none at t = 0
-        "exterior_check": {R: exterior_sup_and_bound(s, d0, d1, d2, R)
-                           for R in exterior_R if s.time > 0},
+        "exterior_check": (exterior_sup_and_bound(s, d0, d1, d2)
+                           if s.time > 0 else None),
     }
 
 
-def exterior_sup_and_bound(s, d0, d1, d2, R):
-    mask = np.abs(s.grid.x) >= s.time + R
+def exterior_sup_and_bound(s, d0, d1, d2):
+    mask = np.abs(s.grid.x) >= s.time
     total = (np.abs(d0.values) + np.abs(d1.values) + np.abs(d2.values))[mask]
     k = int(np.argmax(total))
     jap = np.sqrt(1.0 + (abs(s.grid.x[mask][k]) - s.time) ** 2)
@@ -192,12 +190,11 @@ def exterior_sup_and_bound(s, d0, d1, d2, R):
 class TestTrack:
     @pytest.mark.parametrize("run", ["exact_run", "perturbed_run"])
     def test_records_match_public_definitions(self, request, run):
-        traj, tracked = request.getfixturevalue(run)
-        assert len(tracked.records) == len(traj.states)
-        for s, r in zip(traj.states, tracked.records):
+        traj, beta, records = request.getfixturevalue(run)
+        assert len(records) == len(traj.states)
+        for s, r in zip(traj.states, records):
             assert r.time == s.time
-            want = public_record(s, tracked.beta, r.center,
-                                 tuple(r.exterior_l2))
+            want = public_record(s, beta, r.center)
             for key in ("center_velocity", "diff_linf", "diff_deriv_l2plinf"):
                 assert getattr(r, key) == pytest.approx(want[key], rel=1e-12,
                                                         abs=0.0), key
@@ -208,35 +205,42 @@ class TestTrack:
                 want["diff_pair_energy"], rel=1e-12, abs=1e-14)
             assert r.exterior_l2 == pytest.approx(want["exterior_l2"],
                                                   rel=1e-12, abs=0.0)
-            for R, (lhs, bound) in want["exterior_check"].items():
-                assert r.exterior_sup[R][0] == pytest.approx(lhs, rel=1e-12,
-                                                             abs=0.0)
-                assert _decay_bound(s.time, r.exterior_sup[R][1],
+            if want["exterior_check"] is not None:
+                lhs, bound = want["exterior_check"]
+                assert r.exterior_sup[0] == pytest.approx(lhs, rel=1e-12,
+                                                          abs=0.0)
+                assert _decay_bound(s.time, r.exterior_sup[1],
                                     1.0) == pytest.approx(bound, rel=1e-12)
 
     def test_centers_constant(self, tracked_exact):
-        centers = [r.center for r in tracked_exact.records]
+        centers = [r.center for r in tracked_exact]
         assert max(abs(c) for c in centers) < 1e-4
 
     def test_velocities_vanish(self, tracked_exact):
-        assert max(abs(r.center_velocity) for r in tracked_exact.records) < 1e-6
+        assert max(abs(r.center_velocity) for r in tracked_exact) < 1e-6
 
     def test_difference_norms_small(self, tracked_exact):
-        assert max(r.diff_linf for r in tracked_exact.records) < 1e-4
-        assert max(r.diff_pair_energy for r in tracked_exact.records) < 1e-4
+        assert max(r.diff_linf for r in tracked_exact) < 1e-4
+        assert max(r.diff_pair_energy for r in tracked_exact) < 1e-4
 
     def test_records_time_ordered(self, tracked_exact):
-        times = [r.time for r in tracked_exact.records]
+        times = [r.time for r in tracked_exact]
         assert times == sorted(times)
 
     def test_exterior_norms_present(self, tracked_exact):
-        assert all(2.0 in r.exterior_l2 for r in tracked_exact.records)
+        assert all(r.exterior_l2 is not None and r.exterior_sup is not None
+                   for r in tracked_exact)
+
+    def test_exterior_norms_off_by_default(self, exact_run):
+        traj = exact_run[0]
+        assert all(r.exterior_l2 is None and r.exterior_sup is None
+                   for r in track(traj.states[:3], 0.2, 0.0))
 
 
 class TestExteriorDecay:
     def test_zero_for_self(self, grid):
         z = np.zeros(grid.n)
-        assert _exterior_sup(grid.x, 2.0, 1.0, z, z, z)[0] == 0.0
+        assert _exterior_sup(grid.x, 2.0, z, z, z)[0] == 0.0
 
     @given(r=st.floats(-5.0, 50.0), s=st.floats(0.0, 2.0),
            t1=st.floats(1.0, 100.0), t2=st.floats(1.0, 100.0))
@@ -251,8 +255,9 @@ class TestExteriorDecay:
         assert _decay_bound(hi, r, s) <= _decay_bound(lo, r, s)
 
     def test_empty_exterior_is_none(self, grid):
+        # t past both grid ends, which lie at |x| <= 64
         z = np.zeros(grid.n)
-        assert _exterior_sup(grid.x, 100.0, 10.0, z, z, z) is None
+        assert _exterior_sup(grid.x, 100.0, z, z, z) is None
 
 
 class TestFitDecayExponent:
