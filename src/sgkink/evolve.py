@@ -176,12 +176,15 @@ def _window(f_prev: np.ndarray, f_cur: np.ndarray, left: float,
     a, b = max(lo - 2, 0), min(hi + 2, n)
 
     def active(end):
-        return a + np.flatnonzero(~((np.abs(f_cur[a:b] - end) <= _QUIET)
-                                    & (np.abs(f_prev[a:b] - end) <= _QUIET)))
+        # offsets into [a, b); np.maximum propagates NaN, and NaN <= _QUIET
+        # is False
+        far = np.abs(f_cur[a:b] - end)
+        np.maximum(far, np.abs(f_prev[a:b] - end), out=far)
+        return np.flatnonzero(~(far <= _QUIET))
 
     from_left, from_right = active(left), active(right)
-    first = from_left[0] if from_left.size else n
-    last = from_right[-1] if from_right.size else -1
+    first = a + from_left[0] if from_left.size else n
+    last = a + from_right[-1] if from_right.size else -1
     lo = min(max(first - reach, 2), n - 2)
     hi = max(min(last + 1 + reach, n - 2), lo)
     return int(lo), int(hi)

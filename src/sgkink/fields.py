@@ -8,9 +8,11 @@ trapezoid quadrature is accurate well past the tolerances we care about.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -56,9 +58,12 @@ class Grid:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n)
+        """The sample points, built on first use and read-only."""
+        x = self.x_min + self.dx * np.arange(self.n)
+        x.flags.writeable = False
+        return x
 
     @property
     def length(self) -> float:
@@ -273,32 +278,61 @@ def _lp(values: np.ndarray, dx: float, p: float) -> float:
 def _l2plus_linf(values: np.ndarray, dx: float) -> float:
     """min over lam >= 0 of ||(|g|-lam)_+||_2 + lam (clamped-split family).
 
-    Exact minimiser.  With |g| sorted in descending order and S0, S1, S2 the
-    cumulative trapezoid-weighted sums of 1, |g| and |g|^2, the objective on
-    the interval where the top k samples are active is
+    Exact minimiser.  With the top k of |g| sorted in descending order and
+    S0, S1, S2 their cumulative trapezoid-weighted sums of 1, |g| and |g|^2,
+    the objective on the interval where the top j samples are active is
     sqrt(S2 - 2 lam S1 + lam^2 S0) + lam, stationary (for S0 > 1) at
     lam = (S1 - sqrt((S0 S2 - S1^2) / (S0 - 1))) / S0.  The objective is
-    convex, so its minimiser is the best of the stationary points that lie in
-    their own interval and the ends lam = 0 and lam = max|g|.  The value
-    returned is the objective evaluated there directly, which keeps the
+    convex, so a stationary point that lies in its own interval is the
+    global minimiser; the candidates are those points and the ends lam = 0
+    and lam = max|g|.
+
+    Only samples above the minimiser are active there, so the sort is
+    partial: np.argpartition gives the top k and the (k+1)-th value, the
+    lower end of the last interval.  k starts at max(64, 4/dx), as S0 > 1
+    needs more than 1/dx samples, and grows 4-fold, up to a full sort,
+    while no stationary point lies in its own interval or the (k+1)-th
+    value ties the k-th.  A tie takes k past all the tied samples at once:
+    on a plateau the rounding in S0 S2 - S1^2 puts stationary points on
+    every sample of it.  lam = 0 is the minimiser when the slope there,
+    1 - ||g||_1 / ||g||_2, is >= 0; the full-grid sums show that, with a
+    margin for their rounding, before any sort.  The value returned is the
+    objective evaluated at the minimiser directly, which keeps the
     cancellation in S0 S2 - S1^2 out of it.
     """
     a = np.abs(values)
-    w = np.full(a.size, dx)
-    w[[0, -1]] = 0.5 * dx
-    order = np.argsort(a)[::-1]
-    s_a, w = a[order], w[order]
-    s0 = np.cumsum(w)
-    s1 = np.cumsum(w * s_a)
-    s2 = np.cumsum(w * s_a * s_a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(np.maximum(s0 * s2 - s1 * s1, 0.0) / (s0 - 1.0))
-        lam = (s1 - root) / s0
-    lower = np.append(s_a[1:], 0.0)  # s_a[:k+1] active on [lower[k], s_a[k]]
-    ok = (s0 > 1.0) & (lam >= lower) & (lam <= s_a)
-    lams = np.concatenate([[0.0, s_a[0]], lam[ok]])
-    objs = np.concatenate([[np.sqrt(s2[-1]), s_a[0]], lam[ok] + root[ok]])
-    best = float(lams[np.argmin(objs)])
+    n = a.size
+    l1 = dx * (np.sum(a) - 0.5 * (a[0] + a[-1]))
+    l2sq = dx * (np.dot(a, a) - 0.5 * (a[0] * a[0] + a[-1] * a[-1]))
+    best = 0.0
+    if l1 * l1 > (1.0 - 1e-9) * l2sq:
+        k = max(64, math.ceil(4.0 / dx))
+        while True:
+            if k < n:
+                part = np.argpartition(a, n - k - 1)[n - k - 1:]
+                order = part[1:][np.argsort(a[part[1:]])[::-1]]
+                floor = a[part[0]]
+            else:
+                order, floor = np.argsort(a)[::-1], 0.0
+            s_a = a[order]
+            w = np.where((order == 0) | (order == n - 1), 0.5 * dx, dx)
+            s0 = np.cumsum(w)
+            s1 = np.cumsum(w * s_a)
+            s2 = np.cumsum(w * s_a * s_a)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = np.sqrt(np.maximum(s0 * s2 - s1 * s1, 0.0) / (s0 - 1.0))
+                lam = (s1 - root) / s0
+            # s_a[:j+1] active on [lower[j], s_a[j]]
+            lower = np.append(s_a[1:], floor)
+            ok = (s0 > 1.0) & (lam >= lower) & (lam <= s_a)
+            if k >= n or (ok.any() and floor < s_a[-1]):
+                break
+            # past every sample tied with the (k+1)-th, if that is further
+            k = max(4 * k, int(np.count_nonzero(a >= floor)))
+        lams = np.concatenate([[0.0, s_a[0]], lam[ok]])
+        objs = np.concatenate([[np.sqrt(s2[-1] if k >= n else l2sq), s_a[0]],
+                               lam[ok] + root[ok]])
+        best = float(lams[np.argmin(objs)])
     clipped = np.maximum(a - best, 0.0)
     return float(np.sqrt(np.trapezoid(clipped**2, dx=dx))) + best
 

@@ -426,6 +426,17 @@ class TestLeapfrog:
         assert grid.x[hi] < 30.0
         assert first_window(every_cell_active_state(grid)) == (2, grid.n - 2)
 
+    @pytest.mark.parametrize("which", ["f_prev", "f_cur"])
+    def test_window_takes_in_a_nan(self, grid, which):
+        # a NaN in either buffer alone makes its cell active
+        n, c = grid.n, grid.n // 2 + 7
+        bufs = {"f_prev": np.zeros(n), "f_cur": np.zeros(n)}
+        bufs[which][c] = np.nan
+        f_prev, f_cur = bufs["f_prev"], bufs["f_cur"]
+        lo, hi = _window(f_prev, f_cur, 0.0, 0.0, c - 40, c + 40)
+        assert lo <= c < hi
+        assert (lo, hi) == full_grid_window(f_prev, f_cur, 0.0, 0.0)
+
     @pytest.mark.parametrize("maker", LEAPFROG_MAKERS + [
         left_clamped_cell_state, right_clamped_cell_state])
     def test_window_scan_matches_the_full_grid(self, grid, maker,

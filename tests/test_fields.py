@@ -17,6 +17,7 @@ from sgkink.fields import (
     Topology,
     WeightedSobolev,
     _fd_stencil,
+    _l2plus_linf,
     _local_poly,
     bessel_multiplier,
     load_field_csv,
@@ -34,6 +35,30 @@ def grid():
     return make_grid(-32.0, 32.0, 2048)
 
 
+def reference_l2plus_linf(values, dx):
+    """The L2+L-inf minimiser from a full descending sort of |g| and the
+    stationary point of every top-k interval: the oracle for the partial
+    sort in _l2plus_linf."""
+    a = np.abs(values)
+    w = np.full(a.size, dx)
+    w[[0, -1]] = 0.5 * dx
+    order = np.argsort(a)[::-1]
+    s_a, w = a[order], w[order]
+    s0 = np.cumsum(w)
+    s1 = np.cumsum(w * s_a)
+    s2 = np.cumsum(w * s_a * s_a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(np.maximum(s0 * s2 - s1 * s1, 0.0) / (s0 - 1.0))
+        lam = (s1 - root) / s0
+    lower = np.append(s_a[1:], 0.0)  # s_a[:k+1] active on [lower[k], s_a[k]]
+    ok = (s0 > 1.0) & (lam >= lower) & (lam <= s_a)
+    lams = np.concatenate([[0.0, s_a[0]], lam[ok]])
+    objs = np.concatenate([[np.sqrt(s2[-1]), s_a[0]], lam[ok] + root[ok]])
+    best = float(lams[np.argmin(objs)])
+    clipped = np.maximum(a - best, 0.0)
+    return float(np.sqrt(np.trapezoid(clipped**2, dx=dx))) + best
+
+
 def smooth_field(grid, freqs):
     x = grid.x
     vals = sum(a * np.exp(-((x - c) ** 2) / w)
@@ -46,6 +71,22 @@ class TestGrid:
         assert grid.dx == pytest.approx(64.0 / 2048)
         assert grid.x[0] == -32.0
         assert grid.x[-1] == pytest.approx(32.0 - grid.dx)
+
+    def test_x_is_built_once_and_read_only(self):
+        g = make_grid(-3.0, 5.0, 64)
+        x = g.x
+        assert g.x is x
+        assert np.array_equal(x, g.x_min + g.dx * np.arange(g.n))
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        with pytest.raises(ValueError):
+            g.x += 1.0
+
+    def test_equality_and_hash_ignore_the_cached_x(self):
+        read, fresh = make_grid(-3.0, 5.0, 64), make_grid(-3.0, 5.0, 64)
+        read.x
+        assert "x" in vars(read) and "x" not in vars(fresh)
+        assert read == fresh and hash(read) == hash(fresh)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -192,6 +233,72 @@ class TestNorms:
         lams = np.linspace(lams[max(i - 1, 0)], lams[min(i + 1, 4096)], 4097)
         dense_min = float(np.min(objective(lams)))
         assert abs(val - dense_min) <= 1e-12 * dense_min
+
+    @given(seed=st.integers(0, 2**32 - 1), log_n=st.integers(4, 13),
+           dx=st.sampled_from([1 / 64, 1 / 16, 1 / 8, 0.5, 1.0, 2.0, None]),
+           shape=st.sampled_from(["gauss", "noise", "ties", "end ties",
+                                  "constant", "spike", "plateau", "broad"]))
+    @example(seed=0, log_n=12, dx=1 / 16, shape="spike")
+    @example(seed=0, log_n=13, dx=1 / 16, shape="broad")
+    @example(seed=0, log_n=13, dx=1 / 16, shape="end ties")
+    # rounding puts stationary points all over a plateau, so the partial
+    # sort must widen past a tie at its lower end
+    @example(seed=2, log_n=10, dx=1 / 16, shape="constant")
+    @settings(max_examples=200, deadline=None)
+    def test_l2plinf_matches_the_full_sort(self, seed, log_n, dx, shape):
+        n = 2**log_n
+        dx = 2.0 / n if dx is None else dx
+        x = dx * (np.arange(n) - n / 2)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-6, 2)
+        if shape == "gauss":
+            vals = np.exp(-((x - rng.uniform(-1, 1) * x[-1])
+                            / rng.uniform(0.1, 1) / x[-1]) ** 2)
+        elif shape == "noise":
+            vals = rng.normal(size=n) * np.exp(-(x / rng.uniform(1, 50)) ** 2)
+        elif shape == "ties":
+            vals = np.round(3 * rng.normal(size=n)) / 3
+        elif shape == "end ties":
+            # the maximum at both half-weight end cells and inside
+            vals = 0.01 * rng.normal(size=n)
+            vals[[0, -1, rng.integers(1, n - 1)]] = [1.0, -1.0, 1.0]
+        elif shape == "constant":
+            vals = np.full(n, rng.normal())
+        elif shape == "spike":
+            vals = np.zeros(n)
+            vals[rng.integers(n)] = rng.normal()
+        elif shape == "plateau":
+            vals = np.minimum(rng.uniform(0, 2, size=n), 1.0)
+        else:
+            # a spike over noise: many samples active at the minimiser
+            vals = rng.uniform(0.0, 1.0, size=n)
+            vals[rng.integers(n)] = rng.uniform(5, 40)
+        vals = scale * vals
+        got, ref = _l2plus_linf(vals, dx), reference_l2plus_linf(vals, dx)
+        a = np.abs(vals)
+        if np.sum(a == a[0]) > 1 or np.sum(a == a[-1]) > 1:
+            # a tie with a half-weight end cell: the two sorts may order
+            # its weights differently
+            assert got == pytest.approx(ref, rel=4e-16, abs=0.0)
+        else:
+            assert got == ref
+
+    def test_l2plinf_widens_past_the_first_k(self):
+        # a spike over a floor of noise: the minimiser lies below the
+        # 257th largest sample, so more than 4 times the first k = 64
+        # samples are active there
+        g = make_grid(-128.0, 128.0, 4096)
+        vals = np.random.default_rng(7).uniform(0.0, 1.0, size=g.n)
+        vals[g.n // 2] = 20.0
+
+        def objective(lam):
+            return (np.sqrt(np.trapezoid(np.maximum(vals - lam, 0.0) ** 2,
+                                         dx=g.dx)) + lam)
+
+        v = np.sort(vals)[::-1][256]
+        assert objective(v - 1e-3) < objective(v)
+        assert norm(Field(g, vals), L2PlusLinf()) == reference_l2plus_linf(
+            vals, g.dx)
 
     @given(seed=st.integers(0, 2**32 - 1),
            spec=st.sampled_from([Lp(1), Lp(2), Lp(np.inf), L2PlusLinf()]),
