@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field as dc_field, asdict
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -136,8 +137,10 @@ class ExperimentConfig:
                         f"predictor time {t} is not a snapshot time "
                         f"(snapshot_every={self.snapshot_every})") from None
 
-    @property
+    @cached_property
     def grid(self) -> Grid:
+        """One Grid per config, built on first read; asdict, == and hash
+        read only the fields."""
         return make_grid(self.x_min, self.x_max, self.n)
 
     @property

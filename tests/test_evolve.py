@@ -10,11 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import sgkink.evolve
 from sgkink.evolve import (
+    _BOX_QUIET,
+    _BOX_SLACK,
     _QUIET,
     _WINDOW_STEPS,
     Scheme,
     SchemeKind,
     _composition_run,
+    _fft_size,
     _guard,
     _window,
     conserved_quantities,
@@ -56,6 +59,75 @@ def small_state(grid, eps=0.05):
 
 def breather_state(grid):
     return sample_state(Breather(BreatherParams(0.0, 0.8, 0.0, 0.0)), grid, 0.0)
+
+
+def shifted_breather_state(grid):
+    # a constant in phi and phi_t: the xi=0 mode, which the Klein-Gordon
+    # drift turns at frequency <0> = 1 like every other mode; data that fill
+    # the grid
+    b = breather_state(grid)
+    return State(Field(grid, b.phi.values + 2e-3),
+                 Field(grid, b.phi_t.values + 1e-3), 0.0, Topology.ZERO)
+
+
+def gaussian_state(grid, center, eps=0.1):
+    p = eps * np.exp(-(grid.x - center) ** 2)
+    return State(Field(grid, p), Field(grid, -0.5 * p), 0.0, Topology.ZERO)
+
+
+def centred_gaussian_state(grid):
+    return gaussian_state(grid, 0.0)
+
+
+def off_centre_gaussian_state(grid):
+    return gaussian_state(grid, -37.0)
+
+
+def two_bumps_state(grid):
+    p = (0.1 * np.exp(-(grid.x + 20.0) ** 2)
+         - 0.05 * np.exp(-(0.5 * (grid.x - 25.0)) ** 2))
+    return State(Field(grid, p), Field(grid, 0.3 * p), 0.0, Topology.ZERO)
+
+
+def seam_bump_state(grid):
+    # a Gaussian on the periodic seam, half of it at either end of the grid
+    d = grid.x - grid.x_min
+    p = 0.1 * np.exp(-np.minimum(d, grid.length - d) ** 2)
+    return State(Field(grid, p), Field(grid, -0.5 * p), 0.0, Topology.ZERO)
+
+
+def edge_bump_state(grid):
+    # a Gaussian 6 from the left end: quiet at the end cells, but the margin
+    # of its box would cross the periodic seam
+    return gaussian_state(grid, grid.x_min + 6.0)
+
+
+def moving_gaussian_state(grid, v):
+    # phi_t = -v phi_x: most of it moves at speed v, so that front leads
+    p = 0.1 * np.exp(-grid.x ** 2)
+    return State(Field(grid, p), Field(grid, 2.0 * v * grid.x * p), 0.0,
+                 Topology.ZERO)
+
+
+def right_moving_gaussian_state(grid):
+    return moving_gaussian_state(grid, 1.0)
+
+
+def left_moving_gaussian_state(grid):
+    return moving_gaussian_state(grid, -1.0)
+
+
+def faint_gaussian_state(grid):
+    # the amplitude at which an absolute quiet level would drop the tails
+    return gaussian_state(grid, 0.0, eps=1e-6)
+
+
+def rough_bump_state(grid):
+    # noise on 8 cells: its spectrum is flat up to the Nyquist mode
+    rows = np.zeros((2, grid.n))
+    rows[:, 1000:1008] = 0.1 * np.random.default_rng(1).standard_normal((2, 8))
+    return State(Field(grid, rows[0]), Field(grid, rows[1]), 0.0,
+                 Topology.ZERO)
 
 
 def perturbed_kink_state(grid, eps=0.01):
@@ -218,6 +290,32 @@ def reference_composition(weights, s0, dt, n_steps, stride):
                         np.fft.irfft(0.5 * (U[0] + U[1]), n)))
             U += -head * g_hat
     return out
+
+
+def boxed_run(kind, s0, dt, n_steps, stride):
+    """(state, (a, nb)) for every state _composition_run yields after s0:
+    the box [a, a + nb) that the steps up to it ran on."""
+    run = _composition_run(_WEIGHTS[kind], s0, dt, n_steps, stride)
+    assert next(run) is s0
+    out = []
+    for state in run:
+        f_locals = run.gi_frame.f_locals
+        out.append((state, (f_locals["a"], f_locals["nb"])))
+    return out
+
+
+def assert_close_to_reference(run, ref, tol):
+    """boxed_run's states against reference_composition's, each within tol
+    (tol=0: bit for bit)."""
+    assert len(run) == len(ref)
+    for (state, _), (t, phi, pt) in zip(run, ref):
+        assert state.time == t
+        assert np.max(np.abs(state.phi.values - phi)) <= tol
+        assert np.max(np.abs(state.phi_t.values - pt)) <= tol
+
+
+def data_sup(s):
+    return max(np.max(np.abs(s.phi.values)), np.max(np.abs(s.phi_t.values)))
 
 
 def reference_conserved(s):
@@ -538,12 +636,8 @@ class TestComposition:
     @pytest.mark.parametrize("n", [2048, 1023])
     @pytest.mark.parametrize("kind", list(_WEIGHTS))
     def test_matches_reference_with_nonzero_means(self, kind, n):
-        # a constant in phi and phi_t: the xi=0 mode, which the Klein-Gordon
-        # drift turns at frequency <0> = 1 like every other mode
         grid = Grid(-64.0, 64.0, n)
-        b = breather_state(grid)
-        s0 = State(Field(grid, b.phi.values + 2e-3),
-                   Field(grid, b.phi_t.values + 1e-3), 0.0, Topology.ZERO)
+        s0 = shifted_breather_state(grid)
         dt = 1.0 / 32
         traj = evolve(s0, Scheme(kind, dt), 2.0, snapshot_every=0.5)
         phi, pt = s0.phi.values, s0.phi_t.values
@@ -571,13 +665,15 @@ class TestComposition:
                                small_state(grid), grid.dx / 2, 2 * k, k)
         next(run)
         next(run)  # set-up and one stride: every buffer exists and is warm
+        box = run.gi_frame.f_locals["box"]
+        assert box.shape[1] < n
         peaks = []
 
         def before_snapshot(frame, event, arg):
-            # a recording step allocates its snapshot with np.empty; the peak
-            # traced until then covers the k - 1 steps that record nothing
-            # and the drifts of the k-th
-            if event == "c_call" and arg is np.empty and not peaks:
+            # a recording step allocates its snapshot with np.zeros; the peak
+            # traced until then covers the k - 1 steps that record nothing,
+            # two of which check the box, and the drifts of the k-th
+            if event == "c_call" and arg is np.zeros and not peaks:
                 peaks.append(tracemalloc.get_traced_memory()[1])
 
         tracemalloc.start()
@@ -589,28 +685,125 @@ class TestComposition:
             tracemalloc.stop()
         assert peaks, "no snapshot allocation seen"
         assert peaks[0] < 8 * n
+        # no restart in the stride: a restart allocates a new box buffer
+        assert run.gi_frame.f_locals["box"] is box
 
     @pytest.mark.parametrize("n", [2048, 1023])
     @pytest.mark.parametrize("stride", [1, 3, 8])
     @pytest.mark.parametrize("kind", list(_WEIGHTS))
     def test_bit_identical_to_public_fft_kicks(self, kind, stride, n):
         # 36 steps: stride 8 leaves a forced last record after step 32.  An
-        # odd n (a Grid that make_grid would refuse) takes rfft_n_odd.
+        # odd n (a Grid that make_grid would refuse) takes rfft_n_odd.  Data
+        # that fill the grid run on the whole grid.
         grid = Grid(-64.0, 64.0, n)
-        s0 = breather_state(grid)
+        s0 = shifted_breather_state(grid)
         dt = grid.dx / 2
-        traj = evolve(s0, Scheme(kind, dt), 36 * dt, snapshot_every=stride * dt)
+        run = boxed_run(kind, s0, dt, 36, stride)
         ref = reference_composition(_WEIGHTS[kind], s0, dt, 36, stride)
-        assert len(traj.states) == len(ref) + 1
-        for state, (t, phi, pt) in zip(traj.states[1:], ref):
-            assert state.time == t
-            assert np.array_equal(state.phi.values, phi)
-            assert np.array_equal(state.phi_t.values, pt)
+        assert {box for _, box in run} == {(0, n)}
+        assert_close_to_reference(run, ref, tol=0.0)
 
-    @pytest.mark.parametrize("n", [16, 2048, 8192])
+    @pytest.mark.parametrize("maker", [seam_bump_state, edge_bump_state,
+                                       rough_bump_state])
+    @pytest.mark.parametrize("kind", list(_WEIGHTS))
+    def test_unboxed_data_are_bit_identical(self, grid, kind, maker):
+        # a box would cross the periodic seam, or the data are not resolved
+        s0 = maker(grid)
+        dt = grid.dx / 2
+        run = boxed_run(kind, s0, dt, 36, 3)
+        ref = reference_composition(_WEIGHTS[kind], s0, dt, 36, 3)
+        assert {box for _, box in run} == {(0, grid.n)}
+        assert_close_to_reference(run, ref, tol=0.0)
+
+    @pytest.mark.parametrize("maker", [centred_gaussian_state,
+                                       off_centre_gaussian_state,
+                                       two_bumps_state])
+    @pytest.mark.parametrize("kind", list(_WEIGHTS))
+    def test_box_matches_whole_grid_reference(self, grid, kind, maker):
+        s0 = maker(grid)
+        dt = grid.dx / 2
+        run = boxed_run(kind, s0, dt, 96, 8)
+        ref = reference_composition(_WEIGHTS[kind], s0, dt, 96, 8)
+        assert all(nb < grid.n for _, (_, nb) in run)
+        assert_close_to_reference(run, ref, tol=1e-12 * data_sup(s0))
+
+    @pytest.mark.parametrize("maker", [centred_gaussian_state,
+                                       faint_gaussian_state])
+    @pytest.mark.parametrize("kind", list(_WEIGHTS))
+    def test_box_restarts_as_the_front_spreads(self, grid, kind, maker):
+        # stride 16 records every check; at dt = dx/2 a box has 48 cells
+        # between its last active cell and its edge band, which the front
+        # crosses in about 96 steps
+        s0 = maker(grid)
+        dt = grid.dx / 2
+        run = boxed_run(kind, s0, dt, 512, 16)
+        ref = reference_composition(_WEIGHTS[kind], s0, dt, 512, 16)
+        widths = [nb for _, (_, nb) in run]
+        assert sum(b != c for b, c in zip(widths, widths[1:])) >= 3
+        assert widths == sorted(widths) and widths[-1] < grid.n
+        assert_close_to_reference(run, ref, tol=1e-12 * data_sup(s0))
+
+    @pytest.mark.parametrize("maker", [right_moving_gaussian_state,
+                                       left_moving_gaussian_state])
+    @pytest.mark.parametrize("kind", list(_WEIGHTS))
+    def test_box_edges_stay_quiet(self, grid, kind, maker):
+        # stride 16 records every check: a box kept past a check had quiet
+        # bands at both of its edges there
+        s0 = maker(grid)
+        dt = grid.dx / 2
+        run = boxed_run(kind, s0, dt, 512, 16)
+        band = int(np.ceil(_WINDOW_STEPS * dt / grid.dx)) + _BOX_SLACK
+        quiet = _BOX_QUIET * data_sup(s0)
+        kept = [(state, a, nb) for (state, (a, nb)), (_, box)
+                in zip(run, run[1:]) if box == (a, nb)]
+        assert len(kept) < len(run) - 3
+        for state, a, nb in kept:
+            for lo in (a, a + nb - band):
+                for values in (state.phi.values, state.phi_t.values):
+                    assert np.max(np.abs(values[lo:lo + band])) <= quiet
+
+    @given(kind=st.sampled_from(list(_WEIGHTS)), shift=st.integers(-400, 400),
+           width=st.integers(1, 40), seed=st.integers(0, 2**16))
+    @settings(max_examples=10, deadline=None)
+    def test_shifted_data_shift_the_run(self, grid, kind, shift, width, seed):
+        # the box follows the data, through 160 steps and a restart; the
+        # data are three Gaussians wide enough for a box to take them
+        rng = np.random.default_rng(seed)
+        cells = np.arange(grid.n)
+        rows = np.zeros((2, grid.n))
+        for c, w, amp in zip(rng.uniform(1000, 1000 + width, 3),
+                             rng.uniform(8.0, 12.0, 3),
+                             0.1 * rng.standard_normal((3, 2))):
+            rows += np.multiply.outer(amp, np.exp(-((cells - c) / w) ** 2))
+        dt = grid.dx / 2
+        runs = [boxed_run(kind, State(Field(grid, phi), Field(grid, pt), 0.0,
+                                      Topology.ZERO), dt, 160, 16)
+                for phi, pt in (rows, np.roll(rows, shift, axis=1))]
+        boxes = [box for _, box in runs[0]]
+        assert len(set(boxes)) > 1 and boxes[-1][1] < grid.n
+        for (s, (a, nb)), (r, box) in zip(*runs, strict=True):
+            assert box == (a + shift, nb)
+            assert r.time == s.time
+            assert np.array_equal(r.phi.values, np.roll(s.phi.values, shift))
+            assert np.array_equal(r.phi_t.values,
+                                  np.roll(s.phi_t.values, shift))
+
+    def test_box_sizes_are_even_and_5_smooth(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        sizes = [k for k in range(2, 3000, 2) if smooth(k)]
+        for m in range(1, 2900):
+            assert _fft_size(m) == next(k for k in sizes if k >= m)
+
+    @pytest.mark.parametrize("n", [16, 270, 1440, 2000, 2048, 2700, 8192])
     def test_fft_gufuncs_match_public_calls(self, n):
         # the private kernels behind np.fft.rfft and np.fft.irfft, with the
-        # kick weight as the forward normalisation factor
+        # kick weight as the forward normalisation factor, at whole-grid
+        # sizes and at even 5-smooth box sizes
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
         z = np.fft.rfft(x)
@@ -625,18 +818,26 @@ class TestComposition:
             assert np.array_equal(s, w * np.fft.rfft(x))
 
     def test_recorded_arrays_share_no_memory(self, grid):
-        s0 = breather_state(grid)
+        s0 = small_state(grid)
         phi0, pt0 = s0.phi.values.copy(), s0.phi_t.values.copy()
         states, buffers = [], []
         dt = grid.dx / 2
         run = _composition_run(_WEIGHTS[SchemeKind.YOSHIDA4_SPECTRAL], s0, dt,
-                               8, 1)
+                               256, 8)
+        boxes = set()
         for state in run:
             # the routine's scratch arrays, read from its suspended frame
+            # after each step that records: 256 steps take in a restart,
+            # which makes new ones
             f_locals = run.gi_frame.f_locals
-            buffers.extend(f_locals[k] for k in ("x", "y", "g_hat", "ph", "U"))
+            if state is not s0:
+                buffers.extend(f_locals[k] for k in ("x", "box", "g_hat",
+                                                     "ph", "U", "z"))
+                buffers.extend(f_locals["phases"])
+                boxes.add(id(f_locals["box"]))
             states.append((state, state.phi.values.copy(),
                            state.phi_t.values.copy()))
+        assert len(boxes) > 1
         assert states[0][0] is s0
         arrays = [a for state, _, _ in states
                   for a in (state.phi.values, state.phi_t.values)]
@@ -657,16 +858,28 @@ class TestComposition:
         with pytest.raises(ValueError, match="palindrome"):
             next(run)
 
-    @given(kind=st.sampled_from(list(_WEIGHTS)), stride=st.integers(1, 8))
+    @given(kind=st.sampled_from(list(_WEIGHTS)),
+           maker=st.sampled_from([breather_state, centred_gaussian_state]),
+           stride=st.integers(1, 40))
+    @example(kind=SchemeKind.YOSHIDA4_SPECTRAL, maker=centred_gaussian_state,
+             stride=24)
+    @example(kind=SchemeKind.STRANG_SPLIT_SPECTRAL,
+             maker=centred_gaussian_state, stride=7)
     @settings(max_examples=10, deadline=None)
-    def test_final_state_independent_of_stride(self, grid, kind, stride):
-        s0 = breather_state(grid)
+    def test_final_state_independent_of_stride(self, grid, kind, maker,
+                                               stride):
+        # the box is checked on the run's own step count: 128 steps are 7
+        # checks and, for the Gaussian, a restart, at the same step for
+        # every stride
+        s0 = maker(grid)
         dt = grid.dx / 2
-        ref = evolve(s0, Scheme(kind, dt), 1.0, snapshot_every=1.0)
-        traj = evolve(s0, Scheme(kind, dt), 1.0, snapshot_every=stride * dt)
-        assert traj.times[-1] == ref.times[-1]
-        for a, b in ((traj.states[-1].phi, ref.states[-1].phi),
-                     (traj.states[-1].phi_t, ref.states[-1].phi_t)):
+        ref = boxed_run(kind, s0, dt, 128, 1)
+        run = boxed_run(kind, s0, dt, 128, stride)
+        boxes = {state.time: box for state, box in ref}
+        assert all(boxes[state.time] == box for state, box in run)
+        (end, _), (ref_end, _) = run[-1], ref[-1]
+        assert end.time == ref_end.time
+        for a, b in ((end.phi, ref_end.phi), (end.phi_t, ref_end.phi_t)):
             assert np.max(np.abs(a.values - b.values)) < 1e-12
 
 

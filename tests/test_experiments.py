@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,17 @@ class TestExperimentConfig:
         assert cfg.name == "conservation"
         assert cfg.time_step == cfg.grid.dx / 2
         assert cfg.grid.n == 2048
+
+    def test_one_grid_per_config(self):
+        cfg = ExperimentConfig(**CHEAP)
+        assert cfg.grid is cfg.grid
+        assert cfg.grid == make_grid(-64.0, 64.0, 2048)
+        # the cached grid is not a field: equality, hash and asdict ignore it
+        fresh = ExperimentConfig(**CHEAP)
+        assert "grid" not in asdict(cfg)
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        with pytest.raises(AttributeError):
+            cfg.n = 4096
 
     def test_explicit_dt_wins(self):
         cfg = ExperimentConfig(**CHEAP, dt=0.01)
