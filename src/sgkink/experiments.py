@@ -45,12 +45,14 @@ from .fields import (
     norm,
     save_field_sgf,
 )
-from .tracking import _decay_bound, fit_decay_exponent, track
+from .tracking import (_MIN_FIT_SAMPLES, _decay_bound, fit_decay_exponent,
+                       track)
 from .scattering import (
     _MIN_EXTRACTION_TIME,
-    ExtractionMethod,
     U,
-    _packet_support,
+    _beyond_profile,
+    _cone_xi,
+    _max_reachable_xi,
     extract_W,
     predict_asymptotics,
     to_complex_u,
@@ -79,6 +81,12 @@ _PERTURBATIONS = ("gaussian", "odd-sech", "custom")
 # on and tests the predictor at these fractions of t_end, which must be
 # snapshots
 _PREDICTOR_FRACTIONS = (0.375, 0.75)
+# the windows the checks judge: small-data-scattering's decay fit over
+# [20, min(200, t_end)], exterior-decay's trend from t = 10 on and the
+# wobbler's pair energy from t = 20 on
+_FIT_WINDOW = (20.0, 200.0)
+_EXTERIOR_FROM = 10.0
+_WOBBLER_FROM = 20.0
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,11 @@ class ExperimentConfig:
         # built as the run builds it, so a grid too narrow for the kink's
         # tails or a custom_file on another grid is refused before any run
         s0 = _initial_state(self)
-        if self.name != "backlund-roundtrip":  # the only runner without evolve
-            _run_steps(Scheme(SchemeKind(self.scheme), self.time_step),
-                       self.grid.dx, s0.topology, self.t_end,
-                       self.snapshot_every, "t_end")
+        if self.name == "backlund-roundtrip":  # the only runner without evolve
+            return
+        steps, stride = _run_steps(
+            Scheme(SchemeKind(self.scheme), self.time_step), self.grid.dx,
+            s0.topology, self.t_end, self.snapshot_every, "t_end")
         if (self.name == "small-data-scattering"
                 and self.t_end >= _MIN_EXTRACTION_TIME):
             for frac in _PREDICTOR_FRACTIONS:
@@ -136,6 +145,10 @@ class ExperimentConfig:
                     raise ValueError(
                         f"predictor time {t} is not a snapshot time "
                         f"(snapshot_every={self.snapshot_every})") from None
+        # the snapshot times as the runner computes them, t0 + step dt:
+        # step 0, every stride steps, and the last step
+        _refuse_nothing_to_judge(self, s0.time + np.append(
+            np.arange(0, steps, stride), steps) * self.time_step)
 
     @cached_property
     def grid(self) -> Grid:
@@ -151,6 +164,43 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls(**json.load(fh))
+
+
+def _refuse_nothing_to_judge(cfg: ExperimentConfig, times: np.ndarray):
+    """Refuse a run that would integrate to times (its snapshot times) and
+    then fail, or pass a check that has nothing to judge."""
+    def need(count, lo, hi, what):
+        got = int(np.count_nonzero((times >= lo) & (times <= hi)))
+        if got < count:
+            span = f"t >= {lo}" if hi == np.inf else f"{lo} <= t <= {hi}"
+            raise ValueError(f"{what} needs >= {count} snapshots at {span}, "
+                             f"got {got}")
+
+    if cfg.name == "wobbler":
+        need(2, _WOBBLER_FROM, np.inf, "the pair-energy check")
+    if cfg.name == "exterior-decay":
+        need(2, _EXTERIOR_FROM, np.inf, "the exterior trend check")
+        reach = np.max(np.abs(cfg.grid.x))
+        late = times[(times >= _EXTERIOR_FROM) & (times > reach)]
+        if late.size:
+            raise ValueError(f"the exterior region |x| >= t is empty at "
+                             f"t={late[0]}: the grid reaches |x| = {reach}")
+    if cfg.name != "small-data-scattering":
+        return
+    need(_MIN_FIT_SAMPLES, _FIT_WINDOW[0], min(_FIT_WINDOW[1], cfg.t_end),
+         "the decay fit")
+    if cfg.t_end < _MIN_EXTRACTION_TIME:
+        return
+    xi_grid = _profile_xi(cfg.grid, times[-1])
+    for frac in _PREDICTOR_FRACTIONS:
+        t = frac * cfg.t_end
+        inside, _, xi = _cone_xi(t, cfg.grid.x[_predictor_mask(cfg.grid, t)])
+        if _beyond_profile(xi_grid, inside, xi):
+            raise ValueError(
+                f"the predictor at t={t} reads |xi| up to "
+                f"{np.max(np.abs(xi)):.3f}, past the profile's "
+                f"{np.max(xi_grid):.3f} that packets reach at "
+                f"t={times[-1]}; widen the grid")
 
 
 @dataclass
@@ -330,9 +380,9 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
         kept.update((tt, s) for tt in predictor_times
                     if abs(s.time - tt) <= 1e-9)
     rep.tables["decay"] = rows
-    hi = min(200.0, cfg.t_end)
-    series = [(r["t"], r["linf"]) for r in rows if 20 <= r["t"] <= hi]
-    fit = fit_decay_exponent(series, (20.0, hi))
+    lo, hi = _FIT_WINDOW[0], min(_FIT_WINDOW[1], cfg.t_end)
+    series = [(r["t"], r["linf"]) for r in rows if lo <= r["t"] <= hi]
+    fit = fit_decay_exponent(series, (lo, hi))
     rep.summary["decay_exponent"] = fit["exponent"]
     rep.summary["decay_r2"] = fit["r2"]
     rep.check("sup-norm decay exponent is -0.5 +/- 0.1",
@@ -340,9 +390,7 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     if cfg.t_end < _MIN_EXTRACTION_TIME:
         rep.summary["profile"] = "skipped: t_end below extraction threshold"
         return
-    xi_max = min(3.0, _max_reachable_xi(cfg.grid, s.time))
-    xi_grid = np.linspace(-xi_max, xi_max, 61)
-    W = extract_W(s, xi_grid, ExtractionMethod.WAVE_PACKET)  # the last
+    W = extract_W(s, _profile_xi(cfg.grid, s.time))  # the last snapshot
     rep.tables["profile"] = [
         {"xi": float(x), "re": float(w.real), "im": float(w.imag),
          "abs": float(abs(w))}
@@ -353,7 +401,7 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     ratios = {}
     for tt in predictor_times:
         u = to_complex_u(kept[tt])
-        mask = np.abs(cfg.grid.x) <= tt / 2
+        mask = _predictor_mask(cfg.grid, tt)
         pred = predict_asymptotics(W, tt, cfg.grid.x[mask], U())
         ratios[tt] = float(
             np.max(np.abs(u.values[mask] - pred)) / (tt**-0.5 * sup_w)
@@ -364,21 +412,15 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     rep.check("predictor ratio decreases in time", r2 < r1)
 
 
-def _max_reachable_xi(grid: Grid, t: float) -> float:
-    """Largest xi whose packets at -xi and xi pass wave_packet's support
-    checks at time t: within the grid's nodes and inside the light cone."""
-    edge = min(grid.x[-1], -grid.x[0])
+def _profile_xi(grid: Grid, t: float) -> np.ndarray:
+    """The xi at which the profile is read from the snapshot at time t."""
+    xi_max = min(3.0, _max_reachable_xi(grid, t))
+    return np.linspace(-xi_max, xi_max, 61)
 
-    def fits(xi):
-        v = xi / np.sqrt(1.0 + xi * xi)  # as extract_W maps xi to v
-        hi = _packet_support(t, v)[1]  # the packet at -v ends at -hi
-        return hi <= edge and hi < t
 
-    lo, hi = 0.0, 1.0 - 1e-12  # bisection in v: fits holds on [0, v*)
-    for _ in range(60):
-        v = 0.5 * (lo + hi)
-        lo, hi = (v, hi) if fits(v / np.sqrt(1.0 - v * v)) else (lo, v)
-    return lo / np.sqrt(1.0 - lo * lo)
+def _predictor_mask(grid: Grid, t: float) -> np.ndarray:
+    """The nodes at which the predictor is tested at time t."""
+    return np.abs(grid.x) <= t / 2
 
 
 def _run_wobbler(cfg: ExperimentConfig, rep: Report) -> None:
@@ -386,7 +428,7 @@ def _run_wobbler(cfg: ExperimentConfig, rep: Report) -> None:
     rows = [{"t": r.time, "center": r.center,
              "diff_pair_energy": r.diff_pair_energy} for r in records]
     rep.tables["tracking"] = rows
-    window = [r for r in rows if r["t"] >= 20]
+    window = [r for r in rows if r["t"] >= _WOBBLER_FROM]
     if window:
         ref = window[0]["diff_pair_energy"]
         inf_val = min(r["diff_pair_energy"] for r in window)
@@ -400,7 +442,7 @@ def _run_exterior_decay(cfg: ExperimentConfig, rep: Report) -> None:
                     cfg.x0, exterior=True)
     rows = []
     for rec in records:
-        if rec.time < 10:
+        if rec.time < _EXTERIOR_FROM:
             continue
         if rec.exterior_sup is None:
             raise ValueError(f"empty exterior region at t={rec.time}")

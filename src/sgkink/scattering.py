@@ -4,7 +4,9 @@ The radiation part of a perturbed kink is reduced to the complex unknown
 u = phi + i <D>^{-1} phi_t.  Pairing u against almost-orthogonal wave packets
 concentrated along rays x = vt yields a profile gamma(t, v) whose modulus
 converges; removing the logarithmic phase drift gives the scattering profile
-W(xi) with xi = v/sqrt(1-v^2).  From W, the pointwise large-time shape of the
+W(xi) with xi = v/sqrt(1-v^2).  Wave packets are the one way W is read; which
+xi a grid lets a packet read at time t is answered here too
+(_max_reachable_xi).  From W, the pointwise large-time shape of the
 radiation, and of the kink difference itself, can be predicted and compared
 against live runs.
 """
@@ -12,17 +14,14 @@ against live runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .backlund import _reconstruct
 from .exact import kink_identities, KinkParams
-from .fields import (Field, Grid, State, Topology, _local_poly,
-                     bessel_multiplier)
+from .fields import Field, Grid, State, Topology, bessel_multiplier
 
 __all__ = [
-    "ExtractionMethod",
     "ProfileW",
     "U",
     "KinkDiff",
@@ -46,17 +45,11 @@ def _chi(y):
     return vals / (_CHI_RADIUS * 256.0 / 315.0)
 
 
-class ExtractionMethod(Enum):
-    WAVE_PACKET = "wave-packet"
-    STATIONARY_PHASE = "stationary-phase"
-
-
 @dataclass(frozen=True)
 class ProfileW:
     xi_grid: np.ndarray
     W: np.ndarray
     extraction_time: float
-    method: ExtractionMethod
 
     def interpolate(self, xi):
         """Linear interpolation in xi; zero beyond the sampled range."""
@@ -79,6 +72,23 @@ def _packet_support(t: float, v: float) -> tuple:
     jap = 1.0 / np.sqrt(1.0 - v * v)  # <xi_v> for xi_v = v/sqrt(1-v^2)
     half_width = _CHI_RADIUS * np.sqrt(t) / jap**1.5
     return v * t - half_width, v * t + half_width
+
+
+def _max_reachable_xi(grid: Grid, t: float) -> float:
+    """Largest xi whose packets at -xi and xi pass wave_packet's support
+    checks at time t: within the grid's nodes and inside the light cone."""
+    edge = min(grid.x[-1], -grid.x[0])
+
+    def fits(xi):
+        v = xi / np.sqrt(1.0 + xi * xi)  # as extract_W maps xi to v
+        hi = _packet_support(t, v)[1]  # the packet at -v ends at -hi
+        return hi <= edge and hi < t
+
+    lo, hi = 0.0, 1.0 - 1e-12  # bisection in v: fits holds on [0, v*)
+    for _ in range(60):
+        v = 0.5 * (lo + hi)
+        lo, hi = (v, hi) if fits(v / np.sqrt(1.0 - v * v)) else (lo, v)
+    return lo / np.sqrt(1.0 - lo * lo)
 
 
 def wave_packet(grid: Grid, t: float, v: float) -> Field:
@@ -113,9 +123,9 @@ def _remove_log_phase(raw: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
     return raw * np.exp(-1j / (32.0 * jap) * np.abs(raw) ** 2 * np.log(t))
 
 
-def extract_W(s: State, xi_grid,
-              method: ExtractionMethod = ExtractionMethod.WAVE_PACKET) -> ProfileW:
-    """The scattering profile W(xi) read off the final state s."""
+def extract_W(s: State, xi_grid) -> ProfileW:
+    """The scattering profile W(xi) read off the final state s by wave
+    packets along the rays v = xi/<xi>."""
     t = s.time
     if t < _MIN_EXTRACTION_TIME:
         raise ValueError(
@@ -123,24 +133,9 @@ def extract_W(s: State, xi_grid,
             f"{_MIN_EXTRACTION_TIME}"
         )
     xi_grid = np.asarray(xi_grid, dtype=float)
-    jap = np.sqrt(1.0 + xi_grid * xi_grid)
-    v = xi_grid / jap
-    u = to_complex_u(s)
-    if method is ExtractionMethod.WAVE_PACKET:
-        raw = gamma_profile(u, t, v)
-    else:
-        x, rays = u.grid.x, v * t
-        off = np.flatnonzero((rays < x[0]) | (rays > x[-1]))
-        if off.size:
-            k = off[0]
-            end = x[0] if rays[k] < x[0] else x[-1]
-            raise ValueError(f"ray x = vt = {rays[k]:.2f} (xi = "
-                             f"{xi_grid[k]:g}) lies past the grid end "
-                             f"{end:.2f}")
-        uv = _local_poly(x, u.values, rays)
-        rho = t / jap  # rho = sqrt(t^2 - (vt)^2)
-        raw = np.sqrt(t) * np.exp(1j * rho) * uv
-    return ProfileW(xi_grid, _remove_log_phase(raw, xi_grid, t), t, method)
+    v = xi_grid / np.sqrt(1.0 + xi_grid * xi_grid)
+    raw = gamma_profile(to_complex_u(s), t, v)
+    return ProfileW(xi_grid, _remove_log_phase(raw, xi_grid, t), t)
 
 
 @dataclass(frozen=True)
@@ -160,11 +155,24 @@ class KinkDerivDiff:
     center: float
 
 
-def _oscillator(W: ProfileW, t: float, x: np.ndarray):
-    """Common factor W(xi) exp(-i rho + i/(32<xi>)|W|^2 ln t) inside |x| < t."""
+def _cone_xi(t: float, x: np.ndarray):
+    """(inside, rho, xi) at the points x: inside is |x| < t, rho is
+    sqrt(t^2 - x^2) and xi = x/rho inside the light cone, 0 outside."""
     inside = np.abs(x) < t
     rho = np.sqrt(np.maximum(t * t - x * x, 0.0))
     xi = np.where(inside, x / np.where(rho > 0, rho, 1.0), 0.0)
+    return inside, rho, xi
+
+
+def _beyond_profile(xi_grid: np.ndarray, inside: np.ndarray,
+                    xi: np.ndarray) -> bool:
+    """Whether a point inside the light cone reads xi past xi_grid's range."""
+    return bool(np.any(inside & (np.abs(xi) > np.max(np.abs(xi_grid)))))
+
+
+def _oscillator(W: ProfileW, t: float, x: np.ndarray):
+    """Common factor W(xi) exp(-i rho + i/(32<xi>)|W|^2 ln t) inside |x| < t."""
+    inside, rho, xi = _cone_xi(t, x)
     jap = np.sqrt(1.0 + xi * xi)
     Wv = W.interpolate(xi)
     phase = np.exp(-1j * rho + 1j / (32.0 * jap) * np.abs(Wv) ** 2 * np.log(t))
@@ -196,7 +204,7 @@ def predict_asymptotics(W: ProfileW, t: float, x, target):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(target, U):
         inside, xi, jap, osc = _oscillator(W, t, x)
-        if np.any(inside & (np.abs(xi) > np.max(np.abs(W.xi_grid)))):
+        if _beyond_profile(W.xi_grid, inside, xi):
             raise ValueError("requested xi outside the sampled profile range")
         out = np.where(inside, t**-0.5 * osc, 0.0 + 0.0j)
         return complex(out[0]) if scalar else out

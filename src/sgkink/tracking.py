@@ -35,6 +35,8 @@ __all__ = [
     "fit_decay_exponent",
 ]
 
+_MIN_FIT_SAMPLES = 10  # fit_decay_exponent's fewest points in its window
+
 
 @dataclass(frozen=True)
 class TrackRecord:
@@ -190,8 +192,9 @@ def fit_decay_exponent(series, window) -> dict:
     t1, t2 = window
     mask = (arr[:, 0] >= t1) & (arr[:, 0] <= t2)
     pts = arr[mask]
-    if len(pts) < 10:
-        raise ValueError(f"need >= 10 samples in window, got {len(pts)}")
+    if len(pts) < _MIN_FIT_SAMPLES:
+        raise ValueError(f"need >= {_MIN_FIT_SAMPLES} samples in window, "
+                         f"got {len(pts)}")
     if np.any(pts[:, 1] <= 0):
         raise ValueError("values must be positive for a log-log fit")
     lt, lv = np.log(pts[:, 0]), np.log(pts[:, 1])

@@ -40,13 +40,13 @@ from sgkink.fields import (
     norm,
 )
 from sgkink.scattering import (
-    ExtractionMethod,
     U,
     extract_W,
     predict_asymptotics,
     to_complex_u,
 )
 from sgkink.tracking import fit_decay_exponent, pi_level_center, track
+from test_scattering import reference_stationary_phase
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -121,8 +121,7 @@ def scattering_long():
     s0 = _gaussian_state(grid, eps)
     traj = evolve(s0, Scheme(SchemeKind.YOSHIDA4_SPECTRAL, 0.0625), 400.0,
                   snapshot_every=5.0)
-    W = extract_W(traj.states[-1], np.linspace(-3.0, 3.0, 121),
-                  ExtractionMethod.WAVE_PACKET)
+    W = extract_W(traj.states[-1], np.linspace(-3.0, 3.0, 121))
     return eps, traj, W
 
 
@@ -333,10 +332,9 @@ def test_criterion_12_exact_solution_residuals():
 
 
 def test_extraction_methods_agree(scattering_long):
-    """Cross-check, not a numbered criterion: both profile extraction
-    methods agree at the final time."""
+    """Cross-check, not a numbered criterion: the wave-packet profile agrees
+    with the stationary-phase oracle at the final time."""
     _, traj, W = scattering_long
-    W2 = extract_W(traj.states[-1], W.xi_grid,
-                   ExtractionMethod.STATIONARY_PHASE)
+    W2 = reference_stationary_phase(traj.states[-1], W.xi_grid)
     rel = float(np.max(np.abs(W.W - W2.W)) / np.max(np.abs(W.W)))
     assert rel < 0.15, f"method disagreement {rel:.3f}"

@@ -20,10 +20,7 @@ from sgkink.experiments import (
     run_experiment,
     write_report,
 )
-from sgkink.experiments import _max_reachable_xi
-from sgkink.fields import (Field, State, Topology, load_field_csv, make_grid,
-                           save_field_csv)
-from sgkink.scattering import extract_W
+from sgkink.fields import Field, make_grid, save_field_csv
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -31,6 +28,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # a kink-stability run whose grid is too narrow for the kink's tails
 NARROW = {"name": "kink-stability", "x_min": -8.0, "x_max": 8.0, "n": 256,
           "t_end": 2.0}
+
+# small-data-scattering on a small grid
+SMALL = {"name": "small-data-scattering", "x_min": -64.0, "x_max": 64.0,
+         "n": 1024, "scheme": "yoshida4", "dt": 0.0625}
 
 CHEAP = dict(
     name="conservation",
@@ -144,18 +145,6 @@ class TestRunners:
         ))
         assert rep.passed, rep.failures
         assert rep.summary["roundtrip_sup_error"] < 1e-6
-
-
-def test_packet_reach_is_what_wave_packet_accepts():
-    # the last node of [-80, 80) with n = 2048 is 80 - dx, dx = 0.078125;
-    # the reach at t = 100 is bound by it, not by x_max
-    grid = make_grid(-80.0, 80.0, 2048)
-    xi = _max_reachable_xi(grid, 100.0)
-    zero = Field(grid, np.zeros(grid.n))
-    s = State(zero, zero, 100.0, Topology.ZERO)
-    assert not np.any(extract_W(s, np.linspace(-xi, xi, 61)).W)
-    with pytest.raises(ValueError, match="leaks off grid"):
-        extract_W(s, [1.0001 * xi])
 
 
 def traced_peak(cfg):
@@ -278,8 +267,39 @@ class TestCli:
          "CFL violation"),
         ({"name": "conservation", "scheme": "yoshida4"}, "zero topology"),
         ({"name": "kink-stability", "scheme": "yoshida4"}, "zero topology"),
+        # the run would integrate, then end in fit_decay_exponent: 7
+        # snapshots in [20, 50], or none at all (an IndexError)
+        ({**SMALL, "t_end": 50.0, "snapshot_every": 5.0},
+         "the decay fit needs >= 10 snapshots at 20.0 <= t <= 50.0, got 7"),
+        ({**SMALL, "t_end": 10.0, "snapshot_every": 5.0},
+         "the decay fit needs >= 10 snapshots at 20.0 <= t <= 10.0, got 0"),
+        # packets reach |xi| <= 0.427 at t = 160; the predictor at t = 60
+        # reads |x| <= 30, |xi| up to 1/sqrt(3)
+        ({**SMALL, "n": 2048, "epsilon": 0.15, "t_end": 160.0,
+          "snapshot_every": 5.0},
+         "the predictor at t=60.0 reads |xi| up to 0.577, past the "
+         "profile's 0.427"),
+        # the exterior trend compares halves of the snapshots at t >= 10
+        ({"name": "exterior-decay", "t_end": 9.0},
+         "the exterior trend check needs >= 2 snapshots at t >= 10.0, got 0"),
+        ({"name": "exterior-decay", "t_end": 10.0},
+         "the exterior trend check needs >= 2 snapshots at t >= 10.0, got 1"),
+        # the last node of [-64, 64) is -64, so |x| >= t is empty from t = 65
+        ({"name": "exterior-decay", "x_min": -64.0, "x_max": 64.0,
+          "n": 2048, "t_end": 100.0, "snapshot_every": 5.0},
+         "the exterior region |x| >= t is empty at t=65.0"),
+        # with no snapshot at t >= 20 the run judged nothing; with one, the
+        # ratio inf/initial was 1 by construction
+        ({"name": "wobbler", "t_end": 10.0},
+         "the pair-energy check needs >= 2 snapshots at t >= 20.0, got 0"),
+        ({"name": "wobbler", "t_end": 20.0},
+         "the pair-energy check needs >= 2 snapshots at t >= 20.0, got 1"),
     ], ids=["leapfrog-cfl", "conservation-kink-spectral",
-            "kink-stability-spectral"])
+            "kink-stability-spectral", "decay-fit-7-snapshots",
+            "decay-fit-no-snapshots", "profile-too-narrow",
+            "exterior-no-snapshots", "exterior-one-snapshot",
+            "exterior-region-empty", "wobbler-no-snapshots",
+            "wobbler-one-snapshot"])
     def test_validate_rejects_what_run_refuses(self, cfg, message, tmp_path,
                                                capsys):
         bad = tmp_path / "bad.json"

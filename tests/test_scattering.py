@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sgkink.fields import Field, State, Topology, make_grid
+from sgkink.fields import Field, State, Topology, _local_poly, make_grid
 from sgkink.scattering import (
     _CHI_RADIUS,
-    ExtractionMethod,
     KinkDerivDiff,
     KinkDiff,
     ProfileW,
     U,
     _chi,
+    _max_reachable_xi,
+    _remove_log_phase,
     extract_W,
     gamma_profile,
     predict_asymptotics,
@@ -36,6 +37,31 @@ def free_state(grid, eps, t):
     phi = u.real
     phi_t = np.fft.ifft(jap * np.fft.fft(u.imag)).real
     return State(Field(grid, phi), Field(grid, phi_t), t, Topology.ZERO)
+
+
+def reference_stationary_phase(s, xi_grid):
+    """W(xi) read by stationary phase, the oracle for extract_W's wave
+    packets: along the ray x = vt, u is t^{-1/2} e^{-i rho} W(xi) to leading
+    order, rho = t/<xi>, so W is sqrt(t) e^{i rho} u(vt), with u sampled off
+    the grid by its local quintic; the log phase is removed as extract_W
+    removes it.  Rays past the grid's ends are refused."""
+    t = s.time
+    xi_grid = np.asarray(xi_grid, dtype=float)
+    jap = np.sqrt(1.0 + xi_grid * xi_grid)
+    v = xi_grid / jap
+    u = to_complex_u(s)
+    x, rays = u.grid.x, v * t
+    off = np.flatnonzero((rays < x[0]) | (rays > x[-1]))
+    if off.size:
+        k = off[0]
+        end = x[0] if rays[k] < x[0] else x[-1]
+        raise ValueError(f"ray x = vt = {rays[k]:.2f} (xi = "
+                         f"{xi_grid[k]:g}) lies past the grid end "
+                         f"{end:.2f}")
+    uv = _local_poly(x, u.values, rays)
+    rho = t / jap  # rho = sqrt(t^2 - (vt)^2)
+    raw = np.sqrt(t) * np.exp(1j * rho) * uv
+    return ProfileW(xi_grid, _remove_log_phase(raw, xi_grid, t), t)
 
 
 def analytic_free_W(eps, xiv):
@@ -110,11 +136,12 @@ class TestGammaProfile:
 
 
 class TestExtractW:
-    @pytest.mark.parametrize("method", list(ExtractionMethod))
-    def test_free_flow_oracle(self, grid, method):
+    @pytest.mark.parametrize("read", [extract_W, reference_stationary_phase],
+                             ids=["wave-packet", "stationary-phase"])
+    def test_free_flow_oracle(self, grid, read):
         eps, t = 0.05, 400.0
         xi = np.linspace(-3.0, 3.0, 61)
-        W = extract_W(free_state(grid, eps, t), xi, method)
+        W = read(free_state(grid, eps, t), xi)
         # undo the log-phase removal: the free flow has no phase drift
         jap = np.sqrt(1 + xi**2)
         raw = W.W * np.exp(1j / (32 * jap) * np.abs(W.W) ** 2 * np.log(t))
@@ -128,18 +155,24 @@ class TestExtractW:
         W = extract_W(s, np.linspace(-2, 2, 21))
         assert np.all(W.W == 0)
 
-    @pytest.mark.parametrize("method, message", [
-        (ExtractionMethod.WAVE_PACKET, "leaks off grid"),
-        (ExtractionMethod.STATIONARY_PHASE,
-         r"ray x = vt = -94\.87 \(xi = -3\) lies past the grid end -64\.00"),
-    ], ids=["wave-packet", "stationary-phase"])
-    def test_rays_off_the_grid_refused(self, method, message):
+    def test_rays_off_the_grid_refused(self):
         # at t=100, xi = -3 puts the ray at vt = -94.87, past x[0] = -64
         small = make_grid(-64.0, 64.0, 1024)
         s = State(Field(small, 0.01 * np.exp(-small.x**2)),
                   Field(small, np.zeros(small.n)), 100.0, Topology.ZERO)
-        with pytest.raises(ValueError, match=message):
-            extract_W(s, np.linspace(-3.0, 3.0, 61), method)
+        with pytest.raises(ValueError, match="leaks off grid"):
+            extract_W(s, np.linspace(-3.0, 3.0, 61))
+
+    def test_packet_reach_is_what_wave_packet_accepts(self):
+        # the last node of [-80, 80) with n = 2048 is 80 - dx, dx = 0.078125;
+        # the reach at t = 100 is bound by it, not by x_max
+        grid = make_grid(-80.0, 80.0, 2048)
+        xi = _max_reachable_xi(grid, 100.0)
+        zero = Field(grid, np.zeros(grid.n))
+        s = State(zero, zero, 100.0, Topology.ZERO)
+        assert not np.any(extract_W(s, np.linspace(-xi, xi, 61)).W)
+        with pytest.raises(ValueError, match="leaks off grid"):
+            extract_W(s, [1.0001 * xi])
 
     def test_rejects_early_extraction(self, grid):
         with pytest.raises(ValueError):
@@ -150,7 +183,7 @@ class TestExtractW:
 def profile():
     xi = np.linspace(-4.0, 4.0, 81)
     W = np.exp(-np.abs(xi)) * (0.04 + 0.03j)
-    return ProfileW(xi, W, 400.0, ExtractionMethod.WAVE_PACKET)
+    return ProfileW(xi, W, 400.0)
 
 
 class TestPredictAsymptotics:
@@ -170,8 +203,7 @@ class TestPredictAsymptotics:
     def test_free_flow_prediction(self, grid):
         eps, t = 0.05, 300.0
         xi = np.linspace(-3.0, 3.0, 121)
-        Wp = ProfileW(xi, analytic_free_W(eps, xi), t,
-                      ExtractionMethod.STATIONARY_PHASE)
+        Wp = ProfileW(xi, analytic_free_W(eps, xi), t)
         s = free_state(grid, eps, t)
         u = to_complex_u(s)
         mask = np.abs(grid.x) <= t / 2
@@ -181,8 +213,7 @@ class TestPredictAsymptotics:
 
     def test_zero_profile_gives_zero_everywhere(self):
         xi = np.linspace(-2, 2, 21)
-        Wp = ProfileW(xi, np.zeros(21, dtype=complex), 200.0,
-                      ExtractionMethod.WAVE_PACKET)
+        Wp = ProfileW(xi, np.zeros(21, dtype=complex), 200.0)
         g = make_grid(-64.0, 64.0, 1024)
         assert np.all(predict_asymptotics(Wp, 100.0, g.x, U()) == 0)
         assert np.all(predict_asymptotics(Wp, 100.0, g.x, KinkDiff(0.2, 0.0))
@@ -213,8 +244,7 @@ class TestPredictAsymptotics:
         # so the only corner left is the kink center beta t + 0.1 = 20.1,
         # off every node of both grids
         xi = np.linspace(-4.0, 4.0, 81)
-        smooth = ProfileW(xi, np.exp(-xi * xi) * (0.04 + 0.03j), 400.0,
-                          ExtractionMethod.WAVE_PACKET)
+        smooth = ProfileW(xi, np.exp(-xi * xi) * (0.04 + 0.03j), 400.0)
         t, target = 100.0, KinkDiff(0.2, 0.1)
         fine = make_grid(-128.0, 128.0, 65536)
         coarse = make_grid(-128.0, 128.0, 2048)
