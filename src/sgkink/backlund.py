@@ -134,10 +134,17 @@ def backlund_residual(f: State, phi: State, a: float) -> dict:
         raise ValueError("grid mismatch")
     if abs(f.time - phi.time) > 1e-12:
         raise ValueError("time mismatch")
-    P, M = _pair(f.phi.values, phi.phi.values, a)
-    r1 = spatial_derivative(f.phi, 1).values - phi.phi_t.values - P
-    r2 = f.phi_t.values - spatial_derivative(phi.phi, 1).values - M
+    r1, r2 = _residual(f.phi.values, f.phi_t.values, phi.phi.values,
+                       phi.phi_t.values, a, f.grid.dx)
     return {"R1": Field(f.grid, r1), "R2": Field(f.grid, r2)}
+
+
+def _residual(f: np.ndarray, f_t: np.ndarray, phi: np.ndarray,
+              phi_t: np.ndarray, a: float, dx: float) -> tuple:
+    """backlund_residual's (R1, R2) on raw samples, unchecked."""
+    P, M = _pair(f, phi, a)
+    return (_fd_stencil(f, dx, 1) - phi_t - P,
+            f_t - _fd_stencil(phi, dx, 1) - M)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, State, Topology, _fd_stencil
+from .fields import Field, State, Topology, _fd_stencil, _trapezoid
 
 __all__ = [
     "SchemeKind",
@@ -284,19 +284,23 @@ def _fft_size(m: int) -> int:
         k += 2
 
 
+def _active(phi: np.ndarray, phi_t: np.ndarray, quiet: float) -> np.ndarray:
+    """The cells where |phi| or |phi_t| is more than quiet; NaN counts."""
+    return np.flatnonzero(~((np.abs(phi) <= quiet) & (np.abs(phi_t) <= quiet)))
+
+
 def _box(phi: np.ndarray, phi_t: np.ndarray, offset: int, quiet: float,
          margin: int, n: int) -> tuple[int, int]:
     """The box [a, a + nb) of an n-cell grid, as (a, nb), for a state whose
     phi and phi_t fill the cells [offset, offset + phi.size).
 
-    The active cells, where |phi| or |phi_t| is more than quiet (NaN counts
-    as active), widened by margin cells a side, must lie in [0, n); nb is
-    the smallest even 5-smooth size that holds them, and the box is centred
-    on them and then moved inside the grid.  No active cell, a widened span
-    past either end of the grid, or nb >= n gives the whole grid, (0, n).
+    The active cells (see _active), widened by margin cells a side, must
+    lie in [0, n); nb is the smallest even 5-smooth size that holds them,
+    and the box is centred on them and then moved inside the grid.  No
+    active cell, a widened span past either end of the grid, or nb >= n
+    gives the whole grid, (0, n).
     """
-    active = np.flatnonzero(~((np.abs(phi) <= quiet)
-                              & (np.abs(phi_t) <= quiet)))
+    active = _active(phi, phi_t, quiet)
     if not active.size:
         return 0, n
     lo = offset + int(active[0]) - margin
@@ -486,13 +490,9 @@ def conserved_quantities(s: State) -> dict:
     np.add(pt * pt, px * px, out=S)
     np.multiply(pt, 2.0 * px, out=T)
 
-    def integrate(density):
-        # the trapezoid rule without np.trapezoid's three n-length temporaries
-        return float(dx * (density.sum() - 0.5 * (density[0] + density[-1])))
-
     # 1 - cos phi as 2 sin^2(phi/2): no cancellation for small phi
-    e0 = integrate(0.5 * S + 2.0 * sin_half * sin_half)
-    p_mom = 0.25 * integrate(T)
+    e0 = _trapezoid(0.5 * S + 2.0 * sin_half * sin_half, dx)
+    p_mom = 0.25 * _trapezoid(T, dx)
 
     C = ptt + pxx
     C2 = C * C + 4.0 * ptx * ptx
@@ -506,4 +506,5 @@ def conserved_quantities(s: State) -> dict:
     j4 += (0.25 * C2 - 0.1875 * Q) * cosphi
     j4 += 0.75 * (S * C + 2.0 * T * ptx) * sinphi
 
-    return {"E0": e0, "P": p_mom, "E2": integrate(j2), "E4": integrate(j4)}
+    return {"E0": e0, "P": p_mom, "E2": _trapezoid(j2, dx),
+            "E4": _trapezoid(j4, dx)}

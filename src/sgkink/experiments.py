@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field as dc_field, asdict
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .backlund import backlund_residual, forward_transform, inverse_transform
+from .backlund import (_residual, backlund_residual, forward_transform,
+                       inverse_transform)
 from .evolve import (
+    _BOX_QUIET,
     Scheme,
     SchemeKind,
+    _active,
     _run_steps,
     _whole_steps,
     conserved_quantities,
@@ -40,6 +44,7 @@ from .fields import (
     Lp,
     State,
     Topology,
+    _trapezoid,
     load_field_csv,
     make_grid,
     norm,
@@ -149,6 +154,8 @@ class ExperimentConfig:
         # step 0, every stride steps, and the last step
         _refuse_nothing_to_judge(self, s0.time + np.append(
             np.arange(0, steps, stride), steps) * self.time_step)
+        if self.name == "small-data-scattering":
+            _refuse_wraparound(self, s0)
 
     @cached_property
     def grid(self) -> Grid:
@@ -201,6 +208,26 @@ def _refuse_nothing_to_judge(cfg: ExperimentConfig, times: np.ndarray):
                 f"{np.max(np.abs(xi)):.3f}, past the profile's "
                 f"{np.max(xi_grid):.3f} that packets reach at "
                 f"t={times[-1]}; widen the grid")
+
+
+def _refuse_wraparound(cfg: ExperimentConfig, s0: State):
+    """Refuse a run whose radiation would reach an end of the periodic grid
+    and wrap around: the data's active span, its cells above _BOX_QUIET
+    times its sup as the spectral box reads them, widened by the light
+    cone's t_end - t0 on each side, must stay in [x_min, x_max]."""
+    phi, phi_t = s0.phi.values, s0.phi_t.values
+    active = _active(phi, phi_t, _BOX_QUIET * max(np.max(np.abs(phi)),
+                                                   np.max(np.abs(phi_t))))
+    if not active.size:
+        return
+    a, b = cfg.grid.x[active[[0, -1]]]
+    reach = cfg.t_end - s0.time
+    if a - reach < cfg.x_min or b + reach > cfg.x_max:
+        raise ValueError(
+            f"the radiation from the data's span [{a:.3f}, {b:.3f}] reaches "
+            f"[{a - reach:.3f}, {b + reach:.3f}] by t_end={cfg.t_end}, past "
+            f"the grid's [{cfg.x_min}, {cfg.x_max}]: it would wrap around; "
+            "widen the grid")
 
 
 @dataclass
@@ -281,14 +308,17 @@ def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
     s0 = _initial_state(cfg)
     inv = inverse_transform(s0, cfg.beta0, cfg.x0)
     rep.summary["inverse"] = json.loads(inv.to_json())
-    residuals = []
+    residuals, dx = [], cfg.grid.dx
 
     def f_states():
-        # f and phi in lockstep; only the residual norms outlive a snapshot
+        # f and phi in lockstep; only the residual norms outlive a snapshot,
+        # each the L2 norm of backlund_residual's R1 or R2
         for s, p in zip(_snapshots(cfg, s0, rep, "f"),
                         _snapshots(cfg, inv.phi, rep, "phi"), strict=True):
-            res = backlund_residual(s, p, inv.a)
-            residuals.append((norm(res["R1"], Lp(2)), norm(res["R2"], Lp(2))))
+            res = _residual(s.phi.values, s.phi_t.values, p.phi.values,
+                            p.phi_t.values, inv.a, dx)
+            residuals.append(tuple(math.sqrt(_trapezoid(r, dx, r))
+                                   for r in res))
             yield s
 
     records = track(f_states(), inv.beta, inv.center)

@@ -11,16 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sgkink.backlund import backlund_residual, inverse_transform
 from sgkink.cli import main
-from sgkink.evolve import SchemeKind
+from sgkink.evolve import Scheme, SchemeKind, snapshots
 from sgkink.experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
     Report,
+    _initial_state,
     run_experiment,
     write_report,
 )
-from sgkink.fields import Field, make_grid, save_field_csv
+from sgkink.fields import Field, Lp, make_grid, norm, save_field_csv
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -137,6 +139,25 @@ class TestRunners:
             **{**CHEAP, "data": "breather", "scheme": "yoshida4"}
         ))
         assert rep.passed, rep.failures
+
+    def test_residual_columns_are_backlund_residual_norms(self):
+        # the runner takes the norms on raw arrays; the public definition
+        # is the L2 norm of backlund_residual's fields, snapshot by snapshot
+        cfg = ExperimentConfig(name="kink-stability", x_min=-32.0,
+                               x_max=32.0, n=512, t_end=2.0,
+                               snapshot_every=0.5)
+        rows = run_experiment(cfg).tables["tracking"]
+        s0 = _initial_state(cfg)
+        inv = inverse_transform(s0, cfg.beta0, cfg.x0)
+        scheme = Scheme(SchemeKind(cfg.scheme), cfg.time_step)
+        pairs = zip(snapshots(s0, scheme, cfg.t_end, cfg.snapshot_every),
+                    snapshots(inv.phi, scheme, cfg.t_end, cfg.snapshot_every),
+                    strict=True)
+        for row, (s, p) in zip(rows, pairs, strict=True):
+            res = backlund_residual(s, p, inv.a)
+            for col, key in (("backlund_r1", "R1"), ("backlund_r2", "R2")):
+                assert row[col] == pytest.approx(norm(res[key], Lp(2)),
+                                                 rel=1e-12, abs=0.0), col
 
     def test_roundtrip_small(self):
         rep = run_experiment(ExperimentConfig(
@@ -279,6 +300,13 @@ class TestCli:
           "snapshot_every": 5.0},
          "the predictor at t=60.0 reads |xi| up to 0.577, past the "
          "profile's 0.427"),
+        # the cells above 1e-13 times the data's sup span [-5.438, 5.438];
+        # by t = 120 the radiation reaches past either end of [-64, 64]
+        # and the periodic grid would wrap it around
+        ({**SMALL, "n": 2048, "epsilon": 0.15, "t_end": 120.0,
+          "snapshot_every": 1.0},
+         "reaches [-125.438, 125.438] by t_end=120.0, past the grid's "
+         "[-64.0, 64.0]: it would wrap around"),
         # the exterior trend compares halves of the snapshots at t >= 10
         ({"name": "exterior-decay", "t_end": 9.0},
          "the exterior trend check needs >= 2 snapshots at t >= 10.0, got 0"),
@@ -297,6 +325,7 @@ class TestCli:
     ], ids=["leapfrog-cfl", "conservation-kink-spectral",
             "kink-stability-spectral", "decay-fit-7-snapshots",
             "decay-fit-no-snapshots", "profile-too-narrow",
+            "radiation-wraps-around",
             "exterior-no-snapshots", "exterior-one-snapshot",
             "exterior-region-empty", "wobbler-no-snapshots",
             "wobbler-one-snapshot"])

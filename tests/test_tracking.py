@@ -1,12 +1,15 @@
 """Center selection, velocity estimation, and decay diagnostics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
+from sgkink import tracking
 from sgkink.evolve import Scheme, SchemeKind, evolve
-from sgkink.exact import Kink, KinkParams, sample_state, sech
+from sgkink.exact import Kink, KinkParams, kink_identities, sample_state, sech
 from sgkink.fields import (
     Field,
     L2PlusLinf,
@@ -114,6 +117,48 @@ class TestSolveCenter:
         flat = Field(grid, np.full(grid.n, 0.3))
         with pytest.raises(RuntimeError):
             solve_center(flat, 0.0, 0.0, 0.0)
+
+
+def reference_orthogonality(f: Field, beta: float, t: float,
+                            c: float) -> tuple:
+    """_orthogonality's sums over the whole grid, as the library took them
+    before its sech window: the window's oracle."""
+    p = KinkParams(beta, c)
+    ids = kink_identities(p, t, f.grid.x)
+    diff, s = f.values - ids["Q"], ids["sin_half"]
+    slope = (ids["Q_x"] - p.gamma * diff * ids["cos_half"]) * s
+    return (float(np.trapezoid(diff * s, dx=f.grid.dx)),
+            float(np.trapezoid(slope, dx=f.grid.dx)))
+
+
+class TestOrthogonalityWindow:
+    """_orthogonality sums only the cells with |gamma(x - beta t - c)| <= 40;
+    the full-grid sums agree with it to their rounding."""
+
+    # on [-64, 64) the window's half-width 40/gamma is 32 to 40, so a kink
+    # at more than that from the middle has its slice clipped by a grid end
+    GRID = make_grid(-64.0, 64.0, 1024)
+
+    @given(beta=st.floats(-0.6, 0.6), t=st.floats(0.0, 20.0),
+           at=st.floats(-60.0, 60.0), off=st.floats(-1.0, 1.0),
+           amp=st.floats(-0.05, 0.05), bump_at=st.floats(-60.0, 60.0))
+    # the kink 4 from either end, the slice clipped there; and in the middle
+    @example(beta=0.6, t=20.0, at=60.0, off=0.5, amp=0.05, bump_at=59.0)
+    @example(beta=-0.6, t=20.0, at=-60.0, off=-0.5, amp=-0.05, bump_at=-59.0)
+    @example(beta=0.0, t=0.0, at=0.0, off=0.0, amp=0.05, bump_at=0.5)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_grid(self, beta, t, at, off, amp, bump_at):
+        # a kink at x = at, off from the center c at which the sums are taken
+        grid, c = self.GRID, at - beta * t
+        q = kink_identities(KinkParams(beta, c + off), t, grid.x)["Q"]
+        f = Field(grid, q + amp * np.exp(-(grid.x - bump_at) ** 2))
+        assert _orthogonality(f, beta, t, c) == pytest.approx(
+            reference_orthogonality(f, beta, t, c), rel=0.0, abs=1e-14)
+        with mock.patch.object(tracking, "_orthogonality",
+                               reference_orthogonality):
+            want = solve_center(f, beta, t, c)
+        assert solve_center(f, beta, t, c) == pytest.approx(want, rel=0.0,
+                                                            abs=1e-13)
 
 
 class TestCenterVelocity:
