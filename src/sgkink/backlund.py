@@ -4,7 +4,9 @@ forward_transform builds a kink-topology solution from a small zero-topology
 state.  With w = tan(f/4) the first Backlund equation is a Riccati equation,
 so f is the direction of a linear 2x2 system in x pinned at f(center) = pi;
 the RK4 one-step matrices of every cell outward from the anchor (the stable
-direction: the tails attract) are composed by a rescaled prefix scan.
+direction: the tails attract) are composed by a blocked scan: in order within
+blocks of cells, shorter where an entry is large enough to overflow a block's
+product, and the block totals by a rescaled doubling.
 inverse_transform recovers (delta, y, phi) from a near-kink state in stages
 on F = (F1, F2, F3): quasi-Newton on F2, F1 explicit, and F3 by the
 orthogonality center solve of tracking.  The linearized F2 solve, the
@@ -180,14 +182,43 @@ def _prefix_products(r):
     return r
 
 
+_BLOCK = 16  # cells per block of _blocked_scan, unless its entries are large
+
+
+def _blocked_scan(r, y):
+    """(y, r_0 y, r_1 r_0 y, ...) up to a positive factor per column, as
+    (2, m + 1), for m step matrices r over (4, m), in linear work: blocks of
+    b cells multiply in order, all blocks at once, the block totals compose
+    by _prefix_products, and a column is its in-block product applied to its
+    block's start vector.  With e >= 1 the largest |entry| of r and y, no
+    product exceeds 2 (2e)^(2b), so b is _BLOCK cut until (2e)^(2b) <=
+    2^1000."""
+    m = r.shape[1]
+    e = max(r.max(initial=1.0), -r.min(initial=0.0), *np.abs(y))
+    b = int(min(_BLOCK, max(1, 500 // np.log2(2.0 * e))))
+    nb = -(-m // b)
+    q = np.empty((4, nb * b))
+    q[:, :m], q[:, m:] = r, [[1.0], [0.0], [0.0], [1.0]]  # identity padding
+    q = q.reshape(4, nb, b)
+    for j in range(1, b):
+        q[:, :, j] = _matmul(q[:, :, j], q[:, :, j - 1])
+    # with y as the matrix (y y), column k is T_(k-1) ... T_0 y, T the totals
+    s = _prefix_products(np.c_[np.repeat(y, 2), q[:, :-1, -1]])[::2]
+    cols = q[0::2] * s[0, :, None] + q[1::2] * s[1, :, None]
+    return np.c_[y, cols.reshape(2, -1)[:, :m]]
+
+
 def forward_transform(phi: State, a: float, center: float) -> State:
     """Backlund transform of a small zero-topology state: a kink-type State.
 
     f' = phi_t + A sin(f/2) + B cos(f/2), A = (a + 1/a) cos(phi/2), B =
     (1/a - a) sin(phi/2) is a Riccati equation for tan(f/4): f = 4 atan2(y)
     for y' = My, M = [[A, phi_t + B], [B - phi_t, -A]] / 4, y(center) = (1, 1).
-    Each side's RK4 one-step matrices, outward from the anchor, are composed
-    by a prefix scan; the partial cells off it sample the local quintic.
+    Each side's partial cell at the anchor samples the local quintic and
+    gives the start vector; the full cells' RK4 one-step matrices, outward
+    from it, compose by a blocked scan: in order within blocks of _BLOCK
+    cells, fewer where a large entry could overflow a block's product, and
+    the block totals by a rescaled doubling.
     """
     if phi.topology is Topology.KINK:
         raise ValueError("forward_transform needs a zero-topology state")
@@ -209,16 +240,15 @@ def forward_transform(phi: State, a: float, center: float) -> State:
     A = 0.25 * (a + 1.0 / a) * np.cos(0.5 * p)
     B = 0.25 * (1.0 / a - a) * np.sin(0.5 * p)
     M = np.array([A, B + 0.25 * pt, B - 0.25 * pt, -A])
+    def side(h, anc, r):  # from the anchor: its partial cell, then r's cells
+        y = _rk4_matrices(h, M[:, 2 * n - 1], M[:, anc], M[:, anc + 1])
+        return 4.0 * np.arctan2(*_blocked_scan(r, y.reshape(2, 2).sum(axis=1)))
     fvals = np.empty(n)
-    for k, h, fwd in [(k0, h_r, True)] + [(k0 - 1, h_l, False)] * (k0 > 0):
-        cells = np.arange(k0, n - 1) if fwd else np.arange(k0 - 2, -1, -1)
-        anc = 2 * n if fwd else 2 * n + 2  # the partial cell's mid and end
-        r = _rk4_matrices(np.r_[h, np.full(len(cells), dx if fwd else -dx)],
-                          M[:, np.r_[2 * n - 1, cells + (not fwd)]],
-                          M[:, np.r_[anc, n + cells]],
-                          M[:, np.r_[anc + 1, cells + fwd]])
-        P = _prefix_products(r)
-        fvals[k::1 if fwd else -1] = 4.0 * np.arctan2(P[0] + P[1], P[2] + P[3])
+    fvals[k0:] = side(h_r, 2 * n, _rk4_matrices(
+        dx, M[:, k0:n - 1], M[:, n + k0:2 * n - 1], M[:, k0 + 1:n]))
+    if k0 > 0:  # the cells left of x[k0 - 1], built in ascending order
+        fvals[k0 - 1::-1] = side(h_l, 2 * n + 2, _rk4_matrices(
+            -dx, M[:, 1:k0], M[:, n:n + k0 - 1], M[:, :k0 - 1])[:, ::-1])
     if abs(fvals[0]) > 1e-3 or abs(fvals[-1] - 2.0 * np.pi) > 1e-3:
         raise ValueError(
             f"tails did not converge to (0, 2pi): ({fvals[0]:.3e}, "

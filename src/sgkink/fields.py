@@ -278,6 +278,8 @@ def _trapezoid(v: np.ndarray, dx: float, w: np.ndarray | None = None) -> float:
 
 
 def _lp(values: np.ndarray, dx: float, p: float) -> float:
+    if p == 2.0:
+        return _trapezoid(values, dx, values) ** 0.5
     a = np.abs(values)
     if np.isinf(p):
         return float(np.max(a))

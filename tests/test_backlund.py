@@ -10,10 +10,13 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from sgkink.backlund import (
+    _BLOCK,
     BacklundConvergenceError,
     _beta,
+    _blocked_scan,
     _cell_integrals,
     _damped_cumsum,
+    _matmul,
     backlund_residual,
     eval_F,
     forward_transform,
@@ -107,6 +110,34 @@ def reference_forward(phi, a, center):
     return f, p_x + np.sin(0.5 * (f + pv)) / a - a * np.sin(0.5 * (f - pv))
 
 
+def reference_prefix_products(r):
+    """Column i becomes r_i ... r_0 over (4, m) components, by log-depth
+    doubling; each pass divides the new partial products by their largest
+    entry, which keeps their direction and rules out overflow on any grid."""
+    s = 1
+    while s < r.shape[1]:
+        prod = np.array(_matmul(r[:, s:], r[:, :-s]))
+        r[:, s:] = prod / np.abs(prod).max(axis=0)
+        s *= 2
+    return r
+
+
+def step_matrices(rng, m, growth):
+    """m random 2x2 matrices over (4, m).  growth 0: within about 0.1 of the
+    identity.  Otherwise rot(t1) diag(e^g, e^-g) rot(t2)^T with g within 10%
+    below growth and both axes within 0.6 of the diagonal, so consecutive
+    products stretch along nearby directions and stay well conditioned."""
+    if growth == 0.0:
+        return (np.array([[1.0], [0.0], [0.0], [1.0]])
+                + 0.1 * rng.standard_normal((4, m)))
+    g = growth * rng.uniform(0.9, 1.0, m)
+    t1, t2 = np.pi / 4 + rng.uniform(-0.6, 0.6, (2, m))
+    c1, s1, c2, s2 = np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)
+    ep, em = np.exp(g), np.exp(-g)
+    return np.array([c1 * c2 * ep + s1 * s2 * em, c1 * s2 * ep - s1 * c2 * em,
+                     s1 * c2 * ep - c1 * s2 * em, s1 * s2 * ep + c1 * c2 * em])
+
+
 def reference_linearized_F2(g, base, t):
     """(lambda, w) by w = cosh(z) v, z = gamma0 (x - center), with v the
     antiderivative of r sech(z) accumulated from the left end left of the
@@ -188,7 +219,9 @@ class TestForwardTransform:
     @pytest.mark.parametrize("beta", [0.0, 0.5, -0.5])
     @pytest.mark.parametrize("data", [small_state, odd_sech_state],
                              ids=["gaussian", "odd-sech"])
-    @pytest.mark.parametrize("anchor", [0.25, 0.3], ids=["on-node", "off-node"])
+    @pytest.mark.parametrize(
+        "anchor", [0.25, 0.3, 0.25 + 1e-12, 0.25 + 1 / 256 - 1e-12],
+        ids=["on-node", "off-node", "just-past-node", "just-short-of-node"])
     def test_matches_scalar_rk4_sweep(self, fine_grid, beta, data, anchor):
         a = KinkParams(beta, 0.0).a
         phi = data(fine_grid, 0.05)
@@ -484,6 +517,26 @@ class TestOperatorI:
             for x in g.x[:: g.n // 64]
         ])
         assert np.all(np.abs(out.values[:: g.n // 64]) <= bound + 1e-12)
+
+
+class TestBlockedScan:
+    @given(m=st.one_of(st.just(1), st.integers(2, _BLOCK - 1), st.just(_BLOCK),
+                       st.integers(2, 12).map(lambda k: k * _BLOCK),
+                       st.integers(1, 12).map(lambda k: k * _BLOCK + 1)),
+           growth=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+           seed=st.integers(0, 2**32 - 1))
+    # unless b is cut, a block's product of these overflows
+    @example(m=8 * _BLOCK + 1, growth=50.0, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_doubling(self, m, growth, seed):
+        # r_0 is the partial cell the scan starts from; m counts the rest
+        r = step_matrices(np.random.default_rng(seed), m + 1, growth)
+        y = np.array([r[0, 0] + r[1, 0], r[2, 0] + r[3, 0]])
+        got = np.arctan2(*_blocked_scan(r[:, 1:], y))
+        P = reference_prefix_products(r.copy())
+        want = np.arctan2(P[0] + P[1], P[2] + P[3])
+        assert got.shape == (m + 1,)
+        assert np.all(np.abs(np.angle(np.exp(1j * (got - want)))) < 1e-13)
 
 
 class TestDampedCumsum:
