@@ -3,20 +3,23 @@
 forward_transform builds a kink-topology solution from a small zero-topology
 state.  With w = tan(f/4) the first Backlund equation is a Riccati equation,
 so f is the direction of a linear 2x2 system in x pinned at f(center) = pi;
-the RK4 one-step matrices of every cell outward from the anchor (the stable
-direction: the tails attract) are composed by a blocked scan: in order within
-blocks of cells, shorter where an entry is large enough to overflow a block's
-product, and the block totals by a rescaled doubling.
+the system's matrix M is filled in place, and the RK4 one-step matrices of
+every cell outward from the anchor (the stable direction: the tails attract)
+are composed by a blocked scan: in order within blocks of cells, shorter
+where an entry is large enough to overflow a block's product, and the block
+totals by a rescaled doubling.
 inverse_transform recovers (delta, y, phi) from a near-kink state in stages
-on F = (F1, F2, F3): quasi-Newton on F2, F1 explicit, and F3 by the
-orthogonality center solve of tracking.  The linearized F2 solve, the
-I-operator and the difference reconstruction are one kink-weighted integral:
-a damped linear sweep on each side of the kink center, inward from the ends
-for F2 and outward from the center for I.
+on F = (F1, F2, F3): quasi-Newton on F2 against a linearization prepared once
+per call, F1 explicit, and F3 by the orthogonality center solve of tracking.
+The linearized F2 solve, the I-operator and the difference reconstruction are
+one kink-weighted integral: a damped linear sweep on each side of the kink
+center, on slices of the grid, inward from the ends for F2 and outward from
+the center for I.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -224,22 +227,50 @@ def forward_transform(phi: State, a: float, center: float) -> State:
         raise ValueError("forward_transform needs a zero-topology state")
     _check_a(a)
     grid = phi.grid
-    x, dx, n = grid.x, grid.dx, grid.n
-    if not (x[0] <= center <= x[-1]):
+    if not (grid.x[0] <= center <= grid.x[-1]):
         raise ValueError("anchor outside grid")
     pv = phi.phi.values
-    v = np.array([pv, phi.phi_t.values])
+    fvals = _forward_f(grid, pv, phi.phi_t.values, a, center)
+    if abs(fvals[0]) > 1e-3 or abs(fvals[-1] - 2.0 * np.pi) > 1e-3:
+        raise ValueError(
+            f"tails did not converge to (0, 2pi): ({fvals[0]:.3e}, "
+            f"{fvals[-1]:.3e}); phi too large or grid too narrow"
+        )
+    f_t = spatial_derivative(phi.phi, 1).values + _pair(fvals, pv, a)[1]
+    return State(Field(grid, fvals), Field(grid, f_t), phi.time, Topology.KINK)
+
+
+def _forward_f(grid, pv: np.ndarray, ptv: np.ndarray, a: float,
+               center: float) -> np.ndarray:
+    """forward_transform's f on raw samples (phi, phi_t), unchecked."""
+    x, dx, n = grid.x, grid.dx, grid.n
     k0 = int(np.searchsorted(x, center))  # first node >= center
     h_r, h_l = x[k0] - center, x[k0 - 1] - center  # h_l unused if k0 = 0
     at = center + np.array([0.0, 0.5 * h_r, h_r, 0.5 * h_l, h_l])
     # (phi, phi_t) at the nodes, the cell midpoints (cubic rule) and `at`
-    mid = np.c_[v[:, :4] @ [5.0, 15.0, -5.0, 1.0],
-                9.0 * (v[:, 1:-2] + v[:, 2:-1]) - v[:, :-3] - v[:, 3:],
-                v[:, -4:] @ [1.0, -5.0, 15.0, 5.0]] / 16.0
-    p, pt = np.c_[v, mid, _local_poly(x, v, at)]
-    A = 0.25 * (a + 1.0 / a) * np.cos(0.5 * p)
-    B = 0.25 * (1.0 / a - a) * np.sin(0.5 * p)
-    M = np.array([A, B + 0.25 * pt, B - 0.25 * pt, -A])
+    pp = np.empty((2, 2 * n + 4))
+    v, mid = pp[:, :n], pp[:, n:2 * n - 1]
+    v[0], v[1] = pv, ptv
+    np.add(v[:, 1:-2], v[:, 2:-1], out=mid[:, 1:-1])
+    mid[:, 1:-1] *= 9.0
+    mid[:, 1:-1] -= v[:, :-3]
+    mid[:, 1:-1] -= v[:, 3:]
+    mid[:, 0] = v[:, :4] @ [5.0, 15.0, -5.0, 1.0]
+    mid[:, -1] = v[:, -4:] @ [1.0, -5.0, 15.0, 5.0]
+    mid /= 16.0
+    pp[:, 2 * n - 1:] = _local_poly(x, v, at)
+    p, pt = pp
+    # M's rows A, B + phi_t/4, B - phi_t/4, -A; row 3 holds p/2, then phi_t/4
+    M = np.empty((4, 2 * n + 4))
+    np.multiply(0.5, p, out=M[3])
+    np.cos(M[3], out=M[0])
+    np.sin(M[3], out=M[1])
+    M[0] *= 0.25 * (a + 1.0 / a)
+    M[1] *= 0.25 * (1.0 / a - a)
+    np.multiply(0.25, pt, out=M[3])
+    np.subtract(M[1], M[3], out=M[2])
+    M[1] += M[3]
+    np.negative(M[0], out=M[3])
     def side(h, anc, r):  # from the anchor: its partial cell, then r's cells
         y = _rk4_matrices(h, M[:, 2 * n - 1], M[:, anc], M[:, anc + 1])
         return 4.0 * np.arctan2(*_blocked_scan(r, y.reshape(2, 2).sum(axis=1)))
@@ -249,13 +280,7 @@ def forward_transform(phi: State, a: float, center: float) -> State:
     if k0 > 0:  # the cells left of x[k0 - 1], built in ascending order
         fvals[k0 - 1::-1] = side(h_l, 2 * n + 2, _rk4_matrices(
             -dx, M[:, 1:k0], M[:, n:n + k0 - 1], M[:, :k0 - 1])[:, ::-1])
-    if abs(fvals[0]) > 1e-3 or abs(fvals[-1] - 2.0 * np.pi) > 1e-3:
-        raise ValueError(
-            f"tails did not converge to (0, 2pi): ({fvals[0]:.3e}, "
-            f"{fvals[-1]:.3e}); phi too large or grid too narrow"
-        )
-    f_t = spatial_derivative(phi.phi, 1).values + _pair(fvals, pv, a)[1]
-    return State(Field(grid, fvals), Field(grid, f_t), phi.time, Topology.KINK)
+    return fvals
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +292,15 @@ def eval_F(delta: float, y: float, v0: Field, v1: Field, u0: Field,
     """F1, F2: the Backlund pair of f = Q(base, t) + u0 and phi = v0 at
     a = base.a + delta; F3: orthogonality at velocity beta(a), center the
     base kink's position at t plus y."""
+    return _eval_F(delta, y, v0, v1, u0, u1, base, t,
+                   kink_identities(base, t, u0.grid.x))
+
+
+def _eval_F(delta: float, y: float, v0: Field, v1: Field, u0: Field,
+            u1: Field, base: KinkParams, t: float, ids: dict) -> FTriple:
+    """eval_F given ids, the base kink's identities at t on u0's grid."""
     grid = u0.grid
     a_d = _check_a(base.a + delta)
-    ids = kink_identities(base, t, grid.x)
     f = u0.values + ids["Q"]
     P, M = _pair(f, v0.values, a_d)
     f1 = ids["Q_x"] + spatial_derivative(u0, 1).values - v1.values - P
@@ -307,10 +338,20 @@ def _damped_cumsum(r: np.ndarray, q: float) -> np.ndarray:
     return J
 
 
-def _kink_sweep(grid, fv: np.ndarray, c: float, gamma: float,
-                outward: bool) -> np.ndarray:
-    """Outward, int_c^x cosh(z_y)/cosh(z_x) fv(y) dy; inward, the bounded
-    int_(+-inf)^x cosh(z_x)/cosh(z_y) fv(y) dy from the end on x's side.
+@functools.cache
+def _gauss_legendre4() -> tuple:
+    """4-point Gauss-Legendre nodes and weights on [-1, 1].  Only outward
+    sweeps need them, so numpy.polynomial loads at the first of those.
+    Every caller shares the two arrays, so they are read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _kink_sweep(grid, c: float, gamma: float):
+    """sweep(fv, outward): outward, int_c^x cosh(z_y)/cosh(z_x) fv(y) dy;
+    inward, the bounded int_(+-inf)^x cosh(z_x)/cosh(z_y) fv(y) dy from the
+    end on x's side.  The geometry of (grid, c, gamma) is formed here, once.
 
     z = gamma (x - c).  On one side of c, cosh(z_y)/cosh(z_x) =
     e^{-gamma|x-y|} (1+e^{-2|z_y|}) / (1+e^{-2|z_x|}), so the integral times
@@ -321,34 +362,57 @@ def _kink_sweep(grid, fv: np.ndarray, c: float, gamma: float,
     x, dx, n = grid.x, grid.dx, grid.n
     k0 = int(np.searchsorted(x, c))  # first node >= c
     q = np.exp(-gamma * dx)
-    if outward:  # imports numpy.polynomial; inward sweeps never need it
-        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(4)
-    out = np.zeros(n)
-    # node indices ordered away from c, reaching back across c so that every
-    # cell has its 4-point stencil; signed z keeps the integrand smooth there
-    right = np.arange(max(0, min(k0 - 1, n - 4)), n)
-    left = np.arange(min(n - 1, max(k0, 3)), -1, -1)
-    for sign, idx, first in ((1.0, right, k0 - right[0]),
-                             (-1.0, left, left[0] - k0 + 1)):
-        if first >= len(idx):
-            continue
-        z = gamma * sign * (x[idx] - c)
-        e = 1.0 + np.exp(-2.0 * z)
-        if outward:
-            cell = z[first] / gamma  # distance from c to the nearest node
-            u = 0.5 * cell * (gl_nodes + 1.0)
-            short = 0.5 * cell * np.sum(
-                gl_weights * np.exp(-gamma * (cell - u))
-                * (1.0 + np.exp(-2.0 * gamma * u))
-                * _local_poly(x, fv, c + sign * u))
-            J = _damped_cumsum(np.concatenate(
-                [[short], _cell_integrals(e * fv[idx], dx, q)[first:]]), q)
-            out[idx[first:]] = sign * J / e[first:]
-        else:  # from the far end back to idx[first]
-            cells = _cell_integrals((fv[idx] / e)[::-1], dx, q)
-            J = _damped_cumsum(np.r_[0.0, cells[:len(idx) - first - 1]], q)
-            out[idx[first:]] = -sign * e[first:] * J[::-1]
-    return out
+    # each side's nodes as a slice ordered away from c, reaching back across
+    # c so that every cell has its 4-point stencil, and the position of the
+    # first node past c in it; signed z keeps the integrand smooth there
+    lo, hi = max(0, min(k0 - 1, n - 4)), min(n - 1, max(k0, 3))
+    sides = []
+    for sign, nodes, first, size in ((1.0, slice(lo, n), k0 - lo, n - lo),
+                                     (-1.0, slice(hi, None, -1), hi - k0 + 1,
+                                      hi + 1)):
+        if first < size:
+            z = gamma * sign * (x[nodes] - c)
+            sides.append((sign, nodes, first, z, 1.0 + np.exp(-2.0 * z)))
+
+    def sweep(fv: np.ndarray, outward: bool) -> np.ndarray:
+        out = np.zeros(n)
+        for sign, nodes, first, z, e in sides:
+            side = out[nodes]  # a view: writes land in out
+            if outward:
+                gl_nodes, gl_weights = _gauss_legendre4()
+                cell = z[first] / gamma  # distance from c to the nearest node
+                u = 0.5 * cell * (gl_nodes + 1.0)
+                short = 0.5 * cell * np.sum(
+                    gl_weights * np.exp(-gamma * (cell - u))
+                    * (1.0 + np.exp(-2.0 * gamma * u))
+                    * _local_poly(x, fv, c + sign * u))
+                J = _damped_cumsum(np.concatenate(
+                    [[short], _cell_integrals(e * fv[nodes], dx, q)[first:]]),
+                    q)
+                side[first:] = sign * J / e[first:]
+            else:  # from the far end back to the first node past c
+                cells = _cell_integrals((fv[nodes] / e)[::-1], dx, q)
+                J = _damped_cumsum(np.r_[0.0, cells[:len(e) - first - 1]],
+                                   q)
+                side[first:] = -sign * e[first:] * J[::-1]
+        return out
+    return sweep
+
+
+def _linearized_F2(grid, base: KinkParams, t: float):
+    """solve(g): solve_linearized_F2 on raw g, as (lambda, w).  The sech
+    weight, the solvability denominator and the sweep's geometry depend only
+    on (grid, base, t), so they are formed here, once."""
+    center = base.x0 + base.beta * t
+    s = sech(base.gamma * (grid.x - center))
+    c_lam = 1.0 + 1.0 / base.a**2
+    denom = c_lam * float(np.trapezoid(s * s, dx=grid.dx))
+    sweep = _kink_sweep(grid, center, base.gamma)
+
+    def solve(g: np.ndarray) -> tuple:
+        lam = float(np.trapezoid(g * s, dx=grid.dx)) / denom
+        return lam, sweep(c_lam * lam * s - g, False)
+    return solve
 
 
 def solve_linearized_F2(g: Field, base: KinkParams, t: float) -> dict:
@@ -360,15 +424,8 @@ def solve_linearized_F2(g: Field, base: KinkParams, t: float) -> dict:
     is the inward kink-weighted sweep of r from each end toward the kink
     center.
     """
-    grid = g.grid
-    center = base.x0 + base.beta * t
-    s = sech(base.gamma * (grid.x - center))
-    c_lam = 1.0 + 1.0 / base.a**2
-    denom = c_lam * float(np.trapezoid(s * s, dx=grid.dx))
-    lam = float(np.trapezoid(g.values * s, dx=grid.dx)) / denom
-    w = _kink_sweep(grid, c_lam * lam * s - g.values, center, base.gamma,
-                    False)
-    return {"lambda": lam, "w": Field(grid, w)}
+    lam, w = _linearized_F2(g.grid, base, t)(g.values)
+    return {"lambda": lam, "w": Field(g.grid, w)}
 
 
 def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
@@ -376,9 +433,10 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
 
     The base kink is KinkParams(beta0, x0_guess) at f.time.  Staged solve:
     (i) quasi-Newton on F2 = 0 in (delta, v0) with the linearization frozen
-    at the base kink, damped by step halving; _INVERSE_MAX_ITER bounds this
-    stage only; (ii) v1 read off from F1 = 0; (iii) F3 = 0 in y, the
-    orthogonality center solve of tracking at velocity beta(a0 + delta).
+    at the base kink, and so prepared once, damped by step halving;
+    _INVERSE_MAX_ITER bounds this stage only; (ii) v1 read off from F1 = 0;
+    (iii) F3 = 0 in y, the orthogonality center solve of tracking at
+    velocity beta(a0 + delta).
     """
     grid, dx, t = f.grid, f.grid.dx, f.time
     base = KinkParams(beta0, x0_guess)
@@ -392,6 +450,7 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
     def f2(d, v):
         return f_t - _fd_stencil(v, dx, 1) - _pair(fv, v, _check_a(a0 + d))[1]
 
+    solve = _linearized_F2(grid, base, t)
     delta, v0 = 0.0, np.zeros(grid.n)
     r = f2(delta, v0)
     history = [_lp(r, dx, 2.0)]
@@ -399,9 +458,9 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
         if len(history) > _INVERSE_MAX_ITER:
             raise BacklundConvergenceError(f"Newton on F2 failed to reach "
                                            f"{_INVERSE_TOL}: {history[-1]:.3e}")
-        sol = solve_linearized_F2(Field(grid, -r), base, t)
+        lam, w = solve(-r)
         for s in (0.5**k for k in range(10)):  # step halving
-            trial = (delta + s * sol["lambda"], v0 + s * sol["w"].values)
+            trial = (delta + s * lam, v0 + s * w)
             r_new = f2(*trial)
             if (res := _lp(r_new, dx, 2.0)) < history[-1]:
                 (delta, v0), r = trial, r_new
@@ -423,7 +482,7 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
         raise BacklundConvergenceError(f"F3 center solve: {exc}") from exc
 
     phi = State(Field(grid, v0), v1, f.time, Topology.ZERO)
-    tri = eval_F(delta, y, phi.phi, v1, u0, u1, base, t)
+    tri = _eval_F(delta, y, phi.phi, v1, u0, u1, base, t, ids)
     residual = float(np.sqrt(norm(tri.F1, Lp(2)) ** 2
                              + norm(tri.F2, Lp(2)) ** 2 + tri.F3**2))
     return InverseResult(delta, y, phi, residual, base, tuple(history))
@@ -440,7 +499,7 @@ def operator_I(F: Field, beta: float, center: float, t: float) -> Field:
     if not (F.grid.x[0] <= cbar <= F.grid.x[-1]):
         raise ValueError(f"center {cbar} outside grid")
     gamma = KinkParams(beta, 0.0).gamma
-    return Field(F.grid, _kink_sweep(F.grid, F.values, cbar, gamma, True))
+    return Field(F.grid, _kink_sweep(F.grid, cbar, gamma)(F.values, True))
 
 
 def _reconstruct(F: Field, beta: float, center: float, t: float) -> Field:
@@ -461,6 +520,7 @@ def reconstruct_difference(phi: State, beta: float, center: float) -> Field:
         raise ValueError("reconstruction needs a zero-topology state")
     grid, t = phi.grid, phi.time
     p = KinkParams(beta, center)
-    cos_half = kink_identities(p, t, grid.x)["cos_half"]
+    # cos(Q/2) alone, from the z that kink_identities forms
+    cos_half = -np.tanh(p.gamma * (grid.x - p.beta * t - p.x0))
     f_arr = phi.phi_t.values - beta * p.gamma * cos_half * phi.phi.values
     return _reconstruct(Field(grid, f_arr), beta, center, t)

@@ -16,7 +16,13 @@ from sgkink.backlund import (
     _blocked_scan,
     _cell_integrals,
     _damped_cumsum,
+    _eval_F,
+    _forward_f,
+    _gauss_legendre4,
+    _kink_sweep,
+    _linearized_F2,
     _matmul,
+    _rk4_matrices,
     backlund_residual,
     eval_F,
     forward_transform,
@@ -108,6 +114,73 @@ def reference_forward(phi, a, center):
                         pt_mid[j - 1], pv[j - 1], ptv[j - 1])
     p_x = spatial_derivative(phi.phi, 1).values
     return f, p_x + np.sin(0.5 * (f + pv)) / a - a * np.sin(0.5 * (f - pv))
+
+
+def reference_forward_f(grid, pv, ptv, a, center):
+    """_forward_f with (phi, phi_t) stacked by np.c_ and M's rows by
+    np.array, the assembly that filling both in place replaced."""
+    x, dx, n = grid.x, grid.dx, grid.n
+    v = np.array([pv, ptv])
+    k0 = int(np.searchsorted(x, center))
+    h_r, h_l = x[k0] - center, x[k0 - 1] - center
+    at = center + np.array([0.0, 0.5 * h_r, h_r, 0.5 * h_l, h_l])
+    mid = np.c_[v[:, :4] @ [5.0, 15.0, -5.0, 1.0],
+                9.0 * (v[:, 1:-2] + v[:, 2:-1]) - v[:, :-3] - v[:, 3:],
+                v[:, -4:] @ [1.0, -5.0, 15.0, 5.0]] / 16.0
+    p, pt = np.c_[v, mid, _local_poly(x, v, at)]
+    A = 0.25 * (a + 1.0 / a) * np.cos(0.5 * p)
+    B = 0.25 * (1.0 / a - a) * np.sin(0.5 * p)
+    M = np.array([A, B + 0.25 * pt, B - 0.25 * pt, -A])
+
+    def side(h, anc, r):
+        y = _rk4_matrices(h, M[:, 2 * n - 1], M[:, anc], M[:, anc + 1])
+        return 4.0 * np.arctan2(*_blocked_scan(r, y.reshape(2, 2).sum(axis=1)))
+    f = np.empty(n)
+    f[k0:] = side(h_r, 2 * n, _rk4_matrices(
+        dx, M[:, k0:n - 1], M[:, n + k0:2 * n - 1], M[:, k0 + 1:n]))
+    if k0 > 0:
+        f[k0 - 1::-1] = side(h_l, 2 * n + 2, _rk4_matrices(
+            -dx, M[:, 1:k0], M[:, n:n + k0 - 1], M[:, :k0 - 1])[:, ::-1])
+    return f
+
+
+def reference_kink_sweep(grid, fv, c, gamma, outward):
+    """_kink_sweep(grid, c, gamma)(fv, outward) on node indices from
+    np.arange, gathered and scattered by fancy indexing: the sweep that
+    the slice sweep replaced."""
+    x, dx, n = grid.x, grid.dx, grid.n
+    k0 = int(np.searchsorted(x, c))
+    q = np.exp(-gamma * dx)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(4)
+    out = np.zeros(n)
+    right = np.arange(max(0, min(k0 - 1, n - 4)), n)
+    left = np.arange(min(n - 1, max(k0, 3)), -1, -1)
+    for sign, idx, first in ((1.0, right, k0 - right[0]),
+                             (-1.0, left, left[0] - k0 + 1)):
+        if first >= len(idx):
+            continue
+        z = gamma * sign * (x[idx] - c)
+        e = 1.0 + np.exp(-2.0 * z)
+        if outward:
+            cell = z[first] / gamma
+            u = 0.5 * cell * (gl_nodes + 1.0)
+            short = 0.5 * cell * np.sum(
+                gl_weights * np.exp(-gamma * (cell - u))
+                * (1.0 + np.exp(-2.0 * gamma * u))
+                * _local_poly(x, fv, c + sign * u))
+            J = _damped_cumsum(np.concatenate(
+                [[short], _cell_integrals(e * fv[idx], dx, q)[first:]]), q)
+            out[idx[first:]] = sign * J / e[first:]
+        else:
+            cells = _cell_integrals((fv[idx] / e)[::-1], dx, q)
+            J = _damped_cumsum(np.r_[0.0, cells[:len(idx) - first - 1]], q)
+            out[idx[first:]] = -sign * e[first:] * J[::-1]
+    return out
+
+
+def bits(a):
+    """The bytes of a float array: equal bits, -0.0 apart from 0.0."""
+    return np.asarray(a, dtype=float).tobytes()
 
 
 def reference_prefix_products(r):
@@ -517,6 +590,104 @@ class TestOperatorI:
             for x in g.x[:: g.n // 64]
         ])
         assert np.all(np.abs(out.values[:: g.n // 64]) <= bound + 1e-12)
+
+
+class TestSliceSweep:
+    """The slice sweep against the index-array sweep it replaced, bit for
+    bit: the stencil clamps min(k0 - 1, n - 4) and max(k0, 3) decide where
+    each side's slice starts."""
+
+    GRID = make_grid(-16.0, 16.0, 1024)
+    X = GRID.x
+
+    @pytest.mark.parametrize("outward", [False, True],
+                             ids=["inward", "outward"])
+    @pytest.mark.parametrize("c", [
+        X[0] - 0.7, X[0], X[1], X[2], X[3], X[512] + 0.37 * GRID.dx, X[-4],
+        X[-1], X[-1] + 0.7,
+    ], ids=["before-x0", "x0", "x1", "x2", "x3", "mid", "x-4", "x-1",
+            "past-end"])
+    def test_matches_index_sweep(self, c, outward):
+        g = self.GRID
+        fv = np.exp(-((g.x - 0.5) / 2.0) ** 2) + 0.3 * np.sin(g.x)
+        gamma = KinkParams(0.3, 0.0).gamma
+        got = _kink_sweep(g, c, gamma)(fv, outward)
+        assert bits(got) == bits(reference_kink_sweep(g, fv, c, gamma,
+                                                      outward))
+
+    @given(amps=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+           mus=st.lists(st.floats(-8.0, 8.0), min_size=3, max_size=3),
+           width=st.floats(0.3, 4.0), beta=st.floats(-0.9, 0.9),
+           node=st.integers(-3, 258), frac=st.sampled_from([0.0, 0.5, 0.99]),
+           outward=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_index_sweep_property(self, amps, mus, width, beta, node,
+                                          frac, outward):
+        g = make_grid(-8.0, 8.0, 256)
+        fv = sum(a * np.exp(-((g.x - m) / width) ** 2)
+                 for a, m in zip(amps, mus))
+        c = g.x[0] + (node + frac) * g.dx  # from before x[0] to past x[-1]
+        gamma = KinkParams(beta, 0.0).gamma
+        sweep = _kink_sweep(g, c, gamma)
+        want = reference_kink_sweep(g, fv, c, gamma, outward)
+        assert bits(sweep(fv, outward)) == bits(want)
+        # the prepared geometry is not changed by a sweep
+        assert bits(sweep(fv, outward)) == bits(want)
+
+    def test_gauss_legendre_is_cached(self):
+        nodes, weights = _gauss_legendre4()
+        assert _gauss_legendre4() is _gauss_legendre4()
+        want = np.polynomial.legendre.leggauss(4)
+        assert bits(nodes) == bits(want[0]) and bits(weights) == bits(want[1])
+
+
+class TestPreparedKernels:
+    """forward_transform's in-place M, the prepared F2 solver and _eval_F
+    against their test-local oracles, bit for bit."""
+
+    @pytest.mark.parametrize("data", [small_state, odd_sech_state],
+                             ids=["gaussian", "odd-sech"])
+    @pytest.mark.parametrize("where", ["x0", "x1", "mid", "x-1"])
+    def test_forward_matches_stacked_assembly(self, data, where):
+        g = make_grid(-16.0, 16.0, 1024)
+        anchor = {"x0": g.x[0],  # k0 = 0: no left side
+                  "x1": g.x[1], "mid": g.x[512] + 0.37 * g.dx,
+                  "x-1": g.x[-1]}[where]
+        phi = data(g, 0.05)
+        pv, ptv = phi.phi.values, phi.phi_t.values
+        a = KinkParams(0.3, 0.0).a
+        want = reference_forward_f(g, pv, ptv, a, anchor)
+        assert bits(_forward_f(g, pv, ptv, a, anchor)) == bits(want)
+        if where == "mid":  # near an end, the tails check refuses the anchor
+            assert bits(forward_transform(phi, a, anchor).phi.values) == \
+                bits(want)
+
+    @pytest.mark.parametrize("beta0,x0,t", [(0.2, 0.0, 0.0), (-0.5, 0.3, 1.5),
+                                            (0.3, -16.5, 0.0),
+                                            (0.3, 16.2, 0.0)],
+                             ids=["centered", "moving", "left", "right"])
+    def test_public_F2_is_the_prepared_solve(self, beta0, x0, t):
+        g = make_grid(-16.0, 16.0, 1024)
+        base = KinkParams(beta0, x0)
+        solve = _linearized_F2(g, base, t)
+        for mu in (0.0, 2.0, 0.0):  # a solve leaves the prepared state alone
+            r = np.exp(-((g.x - mu) / 1.5) ** 2)
+            lam, w = solve(r)
+            out = solve_linearized_F2(Field(g, r), base, t)
+            assert out["lambda"] == lam
+            assert bits(out["w"].values) == bits(w)
+
+    def test_eval_F_given_identities(self, fine_grid):
+        base, t = KinkParams(0.3, 0.2), 0.5
+        bump = np.exp(-fine_grid.x**2)
+        u0, u1, v0, v1 = (Field(fine_grid, c * bump)
+                          for c in (0.02, -0.01, 0.01, 0.03))
+        want = eval_F(0.05, 0.1, v0, v1, u0, u1, base, t)
+        got = _eval_F(0.05, 0.1, v0, v1, u0, u1, base, t,
+                      kink_identities(base, t, fine_grid.x))
+        assert bits(got.F1.values) == bits(want.F1.values)
+        assert bits(got.F2.values) == bits(want.F2.values)
+        assert got.F3 == want.F3
 
 
 class TestBlockedScan:

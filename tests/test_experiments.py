@@ -230,12 +230,14 @@ def cheap_config(tmp_path):
 class TestCli:
     def test_import_loads_no_scipy(self):
         # sgkink runs on numpy alone; scipy is a test-only reference, and
-        # configs run in sequence, with no process pool
+        # configs run in sequence, with no process pool; numpy.polynomial
+        # loads only at the first outward kink sweep
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         code = ("import sys, sgkink.cli; print(sorted(m for m in sys.modules "
-                "for p in ('scipy', 'concurrent.futures', 'multiprocessing') "
+                "for p in ('scipy', 'concurrent.futures', 'multiprocessing', "
+                "'numpy.polynomial') "
                 "if m == p or m.startswith(p + '.')))")
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
