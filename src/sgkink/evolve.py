@@ -144,6 +144,13 @@ def _run_steps(scheme: Scheme, dx: float, topology: Topology, span: float,
     return n_steps, stride
 
 
+def _snapshot_times(t0: float, dt: float, steps: int,
+                    stride: int) -> np.ndarray:
+    """The times at which a run of steps steps of dt from t0 yields, each
+    t0 + step dt: step 0, every stride steps, and the last step."""
+    return t0 + np.append(np.arange(0, steps, stride), steps) * dt
+
+
 def snapshots(s0: State, scheme: Scheme, t_end: float,
               snapshot_every: float) -> Iterator[State]:
     """Integrate s0 to t_end, yielding a snapshot every snapshot_every.
@@ -289,6 +296,12 @@ def _active(phi: np.ndarray, phi_t: np.ndarray, quiet: float) -> np.ndarray:
     return np.flatnonzero(~((np.abs(phi) <= quiet) & (np.abs(phi_t) <= quiet)))
 
 
+def _box_quiet(phi: np.ndarray, phi_t: np.ndarray) -> float:
+    """The level at which a cell of the data (phi, phi_t) is quiet: _BOX_QUIET
+    times the larger of their sup norms."""
+    return _BOX_QUIET * max(np.max(np.abs(phi)), np.max(np.abs(phi_t)))
+
+
 def _box(phi: np.ndarray, phi_t: np.ndarray, offset: int, quiet: float,
          margin: int, n: int) -> tuple[int, int]:
     """The box [a, a + nb) of an n-cell grid, as (a, nb), for a state whose
@@ -369,7 +382,7 @@ def _composition_run(weights: tuple, s0: State, dt: float, n_steps: int,
     inner = [0.5 * (a + b) * dt for a, b in zip(weights, weights[1:])]
     head, tail = 0.5 * weights[0] * dt, 0.5 * weights[-1] * dt
     src, offset = (s0.phi.values, s0.phi_t.values), 0
-    quiet = _BOX_QUIET * max(np.max(np.abs(src[0])), np.max(np.abs(src[1])))
+    quiet = _box_quiet(*src)
     band = math.ceil(_WINDOW_STEPS * dt / grid.dx) + _BOX_SLACK
     margin = _BOX_BANDS * band
     a, nb = _box(*src, offset, quiet, margin, n)

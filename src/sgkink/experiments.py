@@ -3,7 +3,9 @@
 Each experiment takes an ExperimentConfig, produces a Report with per-time
 tables and summary scalars, and judges itself against fixed tolerances; the
 CLI turns the verdict into an exit status.  Outputs are deterministic given
-the config (runs are noise-free), which report.json echoes.
+the config (runs are noise-free), which report.json echoes.  Validation and
+the run share one initial state: the config builds it once, read-only, and
+refuses there whatever the run would refuse.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import numpy as np
 from .backlund import (_residual, backlund_residual, forward_transform,
                        inverse_transform)
 from .evolve import (
-    _BOX_QUIET,
     Scheme,
     SchemeKind,
     _active,
+    _box_quiet,
     _run_steps,
+    _snapshot_times,
     _whole_steps,
     conserved_quantities,
     snapshots,
@@ -132,36 +135,32 @@ class ExperimentConfig:
                 raise ValueError(f"custom_file {self.custom_file} does not exist")
         if self.data not in ("kink", "breather", "perturbed-kink"):
             raise ValueError(f"unknown conservation data {self.data!r}")
-        # built as the run builds it, so a grid too narrow for the kink's
-        # tails or a custom_file on another grid is refused before any run
-        s0 = _initial_state(self)
-        if self.name == "backlund-roundtrip":  # the only runner without evolve
-            return
-        steps, stride = _run_steps(
-            Scheme(SchemeKind(self.scheme), self.time_step), self.grid.dx,
-            s0.topology, self.t_end, self.snapshot_every, "t_end")
-        if (self.name == "small-data-scattering"
-                and self.t_end >= _MIN_EXTRACTION_TIME):
-            for frac in _PREDICTOR_FRACTIONS:
-                t = frac * self.t_end
-                try:
-                    _whole_steps(t, self.snapshot_every, "predictor time")
-                except ValueError:
-                    raise ValueError(
-                        f"predictor time {t} is not a snapshot time "
-                        f"(snapshot_every={self.snapshot_every})") from None
-        # the snapshot times as the runner computes them, t0 + step dt:
-        # step 0, every stride steps, and the last step
-        _refuse_nothing_to_judge(self, s0.time + np.append(
-            np.arange(0, steps, stride), steps) * self.time_step)
-        if self.name == "small-data-scattering":
-            _refuse_wraparound(self, s0)
+        _refuse(self)
 
     @cached_property
     def grid(self) -> Grid:
         """One Grid per config, built on first read; asdict, == and hash
         read only the fields."""
         return make_grid(self.x_min, self.x_max, self.n)
+
+    @cached_property
+    def initial_state(self) -> State:
+        """The state the run starts from, built once per config, by
+        validation, and read-only as Grid.x is: every runner starts from
+        the state that validation judged."""
+        if self.name in ("kink-stability", "exterior-decay"):
+            s0 = _perturbed_kink(self)
+        elif self.name == "conservation":
+            s0 = _conservation_data(self)
+        elif self.name == "wobbler":
+            s0 = sample_state(WobblingKink(self.beta0), self.grid, 0.0)
+        else:  # the zero-topology experiments
+            dphi, dphi_t = _perturbation(self)
+            s0 = State(Field(self.grid, dphi), Field(self.grid, dphi_t), 0.0,
+                       Topology.ZERO)
+        s0.phi.values.flags.writeable = False
+        s0.phi_t.values.flags.writeable = False
+        return s0
 
     @property
     def time_step(self) -> float:
@@ -173,9 +172,32 @@ class ExperimentConfig:
             return cls(**json.load(fh))
 
 
-def _refuse_nothing_to_judge(cfg: ExperimentConfig, times: np.ndarray):
-    """Refuse a run that would integrate to times (its snapshot times) and
-    then fail, or pass a check that has nothing to judge."""
+def _refuse(cfg: ExperimentConfig):
+    """Refuse a config whose run would refuse it, or integrate and then
+    fail, or pass a check that has nothing to judge.  In order: the initial
+    state must build (a grid too narrow for the kink's tails, a custom_file
+    on another grid); snapshots must take the run (see _run_steps); the
+    predictor times must be snapshot times; each check needs snapshots to
+    judge; the radiation must not wrap around the periodic grid."""
+    s0 = cfg.initial_state
+    if cfg.name == "backlund-roundtrip":  # the only runner without evolve
+        return
+    steps, stride = _run_steps(
+        Scheme(SchemeKind(cfg.scheme), cfg.time_step), cfg.grid.dx,
+        s0.topology, cfg.t_end, cfg.snapshot_every, "t_end")
+    extracting = (cfg.name == "small-data-scattering"
+                  and cfg.t_end >= _MIN_EXTRACTION_TIME)
+    predictor_times = ([frac * cfg.t_end for frac in _PREDICTOR_FRACTIONS]
+                       if extracting else [])
+    for t in predictor_times:
+        try:
+            _whole_steps(t, cfg.snapshot_every, "predictor time")
+        except ValueError:
+            raise ValueError(
+                f"predictor time {t} is not a snapshot time "
+                f"(snapshot_every={cfg.snapshot_every})") from None
+    times = _snapshot_times(s0.time, cfg.time_step, steps, stride)
+
     def need(count, lo, hi, what):
         got = int(np.count_nonzero((times >= lo) & (times <= hi)))
         if got < count:
@@ -196,11 +218,8 @@ def _refuse_nothing_to_judge(cfg: ExperimentConfig, times: np.ndarray):
         return
     need(_MIN_FIT_SAMPLES, _FIT_WINDOW[0], min(_FIT_WINDOW[1], cfg.t_end),
          "the decay fit")
-    if cfg.t_end < _MIN_EXTRACTION_TIME:
-        return
-    xi_grid = _profile_xi(cfg.grid, times[-1])
-    for frac in _PREDICTOR_FRACTIONS:
-        t = frac * cfg.t_end
+    xi_grid = _profile_xi(cfg.grid, times[-1]) if extracting else None
+    for t in predictor_times:
         inside, _, xi = _cone_xi(t, cfg.grid.x[_predictor_mask(cfg.grid, t)])
         if _beyond_profile(xi_grid, inside, xi):
             raise ValueError(
@@ -208,16 +227,10 @@ def _refuse_nothing_to_judge(cfg: ExperimentConfig, times: np.ndarray):
                 f"{np.max(np.abs(xi)):.3f}, past the profile's "
                 f"{np.max(xi_grid):.3f} that packets reach at "
                 f"t={times[-1]}; widen the grid")
-
-
-def _refuse_wraparound(cfg: ExperimentConfig, s0: State):
-    """Refuse a run whose radiation would reach an end of the periodic grid
-    and wrap around: the data's active span, its cells above _BOX_QUIET
-    times its sup as the spectral box reads them, widened by the light
-    cone's t_end - t0 on each side, must stay in [x_min, x_max]."""
+    # the data's active span as the spectral box reads it, widened by the
+    # light cone's t_end - t0 on each side, must stay in [x_min, x_max]
     phi, phi_t = s0.phi.values, s0.phi_t.values
-    active = _active(phi, phi_t, _BOX_QUIET * max(np.max(np.abs(phi)),
-                                                   np.max(np.abs(phi_t))))
+    active = _active(phi, phi_t, _box_quiet(phi, phi_t))
     if not active.size:
         return
     a, b = cfg.grid.x[active[[0, -1]]]
@@ -264,19 +277,6 @@ def _perturbation(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return f.values.real.copy(), f.values.imag.copy()
 
 
-def _initial_state(cfg: ExperimentConfig) -> State:
-    """The state cfg's experiment starts from."""
-    if cfg.name in ("kink-stability", "exterior-decay"):
-        return _perturbed_kink(cfg)
-    if cfg.name == "conservation":
-        return _conservation_data(cfg)
-    if cfg.name == "wobbler":
-        return sample_state(WobblingKink(cfg.beta0), cfg.grid, 0.0)
-    dphi, dphi_t = _perturbation(cfg)  # the zero-topology experiments
-    return State(Field(cfg.grid, dphi), Field(cfg.grid, dphi_t), 0.0,
-                 Topology.ZERO)
-
-
 def _perturbed_kink(cfg: ExperimentConfig) -> State:
     base = sample_state(Kink(KinkParams(cfg.beta0, cfg.x0)), cfg.grid, 0.0)
     dphi, dphi_t = _perturbation(cfg)
@@ -305,7 +305,7 @@ def _keep_last(states, rep: Report, tag: str):
 
 
 def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
-    s0 = _initial_state(cfg)
+    s0 = cfg.initial_state
     inv = inverse_transform(s0, cfg.beta0, cfg.x0)
     rep.summary["inverse"] = json.loads(inv.to_json())
     residuals, dx = [], cfg.grid.dx
@@ -355,7 +355,7 @@ def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _run_backlund_roundtrip(cfg: ExperimentConfig, rep: Report) -> None:
-    phi = _initial_state(cfg)
+    phi = cfg.initial_state
     a = KinkParams(cfg.beta0, 0.0).a
     f = forward_transform(phi, a, cfg.x0)
     res = backlund_residual(f, phi, a)
@@ -387,7 +387,7 @@ def _conservation_data(cfg: ExperimentConfig) -> State:
 
 def _run_conservation(cfg: ExperimentConfig, rep: Report) -> None:
     rows = []
-    for s in _snapshots(cfg, _initial_state(cfg), rep):
+    for s in _snapshots(cfg, cfg.initial_state, rep):
         q = conserved_quantities(s)
         rows.append({"t": s.time, "E0": q["E0"], "P": q["P"],
                      "E2": q["E2"], "E4": q["E4"]})
@@ -401,11 +401,10 @@ def _run_conservation(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
-    s0 = _initial_state(cfg)
     # ExperimentConfig has checked that the predictor times are snapshots
     predictor_times = [frac * cfg.t_end for frac in _PREDICTOR_FRACTIONS]
     kept, rows = {}, []
-    for s in _snapshots(cfg, s0, rep):
+    for s in _snapshots(cfg, cfg.initial_state, rep):
         rows.append({"t": s.time, "linf": norm(s.phi, Lp(np.inf))})
         kept.update((tt, s) for tt in predictor_times
                     if abs(s.time - tt) <= 1e-9)
@@ -454,21 +453,21 @@ def _predictor_mask(grid: Grid, t: float) -> np.ndarray:
 
 
 def _run_wobbler(cfg: ExperimentConfig, rep: Report) -> None:
-    records = track(_snapshots(cfg, _initial_state(cfg), rep), 0.0, cfg.x0)
+    records = track(_snapshots(cfg, cfg.initial_state, rep), 0.0, cfg.x0)
     rows = [{"t": r.time, "center": r.center,
              "diff_pair_energy": r.diff_pair_energy} for r in records]
     rep.tables["tracking"] = rows
+    # ExperimentConfig has checked that >= 2 snapshots reach t >= 20
     window = [r for r in rows if r["t"] >= _WOBBLER_FROM]
-    if window:
-        ref = window[0]["diff_pair_energy"]
-        inf_val = min(r["diff_pair_energy"] for r in window)
-        rep.summary["pair_energy_inf_over_initial"] = inf_val / ref
-        rep.check("pair energy does not decay (non-stability witness)",
-                  inf_val >= 0.5 * ref)
+    ref = window[0]["diff_pair_energy"]
+    inf_val = min(r["diff_pair_energy"] for r in window)
+    rep.summary["pair_energy_inf_over_initial"] = inf_val / ref
+    rep.check("pair energy does not decay (non-stability witness)",
+              inf_val >= 0.5 * ref)
 
 
 def _run_exterior_decay(cfg: ExperimentConfig, rep: Report) -> None:
-    records = track(_snapshots(cfg, _initial_state(cfg), rep), cfg.beta0,
+    records = track(_snapshots(cfg, cfg.initial_state, rep), cfg.beta0,
                     cfg.x0, exterior=True)
     rows = []
     for rec in records:

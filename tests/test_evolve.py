@@ -19,6 +19,7 @@ from sgkink.evolve import (
     _composition_run,
     _fft_size,
     _guard,
+    _snapshot_times,
     _window,
     conserved_quantities,
     evolve,
@@ -917,6 +918,28 @@ class TestSnapshots:
               else kink_state(grid))
         with pytest.raises(ValueError, match=match):
             snapshots(s0, Scheme(kind, 0.3), t_end, every)
+
+    @given(kind=st.sampled_from([SchemeKind.LEAPFROG,
+                                 SchemeKind.YOSHIDA4_SPECTRAL]),
+           t0=st.floats(0.0, 50.0), dt=st.sampled_from([1 / 16, 0.1, 0.03]),
+           steps=st.integers(1, 40), stride=st.integers(1, 12))
+    @example(kind=SchemeKind.LEAPFROG, t0=0.0, dt=1 / 16, steps=10, stride=3)
+    @example(kind=SchemeKind.YOSHIDA4_SPECTRAL, t0=0.0, dt=1 / 16, steps=10,
+             stride=3)
+    @settings(max_examples=25, deadline=None)
+    def test_snapshot_times_are_the_yielded_times(self, kind, t0, dt, steps,
+                                                  stride):
+        # stride need not divide steps: 10 steps with stride 3 yield steps
+        # 0, 3, 6, 9 and 10
+        grid = make_grid(-16.0, 16.0, 256)  # dx = 1/8, dt below the CFL bound
+        p = 0.05 * np.exp(-grid.x**2)
+        s0 = State(Field(grid, p), Field(grid, p.copy()), t0, Topology.ZERO)
+        yielded = [s.time for s in snapshots(s0, Scheme(kind, dt),
+                                             t0 + steps * dt, stride * dt)]
+        times = _snapshot_times(t0, dt, steps, stride)
+        assert times.tobytes() == np.array(yielded).tobytes()
+        if (steps, stride) == (10, 3):
+            assert np.array_equal(times, t0 + np.array([0, 3, 6, 9, 10]) * dt)
 
 
 def centered(traj, t):

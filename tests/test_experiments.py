@@ -11,14 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sgkink.experiments
 from sgkink.backlund import backlund_residual, inverse_transform
 from sgkink.cli import main
 from sgkink.evolve import Scheme, SchemeKind, snapshots
+from sgkink.exact import sample_state
 from sgkink.experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
     Report,
-    _initial_state,
     run_experiment,
     write_report,
 )
@@ -57,9 +58,13 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(**CHEAP)
         assert cfg.grid is cfg.grid
         assert cfg.grid == make_grid(-64.0, 64.0, 2048)
-        # the cached grid is not a field: equality, hash and asdict ignore it
+        assert cfg.initial_state is cfg.initial_state
+        # the cached grid and initial state are not fields: equality, hash
+        # and asdict ignore them (fresh holds states of its own)
         fresh = ExperimentConfig(**CHEAP)
+        assert fresh.initial_state is not cfg.initial_state
         assert "grid" not in asdict(cfg)
+        assert "initial_state" not in asdict(cfg)
         assert cfg == fresh and hash(cfg) == hash(fresh)
         with pytest.raises(AttributeError):
             cfg.n = 4096
@@ -126,6 +131,40 @@ class TestExperimentConfig:
             assert rep.summary["roundtrip_sup_error"] < 1e-6
 
 
+class TestInitialState:
+    """Validation and the run share one initial state per config."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(name="kink-stability", x_min=-32.0, x_max=32.0, n=512,
+             t_end=2.0, snapshot_every=0.5),
+        CHEAP,  # conservation of a kink
+    ], ids=["kink-stability", "conservation-kink"])
+    def test_sampled_once(self, kwargs, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample_state(*args)
+
+        monkeypatch.setattr(sgkink.experiments, "sample_state", counted)
+        run_experiment(ExperimentConfig(**kwargs))
+        assert len(calls) == 1
+
+    def test_read_only_and_unchanged_by_the_run(self):
+        cfg = ExperimentConfig(name="kink-stability", x_min=-32.0,
+                               x_max=32.0, n=512, t_end=2.0,
+                               snapshot_every=0.5)
+        s0 = cfg.initial_state
+        before = [f.values.tobytes() for f in (s0.phi, s0.phi_t)]
+        run_experiment(cfg)
+        assert cfg.initial_state is s0
+        for f, bits in zip((s0.phi, s0.phi_t), before):
+            assert not f.values.flags.writeable
+            assert f.values.tobytes() == bits
+            with pytest.raises(ValueError, match="read-only"):
+                f.values[0] = 1.0
+
+
 class TestRunners:
     def test_conservation_kink(self):
         rep = run_experiment(ExperimentConfig(**CHEAP))
@@ -147,7 +186,7 @@ class TestRunners:
                                x_max=32.0, n=512, t_end=2.0,
                                snapshot_every=0.5)
         rows = run_experiment(cfg).tables["tracking"]
-        s0 = _initial_state(cfg)
+        s0 = cfg.initial_state
         inv = inverse_transform(s0, cfg.beta0, cfg.x0)
         scheme = Scheme(SchemeKind(cfg.scheme), cfg.time_step)
         pairs = zip(snapshots(s0, scheme, cfg.t_end, cfg.snapshot_every),
