@@ -10,8 +10,9 @@ where an entry is large enough to overflow a block's product, and the block
 totals by a rescaled doubling.
 inverse_transform recovers (delta, y, phi) from a near-kink state in stages
 on F = (F1, F2, F3): quasi-Newton on F2 against a linearization prepared once
-per call, F1 explicit, and F3 by the orthogonality center solve of tracking.
-The linearized F2 solve, the I-operator and the difference reconstruction are
+per call, F1 explicit, and F3 by the orthogonality center solve of tracking;
+the closing residual |F| is read off what the stages computed.  The
+linearized F2 solve, the I-operator and the difference reconstruction are
 one kink-weighted integral: a damped linear sweep on each side of the kink
 center, on slices of the grid, inward from the ends for F2 and outward from
 the center for I.
@@ -292,15 +293,9 @@ def eval_F(delta: float, y: float, v0: Field, v1: Field, u0: Field,
     """F1, F2: the Backlund pair of f = Q(base, t) + u0 and phi = v0 at
     a = base.a + delta; F3: orthogonality at velocity beta(a), center the
     base kink's position at t plus y."""
-    return _eval_F(delta, y, v0, v1, u0, u1, base, t,
-                   kink_identities(base, t, u0.grid.x))
-
-
-def _eval_F(delta: float, y: float, v0: Field, v1: Field, u0: Field,
-            u1: Field, base: KinkParams, t: float, ids: dict) -> FTriple:
-    """eval_F given ids, the base kink's identities at t on u0's grid."""
     grid = u0.grid
     a_d = _check_a(base.a + delta)
+    ids = kink_identities(base, t, grid.x)
     f = u0.values + ids["Q"]
     P, M = _pair(f, v0.values, a_d)
     f1 = ids["Q_x"] + spatial_derivative(u0, 1).values - v1.values - P
@@ -436,17 +431,19 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
     at the base kink, and so prepared once, damped by step halving;
     _INVERSE_MAX_ITER bounds this stage only; (ii) v1 read off from F1 = 0;
     (iii) F3 = 0 in y, the orthogonality center solve of tracking at
-    velocity beta(a0 + delta).
+    velocity beta(a0 + delta).  residual_norm is eval_F's |(F1, F2, F3)| at
+    the result, read off the stages: F2 is the last accepted Newton residual.
     """
     grid, dx, t = f.grid, f.grid.dx, f.time
     base = KinkParams(beta0, x0_guess)
     a0, c0 = base.a, base.x0 + base.beta * t
     ids = kink_identities(base, t, grid.x)
-    u0 = Field(grid, f.phi.values - ids["Q"])
-    u1 = Field(grid, f.phi_t.values - ids["Q_t"])
-    fv = u0.values + ids["Q"]  # f, f_x and f_t as eval_F forms them
-    f_x = ids["Q_x"] + _fd_stencil(u0.values, dx, 1)
-    f_t = ids["Q_t"] + u1.values
+    u0 = f.phi.values - ids["Q"]
+    # f = Q + u0, f_x and f_t = Q_t + u1 (u1 = f_t - Q_t) formed as eval_F
+    # forms them, so that the last Newton residual is eval_F's F2 bit for bit
+    fv = u0 + ids["Q"]
+    f_x = ids["Q_x"] + _fd_stencil(u0, dx, 1)
+    f_t = ids["Q_t"] + (f.phi_t.values - ids["Q_t"])
     def f2(d, v):
         return f_t - _fd_stencil(v, dx, 1) - _pair(fv, v, _check_a(a0 + d))[1]
 
@@ -473,18 +470,20 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
 
     # stage (ii): v1 explicit from F1 = 0
     a_d = _check_a(a0 + delta)
-    v1 = Field(grid, f_x - _pair(fv, v0, a_d)[0])
+    P = _pair(fv, v0, a_d)[0]
+    v1 = f_x - P
 
     # stage (iii): F3 = 0 is the orthogonality center condition
+    f_field, beta = Field(grid, fv), _beta(a_d)
     try:
-        y = solve_center(Field(grid, fv), _beta(a_d), 0.0, c0) - c0
+        y = solve_center(f_field, beta, 0.0, c0) - c0
     except RuntimeError as exc:
         raise BacklundConvergenceError(f"F3 center solve: {exc}") from exc
 
-    phi = State(Field(grid, v0), v1, f.time, Topology.ZERO)
-    tri = _eval_F(delta, y, phi.phi, v1, u0, u1, base, t, ids)
-    residual = float(np.sqrt(norm(tri.F1, Lp(2)) ** 2
-                             + norm(tri.F2, Lp(2)) ** 2 + tri.F3**2))
+    f3, _ = _orthogonality(f_field, beta, 0.0, c0 + y)
+    residual = float(np.sqrt(_lp(f_x - v1 - P, dx, 2.0) ** 2
+                             + history[-1] ** 2 + f3**2))
+    phi = State(Field(grid, v0), Field(grid, v1), t, Topology.ZERO)
     return InverseResult(delta, y, phi, residual, base, tuple(history))
 
 

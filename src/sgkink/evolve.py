@@ -117,7 +117,8 @@ def _guard(arr: np.ndarray) -> None:
 
 def _whole_steps(span: float, dt: float, name: str) -> int:
     steps = span / dt
-    if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+    if (not np.isfinite(steps) or abs(steps - round(steps)) > 1e-9
+            or round(steps) < 1):
         raise ValueError(f"{name}={span} is not a positive whole number of "
                          f"steps dt={dt}")
     return int(round(steps))

@@ -176,11 +176,13 @@ def _refuse(cfg: ExperimentConfig):
     """Refuse a config whose run would refuse it, or integrate and then
     fail, or pass a check that has nothing to judge.  In order: the initial
     state must build (a grid too narrow for the kink's tails, a custom_file
-    on another grid); snapshots must take the run (see _run_steps); the
-    predictor times must be snapshot times; each check needs snapshots to
-    judge; the radiation must not wrap around the periodic grid."""
+    on another grid), and so must the roundtrip's forward transform (its
+    beta, anchor and tails); snapshots must take the run (see _run_steps);
+    the predictor times must be snapshot times; each check needs snapshots
+    to judge; the radiation must not wrap around the periodic grid."""
     s0 = cfg.initial_state
     if cfg.name == "backlund-roundtrip":  # the only runner without evolve
+        forward_transform(s0, KinkParams(cfg.beta0, 0.0).a, cfg.x0)
         return
     steps, stride = _run_steps(
         Scheme(SchemeKind(cfg.scheme), cfg.time_step), cfg.grid.dx,
@@ -470,11 +472,9 @@ def _run_exterior_decay(cfg: ExperimentConfig, rep: Report) -> None:
     records = track(_snapshots(cfg, cfg.initial_state, rep), cfg.beta0,
                     cfg.x0, exterior=True)
     rows = []
-    for rec in records:
+    for rec in records:  # _refuse: |x| >= t is not empty at any t >= 10
         if rec.time < _EXTERIOR_FROM:
             continue
-        if rec.exterior_sup is None:
-            raise ValueError(f"empty exterior region at t={rec.time}")
         lhs, r = rec.exterior_sup
         bound = _decay_bound(rec.time, r, cfg.s)
         rows.append({"t": rec.time, "lhs": lhs, "bound": bound,

@@ -16,7 +16,6 @@ from sgkink.backlund import (
     _blocked_scan,
     _cell_integrals,
     _damped_cumsum,
-    _eval_F,
     _forward_f,
     _gauss_legendre4,
     _kink_sweep,
@@ -35,10 +34,12 @@ from sgkink.evolve import Scheme, SchemeKind, evolve
 from sgkink.exact import Kink, KinkParams, kink_identities, sample_state, sech
 from sgkink.fields import (
     Field,
+    Lp,
     State,
     Topology,
     _local_poly,
     make_grid,
+    norm,
     spatial_derivative,
 )
 from sgkink.tracking import _orthogonality
@@ -642,8 +643,9 @@ class TestSliceSweep:
 
 
 class TestPreparedKernels:
-    """forward_transform's in-place M, the prepared F2 solver and _eval_F
-    against their test-local oracles, bit for bit."""
+    """forward_transform's in-place M, the prepared F2 solver and
+    inverse_transform's closing residual against their oracles, bit for
+    bit."""
 
     @pytest.mark.parametrize("data", [small_state, odd_sech_state],
                              ids=["gaussian", "odd-sech"])
@@ -677,17 +679,25 @@ class TestPreparedKernels:
             assert out["lambda"] == lam
             assert bits(out["w"].values) == bits(w)
 
-    def test_eval_F_given_identities(self, fine_grid):
-        base, t = KinkParams(0.3, 0.2), 0.5
-        bump = np.exp(-fine_grid.x**2)
-        u0, u1, v0, v1 = (Field(fine_grid, c * bump)
-                          for c in (0.02, -0.01, 0.01, 0.03))
-        want = eval_F(0.05, 0.1, v0, v1, u0, u1, base, t)
-        got = _eval_F(0.05, 0.1, v0, v1, u0, u1, base, t,
-                      kink_identities(base, t, fine_grid.x))
-        assert bits(got.F1.values) == bits(want.F1.values)
-        assert bits(got.F2.values) == bits(want.F2.values)
-        assert got.F3 == want.F3
+    @pytest.mark.parametrize("eps,beta,t", [(0.0, 0.2, 0.0), (0.03, 0.2, 0.0),
+                                            (0.05, -0.4, 1.5)],
+                             ids=["kink", "gaussian", "moving"])
+    def test_closing_residual_is_eval_F(self, eps, beta, t):
+        # residual_norm is read off the stages; it must be eval_F's |F| at
+        # the result, from the start (no Newton step) and after several
+        g = make_grid(-16.0, 16.0, 1024)
+        phi = small_state(g, eps)
+        phi = State(phi.phi, phi.phi_t, t, Topology.ZERO)
+        f = forward_transform(phi, KinkParams(beta, 0.0).a, 0.0)
+        inv = inverse_transform(f, beta, 0.0)
+        assert (inv.newton_steps == 0) == (eps == 0.0)
+        ids = kink_identities(inv.base, t, g.x)
+        tri = eval_F(inv.delta, inv.y, inv.phi.phi, inv.phi.phi_t,
+                     Field(g, f.phi.values - ids["Q"]),
+                     Field(g, f.phi_t.values - ids["Q_t"]), inv.base, t)
+        want = float(np.sqrt(norm(tri.F1, Lp(2)) ** 2
+                             + norm(tri.F2, Lp(2)) ** 2 + tri.F3**2))
+        assert inv.residual_norm == want
 
 
 class TestBlockedScan:

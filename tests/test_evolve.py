@@ -1,5 +1,6 @@
 """Time integrators, trajectories, and conserved-quantity diagnostics."""
 
+import re
 import sys
 import tracemalloc
 
@@ -918,6 +919,20 @@ class TestSnapshots:
               else kink_state(grid))
         with pytest.raises(ValueError, match=match):
             snapshots(s0, Scheme(kind, 0.3), t_end, every)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name", ["t_end", "snapshot_every"])
+    def test_refuses_non_finite_spans(self, grid, name, value):
+        # round() raised OverflowError on inf and "cannot convert float NaN
+        # to integer" on NaN; snapshots names t_end's span from s0
+        spans = {"t_end": 1.2, "snapshot_every": 0.6, name: value}
+        label = {"t_end": "t_end - s0.time"}.get(name, name)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{label}={value} is not a positive whole number of steps "
+                "dt=0.3")):
+            snapshots(small_state(grid),
+                      Scheme(SchemeKind.STRANG_SPLIT_SPECTRAL, 0.3),
+                      spans["t_end"], spans["snapshot_every"])
 
     @given(kind=st.sampled_from([SchemeKind.LEAPFROG,
                                  SchemeKind.YOSHIDA4_SPECTRAL]),

@@ -363,13 +363,32 @@ class TestCli:
          "the pair-energy check needs >= 2 snapshots at t >= 20.0, got 0"),
         ({"name": "wobbler", "t_end": 20.0},
          "the pair-energy check needs >= 2 snapshots at t >= 20.0, got 1"),
+        # the roundtrip runs no evolve; it refuses what forward_transform
+        # refuses: the base kink's beta, an anchor off the grid, and tails
+        # short of (0, 2 pi) when the kink sits 6 from the grid's end
+        ({"name": "backlund-roundtrip", "beta0": 1.5},
+         "|beta| must be < 1, got 1.5"),
+        ({"name": "backlund-roundtrip", "x0": 300}, "anchor outside grid"),
+        ({"name": "backlund-roundtrip", "x0": 250},
+         "tails did not converge to (0, 2pi)"),
+        # json writes inf and nan as Infinity and NaN, which it reads back
+        ({**CHEAP, "t_end": np.inf},
+         "t_end=inf is not a positive whole number of steps dt=0.03125"),
+        ({**CHEAP, "t_end": np.nan},
+         "t_end=nan is not a positive whole number of steps dt=0.03125"),
+        ({**CHEAP, "snapshot_every": np.inf}, "snapshot_every=inf is not a "
+         "positive whole number of steps dt=0.03125"),
+        ({**CHEAP, "snapshot_every": np.nan}, "snapshot_every=nan is not a "
+         "positive whole number of steps dt=0.03125"),
     ], ids=["leapfrog-cfl", "conservation-kink-spectral",
             "kink-stability-spectral", "decay-fit-7-snapshots",
             "decay-fit-no-snapshots", "profile-too-narrow",
             "radiation-wraps-around",
             "exterior-no-snapshots", "exterior-one-snapshot",
             "exterior-region-empty", "wobbler-no-snapshots",
-            "wobbler-one-snapshot"])
+            "wobbler-one-snapshot", "roundtrip-beta", "roundtrip-anchor",
+            "roundtrip-tails", "t-end-infinity", "t-end-nan",
+            "snapshot-every-infinity", "snapshot-every-nan"])
     def test_validate_rejects_what_run_refuses(self, cfg, message, tmp_path,
                                                capsys):
         bad = tmp_path / "bad.json"
