@@ -124,6 +124,8 @@ class ExperimentConfig:
             )
         if not 0.0 < self.epsilon <= 0.2:
             raise ValueError(f"epsilon must lie in (0, 0.2], got {self.epsilon}")
+        if not 0.0 <= self.s < np.inf:  # WeightedSobolev's s, and finite
+            raise ValueError(f"s must be finite and >= 0, got {self.s}")
         if self.scheme not in {k.value for k in SchemeKind}:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.perturbation not in _PERTURBATIONS:
@@ -310,22 +312,15 @@ def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
     s0 = cfg.initial_state
     inv = inverse_transform(s0, cfg.beta0, cfg.x0)
     rep.summary["inverse"] = json.loads(inv.to_json())
-    residuals, dx = [], cfg.grid.dx
-
-    def f_states():
-        # f and phi in lockstep; only the residual norms outlive a snapshot,
-        # each the L2 norm of backlund_residual's R1 or R2
-        for s, p in zip(_snapshots(cfg, s0, rep, "f"),
-                        _snapshots(cfg, inv.phi, rep, "phi"), strict=True):
-            res = _residual(s.phi.values, s.phi_t.values, p.phi.values,
-                            p.phi_t.values, inv.a, dx)
-            residuals.append(tuple(math.sqrt(_trapezoid(r, dx, r))
-                                   for r in res))
-            yield s
-
-    records = track(f_states(), inv.beta, inv.center)
-    rows = []
-    for rec, (r1, r2) in zip(records, residuals, strict=True):
+    dx, rows = cfg.grid.dx, []
+    # f tracked and phi stepped in lockstep, with backlund_residual's R1, R2
+    pairs = zip(track(_snapshots(cfg, s0, rep, "f"), inv.beta, inv.center),
+                _snapshots(cfg, inv.phi, rep, "phi"), strict=True)
+    for rec, p in pairs:
+        f = rec.state
+        r1, r2 = (math.sqrt(_trapezoid(r, dx, r)) for r in _residual(
+            f.phi.values, f.phi_t.values, p.phi.values, p.phi_t.values,
+            inv.a, dx))
         rows.append({
             "t": rec.time,
             "center": rec.center,

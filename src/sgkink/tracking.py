@@ -12,8 +12,8 @@ arithmetic on the uniform grid.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,7 @@ class TrackRecord:
     diff_pair_energy: float
     exterior_l2: float | None  # L2 of the difference over |x| >= t
     exterior_sup: tuple | None  # (sup of |d0|+|d1|+|d2| there, |x|-t at it)
+    state: State = field(compare=False, repr=False)  # the snapshot read
 
 
 def _orthogonality(f: Field, beta: float, t: float, c: float) -> tuple:
@@ -147,25 +148,25 @@ def _center_velocity(phi_t: np.ndarray, f_x: np.ndarray, w: np.ndarray,
 
 
 def track(states: Iterable[State], beta: float, x0_guess: float,
-          exterior: bool = False) -> tuple:
-    """One TrackRecord per snapshot: solve_center with continuation seeding.
+          exterior: bool = False) -> Iterator[TrackRecord]:
+    """One TrackRecord per snapshot, yielded as soon as that snapshot is
+    read: solve_center with continuation seeding.
 
     states is any iterable of States in time order, such as the generator
-    of evolve.snapshots; each is read once and not kept.
+    of evolve.snapshots; each is read once and kept only by its record.
 
     After the center solve, each snapshot takes one set of kink identities
     at the center and two derivatives, D phi and D Q, and every record field
     reads the differences d0 = phi - Q, d1 = D phi - D Q, d2 = phi_t - Q_t.
     exterior adds the norms over |x| >= t to each record (else None).
     """
-    records = []
-    guess = x0_guess
-    for s in states:
+    guess = x0_guess  # from the first record on, the last center
+    for i, s in enumerate(states):
         c = solve_center(s.phi, beta, s.time, guess)
-        if records and abs(c - records[-1].center) > 0.5:
+        if i and abs(c - guess) > 0.5:
             raise RuntimeError(
-                f"center jumped by {abs(c - records[-1].center):.3f} at "
-                f"t={s.time}; continuation broken"
+                f"center jumped by {abs(c - guess):.3f} at t={s.time}; "
+                "continuation broken"
             )
         guess = c
         x, dx = s.grid.x, s.grid.dx
@@ -180,7 +181,7 @@ def track(states: Iterable[State], beta: float, x0_guess: float,
             dens = d0 * d0 + d1 * d1 + d2 * d2
             ext = float(np.sqrt(np.sum(dens[np.abs(x) >= s.time]) * dx))
             sup = _exterior_sup(x, s.time, d0, d1, d2)
-        records.append(TrackRecord(
+        yield TrackRecord(
             time=s.time,
             center=c,
             center_velocity=_center_velocity(phi_t, f_x, ids["sin_half"],
@@ -190,8 +191,8 @@ def track(states: Iterable[State], beta: float, x0_guess: float,
             diff_pair_energy=_pair_energy(d0, d1, d2, dx),
             exterior_l2=ext,
             exterior_sup=sup,
-        ))
-    return tuple(records)
+            state=s,
+        )
 
 
 def _exterior_sup(x: np.ndarray, t: float, d0: np.ndarray, d1: np.ndarray,

@@ -94,7 +94,7 @@ def stability_run():
     inv = inverse_transform(s0, beta, 0.0)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 200.0,
                   snapshot_every=2.5)
-    ortho = track(traj.states, inv.beta, inv.center)
+    ortho = tuple(track(traj.states, inv.beta, inv.center))
     # the pi-level centers, each solve seeded with the last center as track
     # seeds its own
     pi, guess = [], inv.center

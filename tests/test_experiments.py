@@ -15,7 +15,7 @@ import sgkink.experiments
 from sgkink.backlund import backlund_residual, inverse_transform
 from sgkink.cli import main
 from sgkink.evolve import Scheme, SchemeKind, snapshots
-from sgkink.exact import sample_state
+from sgkink.exact import sample_state, sech
 from sgkink.experiments import (
     EXPERIMENT_NAMES,
     ExperimentConfig,
@@ -35,6 +35,10 @@ NARROW = {"name": "kink-stability", "x_min": -8.0, "x_max": 8.0, "n": 256,
 # small-data-scattering on a small grid
 SMALL = {"name": "small-data-scattering", "x_min": -64.0, "x_max": 64.0,
          "n": 1024, "scheme": "yoshida4", "dt": 0.0625}
+
+# exterior-decay on a small grid
+EXTERIOR = {"name": "exterior-decay", "x_min": -64.0, "x_max": 64.0,
+            "n": 2048, "t_end": 30.0}
 
 CHEAP = dict(
     name="conservation",
@@ -198,6 +202,24 @@ class TestRunners:
                 assert row[col] == pytest.approx(norm(res[key], Lp(2)),
                                                  rel=1e-12, abs=0.0), col
 
+    def test_odd_sech_roundtrip(self):
+        # odd data, the setting of Luhrmann and Schlag's stability result
+        cfg = ExperimentConfig(name="backlund-roundtrip",
+                               perturbation="odd-sech", epsilon=0.02)
+        odd = -0.02 * sech(cfg.grid.x) * np.tanh(cfg.grid.x)
+        for f in (cfg.initial_state.phi, cfg.initial_state.phi_t):
+            np.testing.assert_array_equal(f.values, odd)
+        rep = run_experiment(cfg)
+        assert rep.passed, rep.failures
+        assert rep.summary["roundtrip_sup_error"] < 1e-9
+
+    def test_odd_sech_kink_stability(self):
+        rep = run_experiment(ExperimentConfig(
+            name="kink-stability", x_min=-64.0, x_max=64.0, n=2048,
+            t_end=20.0, perturbation="odd-sech", epsilon=0.02))
+        assert rep.passed, rep.failures
+        assert rep.summary["max_pair_energy_over_eps"] < 2.0
+
     def test_roundtrip_small(self):
         rep = run_experiment(ExperimentConfig(
             name="backlund-roundtrip", x_min=-64.0, x_max=64.0, n=4096,
@@ -297,13 +319,16 @@ class TestCli:
         assert main(["validate", str(bad)]) == 1
         assert "invalid config" in capsys.readouterr().err
 
-    def test_validate_missing_file(self, tmp_path):
+    def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "none.json")]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
 
-    def test_validate_bad_values(self, tmp_path):
+    def test_validate_bad_values(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**CHEAP, "epsilon": 9.0}))
         assert main(["validate", str(bad)]) == 1
+        assert ("epsilon must lie in (0, 0.2], got 9.0"
+                in capsys.readouterr().err)
 
     def test_validate_rejects_unknown_field(self, tmp_path, capsys):
         # m was a config field that no runner read; it is refused, not ignored
@@ -312,7 +337,7 @@ class TestCli:
         assert main(["validate", str(bad)]) == 1
         assert "invalid config" in capsys.readouterr().err
 
-    def test_validate_rejects_fractional_step_counts(self, tmp_path):
+    def test_validate_rejects_fractional_step_counts(self, tmp_path, capsys):
         # run would refuse dt=0.3 against t_end=1.0 and snapshot_every=0.25
         bad = tmp_path / "steps.json"
         bad.write_text(json.dumps({
@@ -321,6 +346,8 @@ class TestCli:
             "t_end": 1.0, "snapshot_every": 0.25,
         }))
         assert main(["validate", str(bad)]) == 1
+        assert ("t_end=1.0 is not a positive whole number of steps dt=0.3"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("cfg, message", [
         # whole step counts at dt = 0.875 dx, past the leapfrog's CFL bound
@@ -380,6 +407,14 @@ class TestCli:
          "positive whole number of steps dt=0.03125"),
         ({**CHEAP, "snapshot_every": np.nan}, "snapshot_every=nan is not a "
          "positive whole number of steps dt=0.03125"),
+        # a dt of NaN or Infinity is refused as such, not blamed on t_end
+        ({**CHEAP, "dt": np.nan}, "dt must be positive and finite, got nan"),
+        ({**CHEAP, "dt": np.inf}, "dt must be positive and finite, got inf"),
+        # the exterior bound's weight <r>^(-s); s = Infinity ended the run
+        # in a ZeroDivisionError, NaN and -3 judged as s = 1 did
+        ({**EXTERIOR, "s": np.inf}, "s must be finite and >= 0, got inf"),
+        ({**EXTERIOR, "s": np.nan}, "s must be finite and >= 0, got nan"),
+        ({**EXTERIOR, "s": -3.0}, "s must be finite and >= 0, got -3.0"),
     ], ids=["leapfrog-cfl", "conservation-kink-spectral",
             "kink-stability-spectral", "decay-fit-7-snapshots",
             "decay-fit-no-snapshots", "profile-too-narrow",
@@ -388,7 +423,8 @@ class TestCli:
             "exterior-region-empty", "wobbler-no-snapshots",
             "wobbler-one-snapshot", "roundtrip-beta", "roundtrip-anchor",
             "roundtrip-tails", "t-end-infinity", "t-end-nan",
-            "snapshot-every-infinity", "snapshot-every-nan"])
+            "snapshot-every-infinity", "snapshot-every-nan", "dt-nan",
+            "dt-infinity", "s-infinity", "s-nan", "s-negative"])
     def test_validate_rejects_what_run_refuses(self, cfg, message, tmp_path,
                                                capsys):
         bad = tmp_path / "bad.json"
@@ -396,7 +432,8 @@ class TestCli:
         assert main(["validate", str(bad)]) == 1
         assert message in capsys.readouterr().err
 
-    def test_validate_rejects_predictor_times_off_snapshots(self, tmp_path):
+    def test_validate_rejects_predictor_times_off_snapshots(self, tmp_path,
+                                                            capsys):
         # 0.375*t_end = 75 is not a multiple of snapshot_every = 2, so the run
         # would integrate to t = 200 and then find no snapshot at t = 75
         bad = tmp_path / "predictor.json"
@@ -405,6 +442,8 @@ class TestCli:
             "snapshot_every": 2, "t_end": 200,
         }))
         assert main(["validate", str(bad)]) == 1
+        assert ("predictor time 75.0 is not a snapshot time "
+                "(snapshot_every=2)") in capsys.readouterr().err
 
     def test_validate_rejects_a_grid_too_narrow(self, tmp_path, capsys):
         # the kink's tails are not at 0 and 2 pi on [-8, 8), so its initial

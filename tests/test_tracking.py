@@ -1,5 +1,6 @@
 """Center selection, velocity estimation, and decay diagnostics."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -183,7 +184,7 @@ def exact_run(grid):
     s0 = kink_state(grid, beta=0.2)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 10.0,
                   snapshot_every=0.5)
-    return traj, 0.2, track(traj.states, 0.2, 0.0, exterior=True)
+    return traj, 0.2, tuple(track(traj.states, 0.2, 0.0, exterior=True))
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +200,7 @@ def perturbed_run(grid):
                Field(grid, base.phi_t.values - bump), 0.0, Topology.KINK)
     traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, grid.dx / 2), 10.0,
                   snapshot_every=0.5)
-    return traj, 0.3, track(traj.states, 0.3, 0.0, exterior=True)
+    return traj, 0.3, tuple(track(traj.states, 0.3, 0.0, exterior=True))
 
 
 def public_record(s, beta, c):
@@ -238,7 +239,7 @@ class TestTrack:
         traj, beta, records = request.getfixturevalue(run)
         assert len(records) == len(traj.states)
         for s, r in zip(traj.states, records):
-            assert r.time == s.time
+            assert r.time == s.time and r.state is s
             want = public_record(s, beta, r.center)
             for key in ("center_velocity", "diff_linf", "diff_deriv_l2plinf"):
                 assert getattr(r, key) == pytest.approx(want[key], rel=1e-12,
@@ -256,6 +257,34 @@ class TestTrack:
                                                           abs=0.0)
                 assert _decay_bound(s.time, r.exterior_sup[1],
                                     1.0) == pytest.approx(bound, rel=1e-12)
+
+    def test_yields_each_record_before_reading_the_next_state(self, grid):
+        read = []
+
+        def states():
+            for t in (0.0, 0.5):
+                read.append(t)
+                yield kink_state(grid, t=t)
+
+        records = track(states(), 0.3, 0.0)
+        assert next(records).time == 0.0 and read == [0.0]
+        assert next(records).time == 0.5 and read == [0.0, 0.5]
+
+    def test_continuation_broken(self, grid):
+        # the second kink sits 1 away from the first record's center
+        records = track(iter([kink_state(grid), kink_state(grid, c=1.0)]),
+                        0.3, 0.0)
+        assert next(records).center == pytest.approx(0.0, abs=1e-9)
+        with pytest.raises(RuntimeError,
+                           match="center jumped by 1.000 at t=0.0; "
+                                 "continuation broken"):
+            next(records)
+
+    def test_records_compare_without_their_state(self, tracked_exact):
+        first, second = tracked_exact[:2]
+        same = replace(first, state=second.state)
+        assert same == first and hash(same) == hash(first)
+        assert "state" not in repr(first)
 
     def test_centers_constant(self, tracked_exact):
         centers = [r.center for r in tracked_exact]
