@@ -140,17 +140,19 @@ def backlund_residual(f: State, phi: State, a: float) -> dict:
         raise ValueError("grid mismatch")
     if abs(f.time - phi.time) > 1e-12:
         raise ValueError("time mismatch")
-    r1, r2 = _residual(f.phi.values, f.phi_t.values, phi.phi.values,
-                       phi.phi_t.values, a, f.grid.dx)
+    fv, dx = f.phi.values, f.grid.dx
+    r1, r2 = _residual(fv, _fd_stencil(fv, dx, 1), f.phi_t.values,
+                       phi.phi.values, phi.phi_t.values, a, dx)
     return {"R1": Field(f.grid, r1), "R2": Field(f.grid, r2)}
 
 
-def _residual(f: np.ndarray, f_t: np.ndarray, phi: np.ndarray,
-              phi_t: np.ndarray, a: float, dx: float) -> tuple:
-    """backlund_residual's (R1, R2) on raw samples, unchecked."""
+def _residual(f: np.ndarray, f_x: np.ndarray, f_t: np.ndarray,
+              phi: np.ndarray, phi_t: np.ndarray, a: float,
+              dx: float) -> tuple:
+    """backlund_residual's (R1, R2) on raw samples, unchecked, with f_x
+    f's _fd_stencil derivative, which a caller may already hold."""
     P, M = _pair(f, phi, a)
-    return (_fd_stencil(f, dx, 1) - phi_t - P,
-            f_t - _fd_stencil(phi, dx, 1) - M)
+    return f_x - phi_t - P, f_t - _fd_stencil(phi, dx, 1) - M
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +172,10 @@ def _rk4_matrices(h, m0, mm, m1):
     k2 = stage(mm, m0, 0.5 * h)
     k3 = stage(mm, k2, 0.5 * h)
     k4 = stage(m1, k3, h)
-    return np.array([eye + (h / 6.0) * (c1 + 2.0 * (c2 + c3) + c4) for
-                     eye, c1, c2, c3, c4 in zip((1, 0, 0, 1), m0, k2, k3, k4)])
+    out = np.empty((4, np.size(m0[0])))  # one column for scalar stages
+    for row, eye, c1, c2, c3, c4 in zip(out, (1, 0, 0, 1), m0, k2, k3, k4):
+        row[...] = eye + (h / 6.0) * (c1 + 2.0 * (c2 + c3) + c4)
+    return out
 
 
 def _prefix_products(r):

@@ -54,6 +54,9 @@ _BLOWUP = 1e6
 # around the cells more than _QUIET from their end value (see _leapfrog_run)
 _WINDOW_STEPS = 16
 _QUIET = 1e-12
+# _window scans inward from each edge of the last window, first this many
+# cells, then 4 times as many at each band
+_SCAN_BAND = 64
 # the spectral schemes' box (see _composition_run): cells are quiet at most
 # _BOX_QUIET times the data's sup; a box keeps _BOX_BANDS bands of
 # _WINDOW_STEPS dt/dx + _BOX_SLACK cells a side, and takes only data whose
@@ -191,41 +194,59 @@ def _window(f_prev: np.ndarray, f_cur: np.ndarray, left: float,
     lo = 2.  The cells outside it were quiet towards their own side when
     the last window was derived and have been frozen since, so the scan
     finds what a scan of the whole grid would, unless the two end values
-    differ by 2 _QUIET or less without being equal.
+    differ by 2 _QUIET or less without being equal.  Each end is scanned
+    inward from its own edge (see _edge_scan), so a window whose active
+    span starts near its edges reads a band of cells at each end, not the
+    whole window twice.
     """
     n = f_cur.size
     reach = 2 * _WINDOW_STEPS + 2
     a, b = max(lo - 2, 0), min(hi + 2, n)
-
-    def active(end):
-        # offsets into [a, b); np.maximum propagates NaN, and NaN <= _QUIET
-        # is False
-        far = np.abs(f_cur[a:b] - end)
-        np.maximum(far, np.abs(f_prev[a:b] - end), out=far)
-        return np.flatnonzero(~(far <= _QUIET))
-
-    from_left, from_right = active(left), active(right)
-    first = a + from_left[0] if from_left.size else n
-    last = a + from_right[-1] if from_right.size else -1
+    first = _edge_scan(f_prev, f_cur, left, a, b, True)
+    last = _edge_scan(f_prev, f_cur, right, a, b, False)
     lo = min(max(first - reach, 2), n - 2)
     hi = max(min(last + 1 + reach, n - 2), lo)
     return int(lo), int(hi)
+
+
+def _edge_scan(f_prev: np.ndarray, f_cur: np.ndarray, end: float, a: int,
+               b: int, from_left: bool) -> int:
+    """The first cell of [a, b) active towards end (see _window), or n if
+    none is; from the right, the last one, or -1.  The scan reads bands of
+    _SCAN_BAND cells inward from the edge, each 4 times the last, and stops
+    at the first band that holds an active cell."""
+    width = _SCAN_BAND
+    while a < b:
+        s, e = (a, min(a + width, b)) if from_left else (max(b - width, a), b)
+        # np.maximum propagates NaN, and NaN <= _QUIET is False
+        far = np.abs(f_cur[s:e] - end)
+        np.maximum(far, np.abs(f_prev[s:e] - end), out=far)
+        hits = np.flatnonzero(~(far <= _QUIET))
+        if hits.size:
+            return s + int(hits[0] if from_left else hits[-1])
+        a, b = (e, b) if from_left else (a, s)
+        width *= 4
+    return f_cur.size if from_left else -1
 
 
 def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     """f_next = 2f - f_prev + dt^2 (f_xx - sin f), 4th-order f_xx, in place.
 
     f_prev, f_cur and f_next are three preallocated buffers that rotate each
-    step.  A step writes the active window [lo, hi) of f_next with out=
-    ufuncs and one scratch array; the two stencil-starved cells at either
-    end hold s0's values in all three buffers.
+    step.  A step writes the active window [lo, hi) of f_next with 11
+    ufuncs, positional outputs and one scratch array; the two
+    stencil-starved cells at either end hold s0's values in all three
+    buffers.  The slice views a step reads and writes, each buffer's window
+    and its shifts by 1 and 2 cells a side, are built once per window and
+    rotate with their buffers, so a step slices nothing.
 
     The window follows the solution's light cone.  Every _WINDOW_STEPS steps,
     counted from the start of the run and not from the yields, so the window
     does not depend on the recording stride, _window re-derives it from
-    f_prev and f_cur, and f_cur's values outside it are copied into the
-    other two buffers: a frozen cell keeps one value through the rotation,
-    and its yielded phi_t is exactly 0.
+    f_prev and f_cur, scanning inward from the last window's edges, and
+    f_cur's values outside it are copied into the other two buffers: a
+    frozen cell keeps one value through the rotation, and its yielded phi_t
+    is exactly 0.
 
     _QUIET = 1e-12 sits just above the rounding drift of a field at its end
     value: a uniform 2 pi field stepped on every cell at dx = 1/16 moves by
@@ -233,10 +254,10 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     n = 4096 to t = 100, 1e-14 lets that drift widen the window (58% of the
     cells stepped on average, against 46%), and 1e-10 steps 45% but moves
     the sup-norm ratio by 3.0e-10 from the full-grid run, against 1.3e-11.
-    Re-deriving every 16 steps keeps the scan, of the last window and 2
-    cells a side, to a sixteenth of the steps, and the widening it costs,
-    34 cells a side, is small next to the cone.  Data that fill the grid get
-    the whole interior.  Yielded states own their arrays.
+    Re-deriving every 16 steps keeps the scan, of bands at the last window's
+    edges, to a sixteenth of the steps, and the widening it costs, 34 cells
+    a side, is small next to the cone.  Data that fill the grid get the
+    whole interior.  Yielded states own their arrays.
     """
     grid = s0.grid
     f_prev = np.array(s0.phi.values, dtype=float)
@@ -249,7 +270,7 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     scratch = np.empty(grid.n - 4)
     # the interior rows of _fd_stencil's order-2 stencil, times dt^2
     c = (dt / grid.dx) ** 2 / 12.0
-    c16, c_mid, dt2 = 16.0 * c, 2.0 - 30.0 * c, dt * dt
+    c16, c_mid, neg_dt2 = 16.0 * c, 2.0 - 30.0 * c, -(dt * dt)
     lo, hi = 2, grid.n - 2
     yield s0
     t0 = s0.time
@@ -259,24 +280,30 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
             for buf in (f_prev, f_next):
                 buf[:lo], buf[hi:] = f_cur[:lo], f_cur[hi:]
             tmp = scratch[:hi - lo]
-        inner = f_next[lo:hi]
-        np.sin(f_cur[lo:hi], out=inner)
-        inner *= -dt2
-        inner -= f_prev[lo:hi]
-        np.add(f_cur[lo - 1:hi - 1], f_cur[lo + 1:hi + 1], out=tmp)
-        tmp *= c16
-        inner += tmp
-        np.add(f_cur[lo - 2:hi - 2], f_cur[lo + 2:hi + 2], out=tmp)
-        tmp *= c
-        inner -= tmp
-        np.multiply(f_cur[lo:hi], c_mid, out=tmp)
-        inner += tmp
+            # each buffer's window and its shifts by -1, +1, -2, +2 cells
+            v_prev, v_cur, v_next = ((b[lo:hi], b[lo - 1:hi - 1],
+                                      b[lo + 1:hi + 1], b[lo - 2:hi - 2],
+                                      b[lo + 2:hi + 2])
+                                     for b in (f_prev, f_cur, f_next))
+        inner, mid, m1, p1, m2, p2 = v_next[0], *v_cur
+        np.sin(mid, inner)
+        np.multiply(inner, neg_dt2, inner)
+        np.subtract(inner, v_prev[0], inner)
+        np.add(m1, p1, tmp)
+        np.multiply(tmp, c16, tmp)
+        np.add(inner, tmp, inner)
+        np.add(m2, p2, tmp)
+        np.multiply(tmp, c, tmp)
+        np.subtract(inner, tmp, inner)
+        np.multiply(mid, c_mid, tmp)
+        np.add(inner, tmp, inner)
         if step % stride == 0 or step == n_steps:
             _guard(f_next)
             phi_t = (f_next - f_prev) / (2.0 * dt)
             yield State(Field(grid, f_cur.copy()), Field(grid, phi_t),
                         t0 + step * dt, s0.topology)
         f_prev, f_cur, f_next = f_cur, f_next, f_prev
+        v_prev, v_cur, v_next = v_cur, v_next, v_prev
 
 
 def _fft_size(m: int) -> int:

@@ -176,12 +176,16 @@ class ExperimentConfig:
 
 def _refuse(cfg: ExperimentConfig):
     """Refuse a config whose run would refuse it, or integrate and then
-    fail, or pass a check that has nothing to judge.  In order: the initial
-    state must build (a grid too narrow for the kink's tails, a custom_file
-    on another grid), and so must the roundtrip's forward transform (its
+    fail, or pass a check that has nothing to judge.  In order: the
+    wobbler's x0 must be 0, where its kink sits; the initial state must
+    build (a grid too narrow for the kink's tails, a custom_file on another
+    grid), and so must the roundtrip's forward transform (its
     beta, anchor and tails); snapshots must take the run (see _run_steps);
     the predictor times must be snapshot times; each check needs snapshots
     to judge; the radiation must not wrap around the periodic grid."""
+    if cfg.name == "wobbler" and cfg.x0 != 0.0:
+        raise ValueError("the wobbling kink sits at x = 0; x0 must be 0, "
+                         f"got {cfg.x0}")
     s0 = cfg.initial_state
     if cfg.name == "backlund-roundtrip":  # the only runner without evolve
         forward_transform(s0, KinkParams(cfg.beta0, 0.0).a, cfg.x0)
@@ -319,8 +323,8 @@ def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
     for rec, p in pairs:
         f = rec.state
         r1, r2 = (math.sqrt(_trapezoid(r, dx, r)) for r in _residual(
-            f.phi.values, f.phi_t.values, p.phi.values, p.phi_t.values,
-            inv.a, dx))
+            f.phi.values, rec.f_x, f.phi_t.values, p.phi.values,
+            p.phi_t.values, inv.a, dx))
         rows.append({
             "t": rec.time,
             "center": rec.center,
@@ -450,7 +454,8 @@ def _predictor_mask(grid: Grid, t: float) -> np.ndarray:
 
 
 def _run_wobbler(cfg: ExperimentConfig, rep: Report) -> None:
-    records = track(_snapshots(cfg, cfg.initial_state, rep), 0.0, cfg.x0)
+    # _refuse: x0 = 0, where WobblingKink sits
+    records = track(_snapshots(cfg, cfg.initial_state, rep), 0.0, 0.0)
     rows = [{"t": r.time, "center": r.center,
              "diff_pair_energy": r.diff_pair_energy} for r in records]
     rep.tables["tracking"] = rows

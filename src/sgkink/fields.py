@@ -254,8 +254,10 @@ class WeightedSobolev:
     s: float
 
     def __post_init__(self):
-        if self.m < 0 or self.s < 0:
-            raise ValueError("m and s must be >= 0")
+        if not 0.0 <= self.m < np.inf:
+            raise ValueError(f"m must be finite and >= 0, got {self.m}")
+        if not 0.0 <= self.s < np.inf:
+            raise ValueError(f"s must be finite and >= 0, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -326,10 +328,15 @@ def _l2plus_linf(values: np.ndarray, dx: float) -> float:
             else:
                 order, floor = np.argsort(a)[::-1], 0.0
             s_a = a[order]
-            w = np.where((order == 0) | (order == n - 1), 0.5 * dx, dx)
-            s0 = np.cumsum(w)
-            s1 = np.cumsum(w * s_a)
-            s2 = np.cumsum(w * s_a * s_a)
+            # rows w, w |g| and w |g|^2, w = dx but dx/2 at the end cells,
+            # which are in order only if they reach floor
+            sums = np.empty((3, s_a.size))
+            sums[0] = dx
+            if max(a[0], a[-1]) >= floor:
+                sums[0, (order == 0) | (order == n - 1)] = 0.5 * dx
+            np.multiply(sums[0], s_a, sums[1])
+            np.multiply(sums[1], s_a, sums[2])
+            s0, s1, s2 = np.cumsum(sums, axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 root = np.sqrt(np.maximum(s0 * s2 - s1 * s1, 0.0) / (s0 - 1.0))
                 lam = (s1 - root) / s0
@@ -344,8 +351,14 @@ def _l2plus_linf(values: np.ndarray, dx: float) -> float:
         objs = np.concatenate([[np.sqrt(s2[-1] if k >= n else l2sq), s_a[0]],
                                lam[ok] + root[ok]])
         best = float(lams[np.argmin(objs)])
-    clipped = np.maximum(a - best, 0.0)
-    return float(np.sqrt(np.trapezoid(clipped**2, dx=dx))) + best
+    # ||(|g| - best)_+||_2 by np.trapezoid's arithmetic, in place on a
+    np.subtract(a, best, a)
+    np.maximum(a, 0.0, out=a)
+    np.multiply(a, a, a)
+    pairs = a[1:] + a[:-1]
+    np.multiply(pairs, dx, pairs)
+    np.divide(pairs, 2.0, pairs)
+    return float(np.sqrt(pairs.sum())) + best
 
 
 def _weighted_sobolev(f: Field, m: float, s: float) -> float:

@@ -59,6 +59,8 @@ class TrackRecord:
     exterior_l2: float | None  # L2 of the difference over |x| >= t
     exterior_sup: tuple | None  # (sup of |d0|+|d1|+|d2| there, |x|-t at it)
     state: State = field(compare=False, repr=False)  # the snapshot read
+    # the snapshot's phi_x, _fd_stencil(phi, dx, 1), for callers that need it
+    f_x: np.ndarray = field(compare=False, repr=False)
 
 
 def _orthogonality(f: Field, beta: float, t: float, c: float) -> tuple:
@@ -157,8 +159,9 @@ def track(states: Iterable[State], beta: float, x0_guess: float,
 
     After the center solve, each snapshot takes one set of kink identities
     at the center and two derivatives, D phi and D Q, and every record field
-    reads the differences d0 = phi - Q, d1 = D phi - D Q, d2 = phi_t - Q_t.
-    exterior adds the norms over |x| >= t to each record (else None).
+    reads the differences d0 = phi - Q, d1 = D phi - D Q, d2 = phi_t - Q_t;
+    the record keeps D phi as f_x.  exterior adds the norms over |x| >= t
+    to each record (else None).
     """
     guess = x0_guess  # from the first record on, the last center
     for i, s in enumerate(states):
@@ -192,6 +195,7 @@ def track(states: Iterable[State], beta: float, x0_guess: float,
             exterior_l2=ext,
             exterior_sup=sup,
             state=s,
+            f_x=f_x,
         )
 
 

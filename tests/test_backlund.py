@@ -21,7 +21,6 @@ from sgkink.backlund import (
     _kink_sweep,
     _linearized_F2,
     _matmul,
-    _rk4_matrices,
     backlund_residual,
     eval_F,
     forward_transform,
@@ -117,9 +116,22 @@ def reference_forward(phi, a, center):
     return f, p_x + np.sin(0.5 * (f + pv)) / a - a * np.sin(0.5 * (f - pv))
 
 
+def reference_rk4_matrices(h, m0, mm, m1):
+    """_rk4_matrices as it was before it wrote its rows in place, kept
+    verbatim as an oracle: the four rows copied through np.array."""
+    def stage(m, k, s):  # m (I + s k)
+        return _matmul(m, (1.0 + s * k[0], s * k[1], s * k[2], 1.0 + s * k[3]))
+    k2 = stage(mm, m0, 0.5 * h)
+    k3 = stage(mm, k2, 0.5 * h)
+    k4 = stage(m1, k3, h)
+    return np.array([eye + (h / 6.0) * (c1 + 2.0 * (c2 + c3) + c4) for
+                     eye, c1, c2, c3, c4 in zip((1, 0, 0, 1), m0, k2, k3, k4)])
+
+
 def reference_forward_f(grid, pv, ptv, a, center):
-    """_forward_f with (phi, phi_t) stacked by np.c_ and M's rows by
-    np.array, the assembly that filling both in place replaced."""
+    """_forward_f with (phi, phi_t) stacked by np.c_, M's rows by np.array
+    and the RK4 matrices by reference_rk4_matrices, the assembly that
+    filling all three in place replaced."""
     x, dx, n = grid.x, grid.dx, grid.n
     v = np.array([pv, ptv])
     k0 = int(np.searchsorted(x, center))
@@ -134,13 +146,14 @@ def reference_forward_f(grid, pv, ptv, a, center):
     M = np.array([A, B + 0.25 * pt, B - 0.25 * pt, -A])
 
     def side(h, anc, r):
-        y = _rk4_matrices(h, M[:, 2 * n - 1], M[:, anc], M[:, anc + 1])
+        y = reference_rk4_matrices(h, M[:, 2 * n - 1], M[:, anc],
+                                   M[:, anc + 1])
         return 4.0 * np.arctan2(*_blocked_scan(r, y.reshape(2, 2).sum(axis=1)))
     f = np.empty(n)
-    f[k0:] = side(h_r, 2 * n, _rk4_matrices(
+    f[k0:] = side(h_r, 2 * n, reference_rk4_matrices(
         dx, M[:, k0:n - 1], M[:, n + k0:2 * n - 1], M[:, k0 + 1:n]))
     if k0 > 0:
-        f[k0 - 1::-1] = side(h_l, 2 * n + 2, _rk4_matrices(
+        f[k0 - 1::-1] = side(h_l, 2 * n + 2, reference_rk4_matrices(
             -dx, M[:, 1:k0], M[:, n:n + k0 - 1], M[:, :k0 - 1])[:, ::-1])
     return f
 

@@ -229,6 +229,105 @@ def reference_leapfrog(s0, dt, n_steps, stride):
     return out
 
 
+def parent_window(f_prev, f_cur, left, right, lo, hi):
+    """_window as it was before it scanned from the window's edges, kept
+    verbatim as an oracle: two scans of all of [lo - 2, hi + 2)."""
+    n = f_cur.size
+    reach = 2 * _WINDOW_STEPS + 2
+    a, b = max(lo - 2, 0), min(hi + 2, n)
+
+    def active(end):
+        # offsets into [a, b); np.maximum propagates NaN, and NaN <= _QUIET
+        # is False
+        far = np.abs(f_cur[a:b] - end)
+        np.maximum(far, np.abs(f_prev[a:b] - end), out=far)
+        return np.flatnonzero(~(far <= _QUIET))
+
+    from_left, from_right = active(left), active(right)
+    first = a + from_left[0] if from_left.size else n
+    last = a + from_right[-1] if from_right.size else -1
+    lo = min(max(first - reach, 2), n - 2)
+    hi = max(min(last + 1 + reach, n - 2), lo)
+    return int(lo), int(hi)
+
+
+def parent_leapfrog_run(s0, dt, n_steps, stride):
+    """_leapfrog_run as it was before it kept its window's views, kept
+    verbatim as an oracle: each step slices the rotating buffers anew, with
+    keyword and in-place outputs, and the window comes from parent_window."""
+    grid = s0.grid
+    f_prev = np.array(s0.phi.values, dtype=float)
+    accel0 = _fd_stencil(f_prev, grid.dx, 2) - np.sin(f_prev)
+    f_cur = f_prev + dt * s0.phi_t.values + 0.5 * dt * dt * accel0
+    # tail values are constants of the motion
+    f_cur[:2], f_cur[-2:] = f_prev[:2], f_prev[-2:]
+    f_next = f_prev.copy()
+    left, right = f_prev[0], f_prev[-1]
+    scratch = np.empty(grid.n - 4)
+    # the interior rows of _fd_stencil's order-2 stencil, times dt^2
+    c = (dt / grid.dx) ** 2 / 12.0
+    c16, c_mid, dt2 = 16.0 * c, 2.0 - 30.0 * c, dt * dt
+    lo, hi = 2, grid.n - 2
+    yield s0
+    t0 = s0.time
+    for step in range(1, n_steps + 1):
+        if (step - 1) % _WINDOW_STEPS == 0:
+            lo, hi = parent_window(f_prev, f_cur, left, right, lo, hi)
+            for buf in (f_prev, f_next):
+                buf[:lo], buf[hi:] = f_cur[:lo], f_cur[hi:]
+            tmp = scratch[:hi - lo]
+        inner = f_next[lo:hi]
+        np.sin(f_cur[lo:hi], out=inner)
+        inner *= -dt2
+        inner -= f_prev[lo:hi]
+        np.add(f_cur[lo - 1:hi - 1], f_cur[lo + 1:hi + 1], out=tmp)
+        tmp *= c16
+        inner += tmp
+        np.add(f_cur[lo - 2:hi - 2], f_cur[lo + 2:hi + 2], out=tmp)
+        tmp *= c
+        inner -= tmp
+        np.multiply(f_cur[lo:hi], c_mid, out=tmp)
+        inner += tmp
+        if step % stride == 0 or step == n_steps:
+            _guard(f_next)
+            phi_t = (f_next - f_prev) / (2.0 * dt)
+            yield State(Field(grid, f_cur.copy()), Field(grid, phi_t),
+                        t0 + step * dt, s0.topology)
+        f_prev, f_cur, f_next = f_cur, f_next, f_prev
+
+
+@st.composite
+def window_cases(draw):
+    """(f_prev, f_cur, left, right, lo, hi) that _window's rule covers:
+    every cell outside [lo - 2, hi + 2) sits at the end value of its own
+    side, left of a split in that range and right from it on, and cells
+    inside it are moved off their values by marks (cell offset from
+    lo - 2, buffer, value), NaN among the values."""
+    n = draw(st.sampled_from([256, 8192]))
+    lo = draw(st.integers(2, n - 2))
+    hi = draw(st.integers(lo, n - 2))
+    a, b = max(lo - 2, 0), min(hi + 2, n)
+    right = draw(st.sampled_from([0.0, 2.0 * np.pi]))
+    # with unequal end values the split lies inside, as the kink does in a
+    # run, so the last cell active towards the right end is in [a, b) too
+    split = draw(st.integers(a, b) if right == 0.0
+                 else st.integers(a + 1, b - 1))
+    marks = draw(st.lists(st.tuples(
+        st.integers(0, b - a - 1), st.sampled_from(["f_prev", "f_cur"]),
+        st.sampled_from([2e-12, -5e-12, 1e-3, np.nan])), max_size=4))
+    return n, lo, hi, right, split, marks
+
+
+def window_case(n, lo, hi, right, split, marks):
+    bufs = {"f_prev": np.zeros(n), "f_cur": np.zeros(n)}
+    a = max(lo - 2, 0)
+    for buf in bufs.values():
+        buf[split:] = right
+    for cell, which, value in marks:
+        bufs[which][a + cell] += value
+    return bufs["f_prev"], bufs["f_cur"], 0.0, right, lo, hi
+
+
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _WEIGHTS = {
     SchemeKind.STRANG_SPLIT_SPECTRAL: (1.0,),
@@ -558,6 +657,42 @@ class TestLeapfrog:
                            1600 * dt, 160 * dt):
             pass
         assert len(seen) == 1600 // _WINDOW_STEPS
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("maker", [perturbed_kink_state, small_state,
+                                       every_cell_active_state])
+    def test_bit_identical_to_the_parent_loop(self, grid, maker, stride):
+        # stride 7 against windows of 16 steps: windows are re-derived
+        # between two records, and records fall mid-window
+        s0 = maker(grid)
+        dt = grid.dx / 2
+        got = list(snapshots(s0, Scheme(SchemeKind.LEAPFROG, dt), 112 * dt,
+                             stride * dt))
+        want = list(parent_leapfrog_run(s0, dt, 112, stride))
+        assert len(got) == len(want) == 112 // stride + 1
+        for g, w in zip(got, want):
+            assert g.time == w.time
+            assert np.array_equal(g.phi.values, w.phi.values)
+            assert np.array_equal(g.phi_t.values, w.phi_t.values)
+
+    # the first band is 64 cells, then 256, 1024 and 4096: past four bands
+    # the scan reads from offset 5440 on
+    @given(case=window_cases())
+    # the first active cell past the first band, and past four
+    @example(case=(256, 2, 254, 0.0, 0, [(100, "f_cur", 1e-3)]))
+    @example(case=(8192, 2, 8190, 0.0, 0, [(6000, "f_prev", 2e-12)]))
+    @example(case=(8192, 2, 8190, 2.0 * np.pi, 6000, []))
+    # no active cell
+    @example(case=(8192, 40, 8000, 0.0, 38, []))
+    # a NaN past the first band
+    @example(case=(256, 10, 250, 0.0, 8, [(90, "f_prev", np.nan)]))
+    @example(case=(8192, 2, 8190, 0.0, 0, [(70, "f_cur", np.nan),
+                                          (7000, "f_prev", -5e-12)]))
+    @settings(max_examples=100, deadline=None)
+    def test_window_scan_from_the_edges(self, case):
+        args = window_case(*case)
+        assert _window(*args) == full_grid_window(*args[:4])
+        assert _window(*args) == parent_window(*args)
 
     def test_frozen_cells_hold_one_value(self, grid):
         # phi_t = 1e-11 moves a cell 3e-13 in a step, below _QUIET: a frozen

@@ -1,6 +1,7 @@
 """Experiment configs, runners, report output, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,8 @@ from sgkink.experiments import (
     run_experiment,
     write_report,
 )
-from sgkink.fields import Field, Lp, make_grid, norm, save_field_csv
+from sgkink.fields import (Field, Lp, _trapezoid, make_grid, norm,
+                           save_field_csv)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -184,8 +186,10 @@ class TestRunners:
         assert rep.passed, rep.failures
 
     def test_residual_columns_are_backlund_residual_norms(self):
-        # the runner takes the norms on raw arrays; the public definition
-        # is the L2 norm of backlund_residual's fields, snapshot by snapshot
+        # the runner takes the norms on raw arrays, with f_x from track's
+        # record; the public definition is the L2 norm of
+        # backlund_residual's fields, snapshot by snapshot, and the runner's
+        # sum over those fields' own samples gives the same bits
         cfg = ExperimentConfig(name="kink-stability", x_min=-32.0,
                                x_max=32.0, n=512, t_end=2.0,
                                snapshot_every=0.5)
@@ -199,6 +203,8 @@ class TestRunners:
         for row, (s, p) in zip(rows, pairs, strict=True):
             res = backlund_residual(s, p, inv.a)
             for col, key in (("backlund_r1", "R1"), ("backlund_r2", "R2")):
+                r = res[key].values
+                assert row[col] == math.sqrt(_trapezoid(r, cfg.grid.dx, r))
                 assert row[col] == pytest.approx(norm(res[key], Lp(2)),
                                                  rel=1e-12, abs=0.0), col
 
@@ -390,6 +396,10 @@ class TestCli:
          "the pair-energy check needs >= 2 snapshots at t >= 20.0, got 0"),
         ({"name": "wobbler", "t_end": 20.0},
          "the pair-energy check needs >= 2 snapshots at t >= 20.0, got 1"),
+        # WobblingKink(beta0) sits at x = 0 whatever x0 is; tracking seeded
+        # from x0 = 5 would look for a kink where there is none
+        ({"name": "wobbler", "x0": 5.0},
+         "the wobbling kink sits at x = 0; x0 must be 0, got 5.0"),
         # the roundtrip runs no evolve; it refuses what forward_transform
         # refuses: the base kink's beta, an anchor off the grid, and tails
         # short of (0, 2 pi) when the kink sits 6 from the grid's end
@@ -421,8 +431,9 @@ class TestCli:
             "radiation-wraps-around",
             "exterior-no-snapshots", "exterior-one-snapshot",
             "exterior-region-empty", "wobbler-no-snapshots",
-            "wobbler-one-snapshot", "roundtrip-beta", "roundtrip-anchor",
-            "roundtrip-tails", "t-end-infinity", "t-end-nan",
+            "wobbler-one-snapshot", "wobbler-x0", "roundtrip-beta",
+            "roundtrip-anchor", "roundtrip-tails", "t-end-infinity",
+            "t-end-nan",
             "snapshot-every-infinity", "snapshot-every-nan", "dt-nan",
             "dt-infinity", "s-infinity", "s-nan", "s-negative"])
     def test_validate_rejects_what_run_refuses(self, cfg, message, tmp_path,

@@ -1,6 +1,7 @@
 """Grids, derivatives, multipliers, norms, and field I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,86 @@ def reference_l2plus_linf(values, dx):
     lams = np.concatenate([[0.0, s_a[0]], lam[ok]])
     objs = np.concatenate([[np.sqrt(s2[-1]), s_a[0]], lam[ok] + root[ok]])
     best = float(lams[np.argmin(objs)])
+    clipped = np.maximum(a - best, 0.0)
+    return float(np.sqrt(np.trapezoid(clipped**2, dx=dx))) + best
+
+
+def l2plinf_sample(seed, log_n, dx, shape):
+    """(values, dx) on 2**log_n cells: a field of the named shape, scaled
+    by 10**U(-6, 2); dx None is 2/n."""
+    n = 2**log_n
+    dx = 2.0 / n if dx is None else dx
+    x = dx * (np.arange(n) - n / 2)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-6, 2)
+    if shape == "gauss":
+        vals = np.exp(-((x - rng.uniform(-1, 1) * x[-1])
+                        / rng.uniform(0.1, 1) / x[-1]) ** 2)
+    elif shape == "noise":
+        vals = rng.normal(size=n) * np.exp(-(x / rng.uniform(1, 50)) ** 2)
+    elif shape == "ties":
+        vals = np.round(3 * rng.normal(size=n)) / 3
+    elif shape == "end ties":
+        # the maximum at both half-weight end cells and inside
+        vals = 0.01 * rng.normal(size=n)
+        vals[[0, -1, rng.integers(1, n - 1)]] = [1.0, -1.0, 1.0]
+    elif shape == "constant":
+        vals = np.full(n, rng.normal())
+    elif shape == "spike":
+        vals = np.zeros(n)
+        vals[rng.integers(n)] = rng.normal()
+    elif shape == "plateau":
+        vals = np.minimum(rng.uniform(0, 2, size=n), 1.0)
+    else:
+        # a spike over noise: many samples active at the minimiser
+        vals = rng.uniform(0.0, 1.0, size=n)
+        vals[rng.integers(n)] = rng.uniform(5, 40)
+    return scale * vals, dx
+
+
+L2PLINF_SAMPLES = dict(
+    seed=st.integers(0, 2**32 - 1), log_n=st.integers(4, 13),
+    dx=st.sampled_from([1 / 64, 1 / 16, 1 / 8, 0.5, 1.0, 2.0, None]),
+    shape=st.sampled_from(["gauss", "noise", "ties", "end ties", "constant",
+                           "spike", "plateau", "broad"]))
+
+
+def parent_l2plus_linf(values, dx):
+    """_l2plus_linf as it was before its cumulative sums were stacked and
+    its last norm written in place, kept verbatim as an oracle."""
+    a = np.abs(values)
+    n = a.size
+    l1 = dx * (np.sum(a) - 0.5 * (a[0] + a[-1]))
+    l2sq = dx * (np.dot(a, a) - 0.5 * (a[0] * a[0] + a[-1] * a[-1]))
+    best = 0.0
+    if l1 * l1 > (1.0 - 1e-9) * l2sq:
+        k = max(64, math.ceil(4.0 / dx))
+        while True:
+            if k < n:
+                part = np.argpartition(a, n - k - 1)[n - k - 1:]
+                order = part[1:][np.argsort(a[part[1:]])[::-1]]
+                floor = a[part[0]]
+            else:
+                order, floor = np.argsort(a)[::-1], 0.0
+            s_a = a[order]
+            w = np.where((order == 0) | (order == n - 1), 0.5 * dx, dx)
+            s0 = np.cumsum(w)
+            s1 = np.cumsum(w * s_a)
+            s2 = np.cumsum(w * s_a * s_a)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = np.sqrt(np.maximum(s0 * s2 - s1 * s1, 0.0) / (s0 - 1.0))
+                lam = (s1 - root) / s0
+            # s_a[:j+1] active on [lower[j], s_a[j]]
+            lower = np.append(s_a[1:], floor)
+            ok = (s0 > 1.0) & (lam >= lower) & (lam <= s_a)
+            if k >= n or (ok.any() and floor < s_a[-1]):
+                break
+            # past every sample tied with the (k+1)-th, if that is further
+            k = max(4 * k, int(np.count_nonzero(a >= floor)))
+        lams = np.concatenate([[0.0, s_a[0]], lam[ok]])
+        objs = np.concatenate([[np.sqrt(s2[-1] if k >= n else l2sq), s_a[0]],
+                               lam[ok] + root[ok]])
+        best = float(lams[np.argmin(objs)])
     clipped = np.maximum(a - best, 0.0)
     return float(np.sqrt(np.trapezoid(clipped**2, dx=dx))) + best
 
@@ -234,10 +315,7 @@ class TestNorms:
         dense_min = float(np.min(objective(lams)))
         assert abs(val - dense_min) <= 1e-12 * dense_min
 
-    @given(seed=st.integers(0, 2**32 - 1), log_n=st.integers(4, 13),
-           dx=st.sampled_from([1 / 64, 1 / 16, 1 / 8, 0.5, 1.0, 2.0, None]),
-           shape=st.sampled_from(["gauss", "noise", "ties", "end ties",
-                                  "constant", "spike", "plateau", "broad"]))
+    @given(**L2PLINF_SAMPLES)
     @example(seed=0, log_n=12, dx=1 / 16, shape="spike")
     @example(seed=0, log_n=13, dx=1 / 16, shape="broad")
     @example(seed=0, log_n=13, dx=1 / 16, shape="end ties")
@@ -246,34 +324,7 @@ class TestNorms:
     @example(seed=2, log_n=10, dx=1 / 16, shape="constant")
     @settings(max_examples=200, deadline=None)
     def test_l2plinf_matches_the_full_sort(self, seed, log_n, dx, shape):
-        n = 2**log_n
-        dx = 2.0 / n if dx is None else dx
-        x = dx * (np.arange(n) - n / 2)
-        rng = np.random.default_rng(seed)
-        scale = 10.0 ** rng.uniform(-6, 2)
-        if shape == "gauss":
-            vals = np.exp(-((x - rng.uniform(-1, 1) * x[-1])
-                            / rng.uniform(0.1, 1) / x[-1]) ** 2)
-        elif shape == "noise":
-            vals = rng.normal(size=n) * np.exp(-(x / rng.uniform(1, 50)) ** 2)
-        elif shape == "ties":
-            vals = np.round(3 * rng.normal(size=n)) / 3
-        elif shape == "end ties":
-            # the maximum at both half-weight end cells and inside
-            vals = 0.01 * rng.normal(size=n)
-            vals[[0, -1, rng.integers(1, n - 1)]] = [1.0, -1.0, 1.0]
-        elif shape == "constant":
-            vals = np.full(n, rng.normal())
-        elif shape == "spike":
-            vals = np.zeros(n)
-            vals[rng.integers(n)] = rng.normal()
-        elif shape == "plateau":
-            vals = np.minimum(rng.uniform(0, 2, size=n), 1.0)
-        else:
-            # a spike over noise: many samples active at the minimiser
-            vals = rng.uniform(0.0, 1.0, size=n)
-            vals[rng.integers(n)] = rng.uniform(5, 40)
-        vals = scale * vals
+        vals, dx = l2plinf_sample(seed, log_n, dx, shape)
         got, ref = _l2plus_linf(vals, dx), reference_l2plus_linf(vals, dx)
         a = np.abs(vals)
         if np.sum(a == a[0]) > 1 or np.sum(a == a[-1]) > 1:
@@ -282,6 +333,24 @@ class TestNorms:
             assert got == pytest.approx(ref, rel=4e-16, abs=0.0)
         else:
             assert got == ref
+
+    @given(**L2PLINF_SAMPLES)
+    # ties and plateaus that take k past 64 (a constant field ties every
+    # sample at once), a spike over noise that takes k 4-fold, and k >= n
+    # from the start (n = 16 < 64)
+    @example(seed=2, log_n=10, dx=1 / 16, shape="constant")
+    @example(seed=1, log_n=12, dx=1 / 16, shape="ties")
+    @example(seed=3, log_n=11, dx=1 / 64, shape="plateau")
+    @example(seed=0, log_n=13, dx=1 / 16, shape="broad")
+    @example(seed=5, log_n=4, dx=0.5, shape="noise")
+    @example(seed=0, log_n=13, dx=1 / 16, shape="end ties")
+    @settings(max_examples=200, deadline=None)
+    def test_l2plinf_bit_identical_to_the_parent(self, seed, log_n, dx,
+                                                 shape):
+        vals, dx = l2plinf_sample(seed, log_n, dx, shape)
+        kept = vals.copy()
+        assert _l2plus_linf(vals, dx) == parent_l2plus_linf(vals, dx)
+        assert np.array_equal(vals, kept)  # the in-place work is on |g|
 
     def test_l2plinf_widens_past_the_first_k(self):
         # a spike over a floor of noise: the minimiser lies below the
@@ -337,6 +406,20 @@ class TestNorms:
             for h in (-1e-9, 1e-9):
                 assert norm(f, WeightedSobolev(m + h, 0.0)) == pytest.approx(
                     at, rel=1e-8)
+
+    @pytest.mark.parametrize("m, s, message", [
+        (float("nan"), 1.0, "m must be finite and >= 0, got nan"),
+        (float("inf"), 1.0, "m must be finite and >= 0, got inf"),
+        (-1.0, 1.0, "m must be finite and >= 0, got -1.0"),
+        (1.0, float("nan"), "s must be finite and >= 0, got nan"),
+        (1.0, float("inf"), "s must be finite and >= 0, got inf"),
+        (1.0, -1.0, "s must be finite and >= 0, got -1.0"),
+    ])
+    def test_weighted_sobolev_refuses_its_parameters(self, m, s, message):
+        # NaN and inf passed a check of m < 0 or s < 0, and the norm then
+        # blamed the field for the non-finite values they made
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WeightedSobolev(m, s)
 
     def test_weighted_sobolev_weight_grows(self, grid):
         f = smooth_field(grid, [(0.7, 5.0, 3.0)])

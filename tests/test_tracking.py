@@ -240,6 +240,8 @@ class TestTrack:
         assert len(records) == len(traj.states)
         for s, r in zip(traj.states, records):
             assert r.time == s.time and r.state is s
+            # the stencil the record hands on, bit for bit the public one
+            assert np.array_equal(r.f_x, spatial_derivative(s.phi, 1).values)
             want = public_record(s, beta, r.center)
             for key in ("center_velocity", "diff_linf", "diff_deriv_l2plinf"):
                 assert getattr(r, key) == pytest.approx(want[key], rel=1e-12,
@@ -282,9 +284,9 @@ class TestTrack:
 
     def test_records_compare_without_their_state(self, tracked_exact):
         first, second = tracked_exact[:2]
-        same = replace(first, state=second.state)
+        same = replace(first, state=second.state, f_x=second.f_x)
         assert same == first and hash(same) == hash(first)
-        assert "state" not in repr(first)
+        assert "state" not in repr(first) and "f_x" not in repr(first)
 
     def test_centers_constant(self, tracked_exact):
         centers = [r.center for r in tracked_exact]
