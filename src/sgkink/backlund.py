@@ -437,9 +437,12 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
     (iii) F3 = 0 in y, the orthogonality center solve of tracking at
     velocity beta(a0 + delta).  residual_norm is eval_F's |(F1, F2, F3)| at
     the result, read off the stages: F2 is the last accepted Newton residual.
+    Each BacklundConvergenceError names gamma*dx, the base kink's Lorentz
+    factor times the grid spacing: stage (i) slows as it grows.
     """
     grid, dx, t = f.grid, f.grid.dx, f.time
     base = KinkParams(beta0, x0_guess)
+    at = f"(gamma*dx = {base.gamma * dx:.3f})"
     a0, c0 = base.a, base.x0 + base.beta * t
     ids = kink_identities(base, t, grid.x)
     u0 = f.phi.values - ids["Q"]
@@ -457,8 +460,9 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
     history = [_lp(r, dx, 2.0)]
     while not history[-1] < _INVERSE_TOL:  # NaN-safe
         if len(history) > _INVERSE_MAX_ITER:
-            raise BacklundConvergenceError(f"Newton on F2 failed to reach "
-                                           f"{_INVERSE_TOL}: {history[-1]:.3e}")
+            raise BacklundConvergenceError(
+                f"Newton on F2 failed to reach {_INVERSE_TOL}: "
+                f"{history[-1]:.3e} {at}")
         lam, w = solve(-r)
         for s in (0.5**k for k in range(10)):  # step halving
             trial = (delta + s * lam, v0 + s * w)
@@ -470,7 +474,7 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
         else:
             raise BacklundConvergenceError(
                 f"Newton on F2 stalled at residual {history[-1]:.3e}; data "
-                "outside the convergence neighborhood")
+                f"outside the convergence neighborhood {at}")
 
     # stage (ii): v1 explicit from F1 = 0
     a_d = _check_a(a0 + delta)
@@ -482,7 +486,7 @@ def inverse_transform(f: State, beta0: float, x0_guess: float) -> InverseResult:
     try:
         y = solve_center(f_field, beta, 0.0, c0) - c0
     except RuntimeError as exc:
-        raise BacklundConvergenceError(f"F3 center solve: {exc}") from exc
+        raise BacklundConvergenceError(f"F3 center solve: {exc} {at}") from exc
 
     f3, _ = _orthogonality(f_field, beta, 0.0, c0 + y)
     residual = float(np.sqrt(_lp(f_x - v1 - P, dx, 2.0) ** 2

@@ -5,7 +5,9 @@ tables and summary scalars, and judges itself against fixed tolerances; the
 CLI turns the verdict into an exit status.  Outputs are deterministic given
 the config (runs are noise-free), which report.json echoes.  Validation and
 the run share one initial state: the config builds it once, read-only, and
-refuses there whatever the run would refuse.
+refuses there whatever the run would refuse.  So do the two Backlund
+experiments and the transforms they start from.  One table names each
+experiment's initial-state builder and runner.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backlund import (_residual, backlund_residual, forward_transform,
-                       inverse_transform)
+from .backlund import (BacklundConvergenceError, InverseResult, _residual,
+                       backlund_residual, forward_transform, inverse_transform)
 from .evolve import (
     Scheme,
     SchemeKind,
@@ -28,7 +30,6 @@ from .evolve import (
     _box_quiet,
     _run_steps,
     _snapshot_times,
-    _whole_steps,
     conserved_quantities,
     snapshots,
 )
@@ -74,21 +75,14 @@ __all__ = [
     "write_report",
 ]
 
-EXPERIMENT_NAMES = (
-    "kink-stability",
-    "backlund-roundtrip",
-    "conservation",
-    "small-data-scattering",
-    "wobbler",
-    "exterior-decay",
-)
-
 _PERTURBATIONS = ("gaussian", "odd-sech", "custom")
 
 # small-data-scattering extracts the profile from t_end >= _MIN_EXTRACTION_TIME
 # on and tests the predictor at these fractions of t_end, which must be
 # snapshots
 _PREDICTOR_FRACTIONS = (0.375, 0.75)
+# how close a snapshot's time must be to a predictor time to stand for it
+_AT_SNAPSHOT = 1e-9
 # the windows the checks judge: small-data-scattering's decay fit over
 # [20, min(200, t_end)], exterior-decay's trend from t = 10 on and the
 # wobbler's pair energy from t = 20 on
@@ -150,19 +144,27 @@ class ExperimentConfig:
         """The state the run starts from, built once per config, by
         validation, and read-only as Grid.x is: every runner starts from
         the state that validation judged."""
-        if self.name in ("kink-stability", "exterior-decay"):
-            s0 = _perturbed_kink(self)
-        elif self.name == "conservation":
-            s0 = _conservation_data(self)
-        elif self.name == "wobbler":
-            s0 = sample_state(WobblingKink(self.beta0), self.grid, 0.0)
-        else:  # the zero-topology experiments
-            dphi, dphi_t = _perturbation(self)
-            s0 = State(Field(self.grid, dphi), Field(self.grid, dphi_t), 0.0,
-                       Topology.ZERO)
-        s0.phi.values.flags.writeable = False
-        s0.phi_t.values.flags.writeable = False
-        return s0
+        return _read_only(_EXPERIMENTS[self.name][0](self))
+
+    @cached_property
+    def backlund(self) -> tuple[State, InverseResult]:
+        """(f, the inverse transform of f) of the two Backlund experiments,
+        built once per config, by validation, and read-only: for
+        kink-stability f is the initial state, for backlund-roundtrip the
+        forward transform of it.  An inverse that does not converge is a
+        refusal."""
+        f = self.initial_state
+        if self.name == "backlund-roundtrip":
+            f = _read_only(forward_transform(f, KinkParams(self.beta0, 0.0).a,
+                                             self.x0))
+        try:
+            inv = inverse_transform(f, self.beta0, self.x0)
+        except BacklundConvergenceError as exc:
+            raise ValueError(
+                f"the inverse Backlund transform does not converge: {exc}"
+            ) from None
+        _read_only(inv.phi)
+        return f, inv
 
     @property
     def time_step(self) -> float:
@@ -177,34 +179,40 @@ class ExperimentConfig:
 def _refuse(cfg: ExperimentConfig):
     """Refuse a config whose run would refuse it, or integrate and then
     fail, or pass a check that has nothing to judge.  In order: the
-    wobbler's x0 must be 0, where its kink sits; the initial state must
-    build (a grid too narrow for the kink's tails, a custom_file on another
-    grid), and so must the roundtrip's forward transform (its
-    beta, anchor and tails); snapshots must take the run (see _run_steps);
-    the predictor times must be snapshot times; each check needs snapshots
-    to judge; the radiation must not wrap around the periodic grid."""
+    wobbler's x0 must be 0, where its kink sits, and its beta0 must not be
+    0, where it is the static kink; the initial state must build (a grid
+    too narrow for the kink's tails, a custom_file on another grid), and
+    so must the roundtrip's forward and inverse transforms (its beta,
+    anchor and tails; the inverse's convergence); snapshots must take the
+    run (see _run_steps); the predictor times must be snapshot times;
+    kink-stability's inverse transform must converge; each check needs
+    snapshots to judge; the radiation must not wrap around the periodic
+    grid."""
     if cfg.name == "wobbler" and cfg.x0 != 0.0:
         raise ValueError("the wobbling kink sits at x = 0; x0 must be 0, "
                          f"got {cfg.x0}")
+    if cfg.name == "wobbler" and cfg.beta0 == 0.0:
+        raise ValueError("the wobbling kink at beta0 = 0 is the static kink: "
+                         "its pair-energy check would judge nothing")
     s0 = cfg.initial_state
     if cfg.name == "backlund-roundtrip":  # the only runner without evolve
-        forward_transform(s0, KinkParams(cfg.beta0, 0.0).a, cfg.x0)
+        cfg.backlund  # its forward and inverse transforms
         return
     steps, stride = _run_steps(
         Scheme(SchemeKind(cfg.scheme), cfg.time_step), cfg.grid.dx,
         s0.topology, cfg.t_end, cfg.snapshot_every, "t_end")
+    times = _snapshot_times(s0.time, cfg.time_step, steps, stride)
     extracting = (cfg.name == "small-data-scattering"
                   and cfg.t_end >= _MIN_EXTRACTION_TIME)
     predictor_times = ([frac * cfg.t_end for frac in _PREDICTOR_FRACTIONS]
                        if extracting else [])
-    for t in predictor_times:
-        try:
-            _whole_steps(t, cfg.snapshot_every, "predictor time")
-        except ValueError:
+    for t in predictor_times:  # the run keeps the snapshots at these times
+        if not np.any(np.abs(times - t) <= _AT_SNAPSHOT):
             raise ValueError(
                 f"predictor time {t} is not a snapshot time "
-                f"(snapshot_every={cfg.snapshot_every})") from None
-    times = _snapshot_times(s0.time, cfg.time_step, steps, stride)
+                f"(snapshot_every={cfg.snapshot_every})")
+    if cfg.name == "kink-stability":
+        cfg.backlund  # the inverse transform that phi starts from
 
     def need(count, lo, hi, what):
         got = int(np.count_nonzero((times >= lo) & (times <= hi)))
@@ -268,6 +276,12 @@ class Report:
             self.failures.append(label)
 
 
+def _read_only(s: State) -> State:
+    s.phi.values.flags.writeable = False
+    s.phi_t.values.flags.writeable = False
+    return s
+
+
 def _perturbation(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     x = cfg.grid.x
     if cfg.perturbation == "gaussian":
@@ -296,6 +310,16 @@ def _perturbed_kink(cfg: ExperimentConfig) -> State:
     )
 
 
+def _zero_topology(cfg: ExperimentConfig) -> State:
+    dphi, dphi_t = _perturbation(cfg)
+    return State(Field(cfg.grid, dphi), Field(cfg.grid, dphi_t), 0.0,
+                 Topology.ZERO)
+
+
+def _wobbling_kink(cfg: ExperimentConfig) -> State:
+    return sample_state(WobblingKink(cfg.beta0), cfg.grid, 0.0)
+
+
 def _snapshots(cfg: ExperimentConfig, s0: State, rep: Report,
                tag: str = "final"):
     """The run's snapshots as they are reached; with save_snapshots, the
@@ -313,8 +337,7 @@ def _keep_last(states, rep: Report, tag: str):
 
 
 def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
-    s0 = cfg.initial_state
-    inv = inverse_transform(s0, cfg.beta0, cfg.x0)
+    s0, inv = cfg.backlund
     rep.summary["inverse"] = json.loads(inv.to_json())
     dx, rows = cfg.grid.dx, []
     # f tracked and phi stepped in lockstep, with backlund_residual's R1, R2
@@ -356,11 +379,8 @@ def _run_kink_stability(cfg: ExperimentConfig, rep: Report) -> None:
 
 
 def _run_backlund_roundtrip(cfg: ExperimentConfig, rep: Report) -> None:
-    phi = cfg.initial_state
-    a = KinkParams(cfg.beta0, 0.0).a
-    f = forward_transform(phi, a, cfg.x0)
-    res = backlund_residual(f, phi, a)
-    inv = inverse_transform(f, cfg.beta0, cfg.x0)
+    phi, (f, inv) = cfg.initial_state, cfg.backlund
+    res = backlund_residual(f, phi, inv.base.a)
     sup_err = float(np.max(np.abs(inv.phi.phi.values - phi.phi.values)))
     rep.summary.update({
         "forward_residual_r1": norm(res["R1"], Lp(np.inf)),
@@ -408,7 +428,7 @@ def _run_small_data_scattering(cfg: ExperimentConfig, rep: Report) -> None:
     for s in _snapshots(cfg, cfg.initial_state, rep):
         rows.append({"t": s.time, "linf": norm(s.phi, Lp(np.inf))})
         kept.update((tt, s) for tt in predictor_times
-                    if abs(s.time - tt) <= 1e-9)
+                    if abs(s.time - tt) <= _AT_SNAPSHOT)
     rep.tables["decay"] = rows
     lo, hi = _FIT_WINDOW[0], min(_FIT_WINDOW[1], cfg.t_end)
     series = [(r["t"], r["linf"]) for r in rows if lo <= r["t"] <= hi]
@@ -496,19 +516,22 @@ def _run_exterior_decay(cfg: ExperimentConfig, rep: Report) -> None:
               monotone and l2[-1] < l2[0])
 
 
-_RUNNERS = {
-    "kink-stability": _run_kink_stability,
-    "backlund-roundtrip": _run_backlund_roundtrip,
-    "conservation": _run_conservation,
-    "small-data-scattering": _run_small_data_scattering,
-    "wobbler": _run_wobbler,
-    "exterior-decay": _run_exterior_decay,
+# each experiment's initial-state builder and runner, in the order that
+# `sgkink list` prints them
+_EXPERIMENTS = {
+    "kink-stability": (_perturbed_kink, _run_kink_stability),
+    "backlund-roundtrip": (_zero_topology, _run_backlund_roundtrip),
+    "conservation": (_conservation_data, _run_conservation),
+    "small-data-scattering": (_zero_topology, _run_small_data_scattering),
+    "wobbler": (_wobbling_kink, _run_wobbler),
+    "exterior-decay": (_perturbed_kink, _run_exterior_decay),
 }
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Report:
     rep = Report(config=asdict(cfg))
-    _RUNNERS[cfg.name](cfg, rep)
+    _EXPERIMENTS[cfg.name][1](cfg, rep)
     return rep
 
 

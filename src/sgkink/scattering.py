@@ -118,9 +118,14 @@ def gamma_profile(u: Field, t: float, v_list) -> np.ndarray:
     return out
 
 
+def _log_phase(w: np.ndarray, jap: np.ndarray, t: float) -> np.ndarray:
+    """The long-range phase |w|^2 ln t / (32 <xi>) of small-data radiation
+    of profile w, <xi> = jap; the one place its coefficient is written."""
+    return 1.0 / (32.0 * jap) * np.abs(w) ** 2 * np.log(t)
+
+
 def _remove_log_phase(raw: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
-    jap = np.sqrt(1.0 + xi * xi)
-    return raw * np.exp(-1j / (32.0 * jap) * np.abs(raw) ** 2 * np.log(t))
+    return raw * np.exp(-1j * _log_phase(raw, np.sqrt(1.0 + xi * xi), t))
 
 
 def extract_W(s: State, xi_grid) -> ProfileW:
@@ -175,7 +180,7 @@ def _oscillator(W: ProfileW, t: float, x: np.ndarray):
     inside, rho, xi = _cone_xi(t, x)
     jap = np.sqrt(1.0 + xi * xi)
     Wv = W.interpolate(xi)
-    phase = np.exp(-1j * rho + 1j / (32.0 * jap) * np.abs(Wv) ** 2 * np.log(t))
+    phase = np.exp(-1j * rho + 1j * _log_phase(Wv, jap, t))
     return inside, xi, jap, Wv * phase
 
 

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sgkink.experiments
-from sgkink.backlund import backlund_residual, inverse_transform
+from sgkink.backlund import (backlund_residual, forward_transform,
+                              inverse_transform)
 from sgkink.cli import main
 from sgkink.evolve import Scheme, SchemeKind, snapshots
 from sgkink.exact import sample_state, sech
@@ -37,6 +39,13 @@ NARROW = {"name": "kink-stability", "x_min": -8.0, "x_max": 8.0, "n": 256,
 # small-data-scattering on a small grid
 SMALL = {"name": "small-data-scattering", "x_min": -64.0, "x_max": 64.0,
          "n": 1024, "scheme": "yoshida4", "dt": 0.0625}
+
+# configs whose inverse Backlund transform does not converge: the base
+# kink's gamma*dx is 0.287 and 0.255
+STALLED_KINK = {"name": "kink-stability", "x_min": -128, "x_max": 128,
+                "n": 2048, "epsilon": 0.05, "beta0": -0.9, "t_end": 5}
+STALLED_ROUNDTRIP = {"name": "backlund-roundtrip", "x_min": -128,
+                     "x_max": 128, "n": 1024, "epsilon": 0.05, "beta0": 0.2}
 
 # exterior-decay on a small grid
 EXTERIOR = {"name": "exterior-decay", "x_min": -64.0, "x_max": 64.0,
@@ -169,6 +178,77 @@ class TestInitialState:
             assert f.values.tobytes() == bits
             with pytest.raises(ValueError, match="read-only"):
                 f.values[0] = 1.0
+
+
+class TestBacklund:
+    """Validation builds the Backlund transforms the runs start from."""
+
+    @pytest.mark.parametrize("kwargs, forward, inverse", [
+        (dict(name="kink-stability", x_min=-32.0, x_max=32.0, n=512,
+              t_end=2.0, snapshot_every=0.5), 0, 1),
+        (dict(name="backlund-roundtrip", x_min=-32.0, x_max=32.0, n=1024),
+         1, 1),
+    ], ids=["kink-stability", "backlund-roundtrip"])
+    def test_built_once(self, kwargs, forward, inverse, monkeypatch):
+        calls = {"forward": 0, "inverse": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(sgkink.experiments, "forward_transform",
+                            counted("forward", forward_transform))
+        monkeypatch.setattr(sgkink.experiments, "inverse_transform",
+                            counted("inverse", inverse_transform))
+        rep = run_experiment(ExperimentConfig(**kwargs))
+        assert rep.passed, rep.failures
+        assert calls == {"forward": forward, "inverse": inverse}
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(name="kink-stability", x_min=-32.0, x_max=32.0, n=512,
+             t_end=2.0, snapshot_every=0.5),
+        dict(name="backlund-roundtrip", x_min=-32.0, x_max=32.0, n=1024),
+    ], ids=["kink-stability", "backlund-roundtrip"])
+    def test_read_only_and_unchanged_by_the_run(self, kwargs):
+        cfg = ExperimentConfig(**kwargs)
+        f, inv = cfg.backlund
+        assert cfg.backlund is cfg.backlund
+        assert "backlund" not in asdict(cfg)
+        if cfg.name == "kink-stability":
+            assert f is cfg.initial_state
+        fields = (f.phi, f.phi_t, inv.phi.phi, inv.phi.phi_t)
+        before = [g.values.tobytes() for g in fields]
+        run_experiment(cfg)
+        for g, bits in zip(fields, before):
+            assert not g.values.flags.writeable
+            assert g.values.tobytes() == bits
+            with pytest.raises(ValueError, match="read-only"):
+                g.values[0] = 1.0
+
+    @given(left=st.integers(16, 128),
+           right=st.one_of(st.none(), st.integers(16, 128)),
+           n=st.sampled_from([256, 512, 1024, 2048]),
+           beta0=st.floats(-0.9, 0.99), x0=st.floats(-25.0, 25.0),
+           epsilon=st.floats(0.0, 0.2, exclude_min=True),
+           perturbation=st.sampled_from(["gaussian", "odd-sech"]))
+    @example(left=24, right=None, n=256, beta0=0.8, x0=0.0, epsilon=0.1,
+             perturbation="gaussian")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_roundtrip_validates_what_runs(self, left, right, n, beta0, x0,
+                                           epsilon, perturbation):
+        # a roundtrip config is refused, or its run returns a report: the
+        # example's inverse stalls at gamma*dx = 0.313 and is refused
+        try:
+            cfg = ExperimentConfig(
+                name="backlund-roundtrip", x_min=-float(left),
+                x_max=float(left if right is None else right), n=n,
+                beta0=beta0, x0=x0, epsilon=epsilon,
+                perturbation=perturbation)
+        except ValueError:
+            return
+        assert isinstance(run_experiment(cfg), Report)
 
 
 class TestRunners:
@@ -400,6 +480,15 @@ class TestCli:
         # from x0 = 5 would look for a kink where there is none
         ({"name": "wobbler", "x0": 5.0},
          "the wobbling kink sits at x = 0; x0 must be 0, got 5.0"),
+        # at beta0 = 0 the wobbling kink is the static kink: its pair energy
+        # is discretisation noise, and the ratio passed at 0.986
+        ({"name": "wobbler", "beta0": 0.0},
+         "the wobbling kink at beta0 = 0 is the static kink"),
+        # the inverse Backlund transform stalls as gamma*dx grows; both
+        # validated, and their runs ended in a traceback
+        (STALLED_KINK, "the inverse Backlund transform does not converge: "),
+        (STALLED_KINK, "(gamma*dx = 0.287)"),
+        (STALLED_ROUNDTRIP, "(gamma*dx = 0.255)"),
         # the roundtrip runs no evolve; it refuses what forward_transform
         # refuses: the base kink's beta, an anchor off the grid, and tails
         # short of (0, 2 pi) when the kink sits 6 from the grid's end
@@ -431,7 +520,9 @@ class TestCli:
             "radiation-wraps-around",
             "exterior-no-snapshots", "exterior-one-snapshot",
             "exterior-region-empty", "wobbler-no-snapshots",
-            "wobbler-one-snapshot", "wobbler-x0", "roundtrip-beta",
+            "wobbler-one-snapshot", "wobbler-x0", "wobbler-beta0-zero",
+            "kink-stability-inverse", "kink-stability-inverse-gamma-dx",
+            "roundtrip-inverse-gamma-dx", "roundtrip-beta",
             "roundtrip-anchor", "roundtrip-tails", "t-end-infinity",
             "t-end-nan",
             "snapshot-every-infinity", "snapshot-every-nan", "dt-nan",
@@ -473,6 +564,18 @@ class TestCli:
                      "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "grid too narrow" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_run_refuses_a_stalled_inverse_before_running(
+            self, cheap_config, tmp_path, capsys):
+        bad = tmp_path / "stalled.json"
+        bad.write_text(json.dumps(STALLED_KINK))
+        out = tmp_path / "sweep"
+        assert main(["run", str(cheap_config), str(bad),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "(gamma*dx = 0.287)" in captured.err
         assert captured.out == ""
         assert not out.exists()
 
