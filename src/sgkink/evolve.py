@@ -233,12 +233,14 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     """f_next = 2f - f_prev + dt^2 (f_xx - sin f), 4th-order f_xx, in place.
 
     f_prev, f_cur and f_next are three preallocated buffers that rotate each
-    step.  A step writes the active window [lo, hi) of f_next with 11
-    ufuncs, positional outputs and one scratch array; the two
-    stencil-starved cells at either end hold s0's values in all three
-    buffers.  The slice views a step reads and writes, each buffer's window
-    and its shifts by 1 and 2 cells a side, are built once per window and
-    rotate with their buffers, so a step slices nothing.
+    step.  A step writes the active window [lo, hi) of f_next with five
+    calls: sin, multiply and subtract with positional outputs, then one
+    np.correlate of f_cur's window widened by 2 cells a side with the
+    stencil's kernel [-c, 16c, 2 - 30c, 16c, -c] (c = (dt/dx)^2 / 12), and
+    its add; the two stencil-starved cells at either end hold s0's values
+    in all three buffers.  The two slice views a step reads of each buffer,
+    its window and the window widened by 2 cells a side, are built once per
+    window and rotate with their buffers, so a step slices nothing.
 
     The window follows the solution's light cone.  Every _WINDOW_STEPS steps,
     counted from the start of the run and not from the yields, so the window
@@ -248,12 +250,13 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     frozen cell keeps one value through the rotation, and its yielded phi_t
     is exactly 0.
 
-    _QUIET = 1e-12 sits just above the rounding drift of a field at its end
-    value: a uniform 2 pi field stepped on every cell at dx = 1/16 moves by
-    up to 9.4e-13 in 1,000 steps.  On kink-stability over [-128, 128) with
-    n = 4096 to t = 100, 1e-14 lets that drift widen the window (58% of the
-    cells stepped on average, against 46%), and 1e-10 steps 45% but moves
-    the sup-norm ratio by 3.0e-10 from the full-grid run, against 1.3e-11.
+    _QUIET = 1e-12 sits near the rounding drift of a field at its end
+    value: a uniform 2 pi field stepped on every cell at dx = 1/16 and
+    dt = dx/2 is 9.2e-13 off after 1,000 steps, and up to 1.2e-12 on the
+    way.  On kink-stability over [-128, 128) with n = 4096 to t = 100,
+    1e-14 lets that drift widen the window (58% of the cells stepped on
+    average, against 46%), and 1e-10 steps 45% but moves the sup-norm ratio
+    by 3.0e-10 from the full-grid run, against 1.3e-11.
     Re-deriving every 16 steps keeps the scan, of bands at the last window's
     edges, to a sixteenth of the steps, and the widening it costs, 34 cells
     a side, is small next to the cone.  Data that fill the grid get the
@@ -267,10 +270,10 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     f_cur[:2], f_cur[-2:] = f_prev[:2], f_prev[-2:]
     f_next = f_prev.copy()
     left, right = f_prev[0], f_prev[-1]
-    scratch = np.empty(grid.n - 4)
-    # the interior rows of _fd_stencil's order-2 stencil, times dt^2
+    # the interior rows of _fd_stencil's order-2 stencil, times dt^2, plus 2f
     c = (dt / grid.dx) ** 2 / 12.0
-    c16, c_mid, neg_dt2 = 16.0 * c, 2.0 - 30.0 * c, -(dt * dt)
+    kernel = np.array([-c, 16.0 * c, 2.0 - 30.0 * c, 16.0 * c, -c])
+    neg_dt2 = -(dt * dt)
     lo, hi = 2, grid.n - 2
     yield s0
     t0 = s0.time
@@ -279,24 +282,15 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
             lo, hi = _window(f_prev, f_cur, left, right, lo, hi)
             for buf in (f_prev, f_next):
                 buf[:lo], buf[hi:] = f_cur[:lo], f_cur[hi:]
-            tmp = scratch[:hi - lo]
-            # each buffer's window and its shifts by -1, +1, -2, +2 cells
-            v_prev, v_cur, v_next = ((b[lo:hi], b[lo - 1:hi - 1],
-                                      b[lo + 1:hi + 1], b[lo - 2:hi - 2],
-                                      b[lo + 2:hi + 2])
+            # each buffer's window, and the window widened by 2 cells a side
+            v_prev, v_cur, v_next = ((b[lo:hi], b[lo - 2:hi + 2])
                                      for b in (f_prev, f_cur, f_next))
-        inner, mid, m1, p1, m2, p2 = v_next[0], *v_cur
-        np.sin(mid, inner)
-        np.multiply(inner, neg_dt2, inner)
-        np.subtract(inner, v_prev[0], inner)
-        np.add(m1, p1, tmp)
-        np.multiply(tmp, c16, tmp)
-        np.add(inner, tmp, inner)
-        np.add(m2, p2, tmp)
-        np.multiply(tmp, c, tmp)
-        np.subtract(inner, tmp, inner)
-        np.multiply(mid, c_mid, tmp)
-        np.add(inner, tmp, inner)
+        if lo < hi:  # np.correlate would swap an empty window's operands
+            inner, (mid, wide) = v_next[0], v_cur
+            np.sin(mid, inner)
+            np.multiply(inner, neg_dt2, inner)
+            np.subtract(inner, v_prev[0], inner)
+            np.add(inner, np.correlate(wide, kernel, "valid"), inner)
         if step % stride == 0 or step == n_steps:
             _guard(f_next)
             phi_t = (f_next - f_prev) / (2.0 * dt)

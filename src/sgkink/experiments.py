@@ -89,6 +89,14 @@ _AT_SNAPSHOT = 1e-9
 _FIT_WINDOW = (20.0, 200.0)
 _EXTERIOR_FROM = 10.0
 _WOBBLER_FROM = 20.0
+# how many widths 1/gamma the path x0 + beta0 t of kink-stability's and
+# exterior-decay's kink must keep from either end of the grid up to t_end:
+# with the path's end d widths from the edge, against the same run on a
+# grid 128 wider there (beta0 0.5 and 0.9, epsilon 0.01 and 0.15,
+# t_end = 60 at dx = 1/8), verdicts differed up to d = 8, and summary
+# values moved by up to 6.1e3 relative at d = 2, 1.1 at d = 10 and 6.5e-4
+# at d = 12
+_EDGE_WIDTHS = 12.0
 
 
 @dataclass(frozen=True)
@@ -185,9 +193,10 @@ def _refuse(cfg: ExperimentConfig):
     so must the roundtrip's forward and inverse transforms (its beta,
     anchor and tails; the inverse's convergence); snapshots must take the
     run (see _run_steps); the predictor times must be snapshot times;
-    kink-stability's inverse transform must converge; each check needs
-    snapshots to judge; the radiation must not wrap around the periodic
-    grid."""
+    kink-stability's and exterior-decay's kink must keep _EDGE_WIDTHS
+    widths from the grid's ends; kink-stability's inverse transform must
+    converge; each check needs snapshots to judge; the radiation must not
+    wrap around the periodic grid."""
     if cfg.name == "wobbler" and cfg.x0 != 0.0:
         raise ValueError("the wobbling kink sits at x = 0; x0 must be 0, "
                          f"got {cfg.x0}")
@@ -211,6 +220,18 @@ def _refuse(cfg: ExperimentConfig):
             raise ValueError(
                 f"predictor time {t} is not a snapshot time "
                 f"(snapshot_every={cfg.snapshot_every})")
+    if cfg.name in ("kink-stability", "exterior-decay"):
+        # past _EDGE_WIDTHS the kink's tail reaches the clamped end cells,
+        # and tracking and the checks read the edge
+        margin = _EDGE_WIDTHS / KinkParams(cfg.beta0, cfg.x0).gamma
+        end = cfg.x0 + cfg.beta0 * cfg.t_end
+        a, b = sorted((cfg.x0, end))
+        if a - margin < cfg.x_min or b + margin > cfg.x_max:
+            raise ValueError(
+                f"the kink's path x0 + beta0 t reaches x = {end:.3f} by "
+                f"t_end={cfg.t_end}; with {_EDGE_WIDTHS:g} widths 1/gamma = "
+                f"{margin:.3f} a side it must stay inside the grid's "
+                f"[{cfg.x_min}, {cfg.x_max}]: widen the grid")
     if cfg.name == "kink-stability":
         cfg.backlund  # the inverse transform that phi starts from
 

@@ -31,6 +31,7 @@ from sgkink.exact import (
     BreatherParams,
     Kink,
     KinkParams,
+    WobblingKink,
     sample_state,
 )
 from sgkink.fields import (
@@ -202,12 +203,31 @@ def full_grid_window(f_prev, f_cur, left, right):
     return int(lo), int(hi)
 
 
-def reference_leapfrog(s0, dt, n_steps, stride):
+def correlated_sum(f_prev, f_cur, dt, c):
+    """f_next's interior in the in-place step's order: the sine term, less
+    f_prev, plus f_cur's five-point correlation with the stencil's kernel
+    (c = (dt/dx)^2 / 12), which holds 2 f_cur."""
+    kernel = np.array([-c, 16.0 * c, 2.0 - 30.0 * c, 16.0 * c, -c])
+    return (np.sin(f_cur[2:-2]) * -(dt * dt) - f_prev[2:-2]
+            + np.correlate(f_cur, kernel, "valid"))
+
+
+def eleven_call_sum(f_prev, f_cur, dt, c):
+    """f_next's interior in the order of the step before its stencil was
+    one correlation: the two stencil pairs and the centre cell, each summed,
+    scaled and added in turn."""
+    return (np.sin(f_cur[2:-2]) * -(dt * dt) - f_prev[2:-2]
+            + (f_cur[1:-3] + f_cur[3:-1]) * (16.0 * c)
+            - (f_cur[:-4] + f_cur[4:]) * c
+            + f_cur[2:-2] * (2.0 - 30.0 * c))
+
+
+def reference_leapfrog(s0, dt, n_steps, stride, interior_sum=correlated_sum):
     """The allocating full-grid leapfrog: (phi, phi_t) every stride steps.
 
-    The interior sum is written in the in-place step's order, so the two
-    differ only where the in-place step freezes cells outside its window;
-    test_reference_step_is_the_fd_scheme ties the sum to _fd_stencil.
+    The default interior sum is written in the in-place step's order, so
+    the two differ only where the in-place step freezes cells outside its
+    window; test_reference_step_is_the_fd_scheme ties the sum to _fd_stencil.
     """
     dx = s0.grid.dx
     c = (dt / dx) ** 2 / 12.0
@@ -219,10 +239,7 @@ def reference_leapfrog(s0, dt, n_steps, stride):
     for n in range(1, n_steps + 1):
         # the tail cells of f_prev hold s0's values
         f_next = f_prev.copy()
-        f_next[2:-2] = (np.sin(f_cur[2:-2]) * -(dt * dt) - f_prev[2:-2]
-                        + (f_cur[1:-3] + f_cur[3:-1]) * (16.0 * c)
-                        - (f_cur[:-4] + f_cur[4:]) * c
-                        + f_cur[2:-2] * (2.0 - 30.0 * c))
+        f_next[2:-2] = interior_sum(f_prev, f_cur, dt, c)
         if n % stride == 0:
             out.append((f_cur, (f_next - f_prev) / (2.0 * dt)))
         f_prev, f_cur = f_cur, f_next
@@ -253,8 +270,9 @@ def parent_window(f_prev, f_cur, left, right, lo, hi):
 
 def parent_leapfrog_run(s0, dt, n_steps, stride):
     """_leapfrog_run as it was before it kept its window's views, kept
-    verbatim as an oracle: each step slices the rotating buffers anew, with
-    keyword and in-place outputs, and the window comes from parent_window."""
+    verbatim as an oracle but for its step, which sums in the in-place
+    step's order: each step slices the rotating buffers anew, with keyword
+    and in-place outputs, and the window comes from parent_window."""
     grid = s0.grid
     f_prev = np.array(s0.phi.values, dtype=float)
     accel0 = _fd_stencil(f_prev, grid.dx, 2) - np.sin(f_prev)
@@ -263,10 +281,10 @@ def parent_leapfrog_run(s0, dt, n_steps, stride):
     f_cur[:2], f_cur[-2:] = f_prev[:2], f_prev[-2:]
     f_next = f_prev.copy()
     left, right = f_prev[0], f_prev[-1]
-    scratch = np.empty(grid.n - 4)
-    # the interior rows of _fd_stencil's order-2 stencil, times dt^2
+    # the interior rows of _fd_stencil's order-2 stencil, times dt^2, plus 2f
     c = (dt / grid.dx) ** 2 / 12.0
-    c16, c_mid, dt2 = 16.0 * c, 2.0 - 30.0 * c, dt * dt
+    kernel = np.array([-c, 16.0 * c, 2.0 - 30.0 * c, 16.0 * c, -c])
+    dt2 = dt * dt
     lo, hi = 2, grid.n - 2
     yield s0
     t0 = s0.time
@@ -275,19 +293,11 @@ def parent_leapfrog_run(s0, dt, n_steps, stride):
             lo, hi = parent_window(f_prev, f_cur, left, right, lo, hi)
             for buf in (f_prev, f_next):
                 buf[:lo], buf[hi:] = f_cur[:lo], f_cur[hi:]
-            tmp = scratch[:hi - lo]
         inner = f_next[lo:hi]
         np.sin(f_cur[lo:hi], out=inner)
         inner *= -dt2
         inner -= f_prev[lo:hi]
-        np.add(f_cur[lo - 1:hi - 1], f_cur[lo + 1:hi + 1], out=tmp)
-        tmp *= c16
-        inner += tmp
-        np.add(f_cur[lo - 2:hi - 2], f_cur[lo + 2:hi + 2], out=tmp)
-        tmp *= c
-        inner -= tmp
-        np.multiply(f_cur[lo:hi], c_mid, out=tmp)
-        inner += tmp
+        inner += np.correlate(f_cur[lo - 2:hi + 2], kernel, "valid")
         if step % stride == 0 or step == n_steps:
             _guard(f_next)
             phi_t = (f_next - f_prev) / (2.0 * dt)
@@ -554,6 +564,20 @@ class TestEvolve:
                                       - exact.phi.values)))
         assert errs[0] / errs[1] > 3.0  # ~2^2
 
+    def test_leapfrog_second_order_in_time(self):
+        # all time error: 8.3e-4, 2.1e-4 and 5.2e-5 at dx/2, dx/4 and dx/8
+        grid = make_grid(-128.0, 128.0, 4096)  # dx = 1/16
+        sol = WobblingKink(0.4)
+        s0 = sample_state(sol, grid, 0.0)
+        exact = sample_state(sol, grid, 20.0)
+        errs = []
+        for dt in (grid.dx / 2, grid.dx / 4, grid.dx / 8):
+            traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, dt), 20.0,
+                          snapshot_every=20.0)
+            errs.append(np.max(np.abs(traj.states[-1].phi.values
+                                      - exact.phi.values)))
+        assert errs[0] / errs[1] > 3.0 and errs[1] / errs[2] > 3.0  # ~2^2
+
     def test_yoshida4_fourth_order_in_time(self, grid):
         sol = Breather(BreatherParams(0.0, 0.8, 0.0, 0.0))
         s0 = sample_state(sol, grid, 0.0)
@@ -597,6 +621,21 @@ class TestLeapfrog:
         for state, (phi, pt) in zip(traj.states[1:], ref):
             assert np.max(np.abs(state.phi.values - phi)) < 1e-11
             assert np.max(np.abs(state.phi_t.values - pt)) < 1e-11
+
+    @pytest.mark.parametrize("maker", LEAPFROG_MAKERS)
+    def test_within_rounding_of_the_eleven_call_sum(self, grid, maker):
+        # the correlation sums the stencil in another order than the step
+        # before it; over 1600 steps the two part by at most 5.9e-11 in phi
+        # and 1.7e-11 in phi_t (the perturbed and the fast kink), 3.2e-13
+        # on the zero-topology data
+        s0 = maker(grid)
+        dt = grid.dx / 2
+        traj = evolve(s0, Scheme(SchemeKind.LEAPFROG, dt), 1600 * dt,
+                      snapshot_every=160 * dt)
+        old = reference_leapfrog(s0, dt, 1600, 160, eleven_call_sum)
+        for state, (phi, pt) in zip(traj.states[1:], old, strict=True):
+            assert np.max(np.abs(state.phi.values - phi)) < 2e-10
+            assert np.max(np.abs(state.phi_t.values - pt)) < 2e-10
 
     def test_reference_step_is_the_fd_scheme(self, grid):
         s0 = perturbed_kink_state(grid)
@@ -708,6 +747,18 @@ class TestLeapfrog:
         for s in states:
             assert not np.any(s.phi_t.values[far])
             assert np.array_equal(s.phi.values[far], states[0].phi.values[far])
+
+    def test_data_at_rest_step_an_empty_window(self, grid):
+        # 0 on every cell: no cell is active, the window is empty, and a
+        # step writes nothing
+        zeros = np.zeros(grid.n)
+        s0 = State(Field(grid, zeros), Field(grid, zeros), 0.0, Topology.ZERO)
+        lo, hi = _window(zeros, zeros, 0.0, 0.0, 2, grid.n - 2)
+        assert lo == hi
+        dt = grid.dx / 2
+        for s in snapshots(s0, Scheme(SchemeKind.LEAPFROG, dt), 40 * dt,
+                           8 * dt):
+            assert not np.any(s.phi.values) and not np.any(s.phi_t.values)
 
     @given(amp=st.floats(-0.05, 0.05), center=st.floats(-20.0, 20.0),
            width=st.floats(0.3, 4.0), beta=st.floats(-0.7, 0.7))

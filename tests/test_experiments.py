@@ -497,6 +497,15 @@ class TestCli:
         ({"name": "backlund-roundtrip", "x0": 300}, "anchor outside grid"),
         ({"name": "backlund-roundtrip", "x0": 250},
          "tails did not converge to (0, 2pi)"),
+        # the kink's path ends 2 from the grid's end: it validated, and the
+        # run raised "center jumped by 0.647 at t=59.0"
+        ({"name": "kink-stability", "x_min": -32, "x_max": 32, "n": 512,
+          "epsilon": 0.15, "beta0": -0.5, "t_end": 60},
+         "the kink's path x0 + beta0 t reaches x = -30.000 by t_end=60"),
+        # 6 from the end: both checks failed, and both pass on [-64, 192)
+        ({**EXTERIOR, "n": 1024, "beta0": 0.5, "x0": 28.0, "t_end": 60.0},
+         "with 12 widths 1/gamma = 10.392 a side it must stay inside the "
+         "grid's [-64.0, 64.0]"),
         # json writes inf and nan as Infinity and NaN, which it reads back
         ({**CHEAP, "t_end": np.inf},
          "t_end=inf is not a positive whole number of steps dt=0.03125"),
@@ -523,7 +532,8 @@ class TestCli:
             "wobbler-one-snapshot", "wobbler-x0", "wobbler-beta0-zero",
             "kink-stability-inverse", "kink-stability-inverse-gamma-dx",
             "roundtrip-inverse-gamma-dx", "roundtrip-beta",
-            "roundtrip-anchor", "roundtrip-tails", "t-end-infinity",
+            "roundtrip-anchor", "roundtrip-tails", "kink-stability-path",
+            "exterior-decay-path", "t-end-infinity",
             "t-end-nan",
             "snapshot-every-infinity", "snapshot-every-nan", "dt-nan",
             "dt-infinity", "s-infinity", "s-nan", "s-negative"])
