@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import KinkParams, kink_identities, sech
-from .fields import (Field, Lp, State, Topology, _fd_stencil, _local_poly,
-                     _lp, norm, spatial_derivative)
+from .fields import (Field, Lp, State, Topology, _fd_stencil, _half_sin2x,
+                     _local_poly, _lp, norm, spatial_derivative)
 from .tracking import _orthogonality, solve_center
 
 __all__ = [
@@ -128,10 +128,19 @@ class InverseResult:
 def _pair(f: np.ndarray, phi: np.ndarray, a: float) -> tuple:
     """Right-hand sides (P, M) of the Backlund pair on raw samples:
     f_x - phi_t = P = sin((f+phi)/2)/a + a sin((f-phi)/2) and
-    f_t - phi_x = M = sin((f+phi)/2)/a - a sin((f-phi)/2)."""
-    sp = np.sin(0.5 * (f + phi)) / a
-    sm = a * np.sin(0.5 * (f - phi))
-    return sp + sm, sp - sm
+    f_t - phi_x = M = sin((f+phi)/2)/a - a sin((f-phi)/2).
+
+    Both sines are one stacked _half_sin2x call at x = (f +- phi)/4, whose
+    scratch is the (P, M) rows; its speed depends on the host (see there)."""
+    h, pm = np.empty((2, f.size)), np.empty((2, f.size))
+    np.add(f, phi, out=h[0])
+    np.subtract(f, phi, out=h[1])
+    h *= 0.25
+    _half_sin2x(h, h, pm)
+    h *= [[2.0 / a], [2.0 * a]]
+    np.add(h[0], h[1], out=pm[0])
+    np.subtract(h[0], h[1], out=pm[1])
+    return pm[0], pm[1]
 
 
 def backlund_residual(f: State, phi: State, a: float) -> dict:
@@ -204,16 +213,23 @@ def _blocked_scan(r, y):
     m = r.shape[1]
     e = max(r.max(initial=1.0), -r.min(initial=0.0), *np.abs(y))
     b = int(min(_BLOCK, max(1, 500 // np.log2(2.0 * e))))
-    nb = -(-m // b)
-    q = np.empty((4, nb * b))
-    q[:, :m], q[:, m:] = r, [[1.0], [0.0], [0.0], [1.0]]  # identity padding
-    q = q.reshape(4, nb, b)
+    nb, full = -(-m // b), m // b
+    # q[:, j, k] is cell k b + j, so a pass over j multiplies contiguous rows
+    q = np.empty((4, b, nb))
+    q[:, :, :full] = r[:, :full * b].reshape(4, full, b).transpose(0, 2, 1)
+    if full < nb:  # the last block, padded with the identity
+        rest = m - full * b
+        q[:, :rest, -1] = r[:, full * b:]
+        q[:, rest:, -1] = [[1.0], [0.0], [0.0], [1.0]]
     for j in range(1, b):
-        q[:, :, j] = _matmul(q[:, :, j], q[:, :, j - 1])
+        q[:, j] = _matmul(q[:, j], q[:, j - 1])
     # with y as the matrix (y y), column k is T_(k-1) ... T_0 y, T the totals
-    s = _prefix_products(np.c_[np.repeat(y, 2), q[:, :-1, -1]])[::2]
-    cols = q[0::2] * s[0, :, None] + q[1::2] * s[1, :, None]
-    return np.c_[y, cols.reshape(2, -1)[:, :m]]
+    s = _prefix_products(np.c_[np.repeat(y, 2), q[:, -1, :-1]])[::2]
+    out = np.empty((2, nb * b + 1))
+    out[:, 0] = y
+    out[:, 1:].reshape(2, nb, b)[...] = (q[0::2] * s[0]
+                                         + q[1::2] * s[1]).transpose(0, 2, 1)
+    return out[:, :m + 1]
 
 
 def forward_transform(phi: State, a: float, center: float) -> State:

@@ -38,7 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import Field, State, Topology, _fd_stencil, _trapezoid
+from .fields import (Field, State, Topology, _fd_stencil, _half_sin2x,
+                     _trapezoid)
 
 __all__ = [
     "SchemeKind",
@@ -233,14 +234,17 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     """f_next = 2f - f_prev + dt^2 (f_xx - sin f), 4th-order f_xx, in place.
 
     f_prev, f_cur and f_next are three preallocated buffers that rotate each
-    step.  A step writes the active window [lo, hi) of f_next with five
-    calls: sin, multiply and subtract with positional outputs, then one
-    np.correlate of f_cur's window widened by 2 cells a side with the
-    stencil's kernel [-c, 16c, 2 - 30c, 16c, -c] (c = (dt/dx)^2 / 12), and
-    its add; the two stencil-starved cells at either end hold s0's values
-    in all three buffers.  The two slice views a step reads of each buffer,
-    its window and the window widened by 2 cells a side, are built once per
-    window and rotate with their buffers, so a step slices nothing.
+    step.  A step writes the active window [lo, hi) of f_next: f_cur's
+    window halved into a scratch view, sin f as twice _half_sin2x of it
+    (numpy's tangent, whose speed depends on the host; see there), then
+    multiply and subtract with positional outputs, one np.correlate of
+    f_cur's window widened by 2 cells a side with the stencil's kernel
+    [-c, 16c, 2 - 30c, 16c, -c] (c = (dt/dx)^2 / 12), and its add; the two
+    stencil-starved cells at either end hold s0's values in all three
+    buffers.  The slice views a step reads, each buffer's window and the
+    window widened by 2 cells a side, and the scratch's window, are built
+    once per window, and a buffer's views rotate with it, so a step slices
+    nothing.
 
     The window follows the solution's light cone.  Every _WINDOW_STEPS steps,
     counted from the start of the run and not from the yields, so the window
@@ -250,13 +254,18 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     frozen cell keeps one value through the rotation, and its yielded phi_t
     is exactly 0.
 
-    _QUIET = 1e-12 sits near the rounding drift of a field at its end
-    value: a uniform 2 pi field stepped on every cell at dx = 1/16 and
-    dt = dx/2 is 9.2e-13 off after 1,000 steps, and up to 1.2e-12 on the
-    way.  On kink-stability over [-128, 128) with n = 4096 to t = 100,
-    1e-14 lets that drift widen the window (58% of the cells stepped on
-    average, against 46%), and 1e-10 steps 45% but moves the sup-norm ratio
-    by 3.0e-10 from the full-grid run, against 1.3e-11.
+    _QUIET = 1e-12 is not above the rounding drift of a field held at its
+    end value: a uniform 2 pi field stepped on every cell at dx = 1/16 and
+    dt = dx/2 first reads more than 1e-12 off at step 240, and is so on
+    1,640 of a kink run's 3,200 steps, at most 1.57e-12 (np.sin's sine
+    drifts the same).  It does not widen the window, whose quiet cells the
+    cone reaches first: over those 3,200 steps every window of a moving
+    kink plus a Gaussian stays inside the cone of the data's 1e-12 support
+    plus the 34-cell reach, while at 1e-13 the drift re-activates the 2 pi
+    side's quiet cells and its window runs to the grid's end.  On
+    kink-stability over [-128, 128) with n = 4096 to t = 100, 1e-14 steps
+    58% of the cells on average, against 46%, and 1e-10 steps 45% but moves
+    the sup-norm ratio by 3.0e-10 from the full-grid run, against 1.3e-11.
     Re-deriving every 16 steps keeps the scan, of bands at the last window's
     edges, to a sixteenth of the steps, and the widening it costs, 34 cells
     a side, is small next to the cone.  Data that fill the grid get the
@@ -273,7 +282,9 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
     # the interior rows of _fd_stencil's order-2 stencil, times dt^2, plus 2f
     c = (dt / grid.dx) ** 2 / 12.0
     kernel = np.array([-c, 16.0 * c, 2.0 - 30.0 * c, 16.0 * c, -c])
-    neg_dt2 = -(dt * dt)
+    # sin f = 2 sin(2x)/2 at x = f/2, the 2 folded into the dt^2 factor
+    neg_2dt2 = -2.0 * (dt * dt)
+    half = np.empty(grid.n)  # x = f/2, then _half_sin2x's scratch
     lo, hi = 2, grid.n - 2
     yield s0
     t0 = s0.time
@@ -285,10 +296,12 @@ def _leapfrog_run(s0: State, dt: float, n_steps: int, stride: int):
             # each buffer's window, and the window widened by 2 cells a side
             v_prev, v_cur, v_next = ((b[lo:hi], b[lo - 2:hi + 2])
                                      for b in (f_prev, f_cur, f_next))
+            x = half[lo:hi]
         if lo < hi:  # np.correlate would swap an empty window's operands
             inner, (mid, wide) = v_next[0], v_cur
-            np.sin(mid, inner)
-            np.multiply(inner, neg_dt2, inner)
+            np.multiply(mid, 0.5, x)
+            _half_sin2x(x, inner, x)
+            np.multiply(inner, neg_2dt2, inner)
             np.subtract(inner, v_prev[0], inner)
             np.add(inner, np.correlate(wide, kernel, "valid"), inner)
         if step % stride == 0 or step == n_steps:

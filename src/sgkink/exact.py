@@ -29,15 +29,18 @@ __all__ = [
 
 def sech(z):
     """Overflow-safe sech."""
-    a = np.abs(z)
-    e = np.exp(-a)
+    return _sech(np.exp(-np.abs(z)))
+
+
+def _sech(e):
+    """sech z from e = exp(-|z|)."""
     return 2.0 * e / (1.0 + e * e)
 
 
-def _arctan_exp(z):
-    """arctan(e^z) without overflow: uses arctan(e^z) + arctan(e^-z) = pi/2."""
-    z = np.asarray(z, dtype=float)
-    small = np.arctan(np.exp(-np.abs(z)))
+def _arctan_exp(z, e):
+    """arctan(e^z) without overflow, from e = exp(-|z|): uses arctan(e^z) +
+    arctan(e^-z) = pi/2."""
+    small = np.arctan(e)
     return np.where(z > 0, 0.5 * np.pi - small, small)
 
 
@@ -201,11 +204,13 @@ def sample_state(sol: ExactSolution, grid: Grid, t: float) -> State:
 
 
 def kink_identities(p: KinkParams, t, x) -> dict:
-    """Q, Q_x, Q_t, sin(Q/2), cos(Q/2) through the closed sech/tanh forms."""
+    """Q, Q_x, Q_t, sin(Q/2), cos(Q/2) through the closed sech/tanh forms,
+    which share one exp(-|z|)."""
     z = p.gamma * (np.asarray(x, float) - p.beta * t - p.x0)
-    s = sech(z)
+    e = np.exp(-np.abs(z))
+    s = _sech(e)
     return {
-        "Q": 4.0 * _arctan_exp(z),
+        "Q": 4.0 * _arctan_exp(z, e),
         "Q_x": 2.0 * p.gamma * s,
         "Q_t": -2.0 * p.beta * p.gamma * s,
         "sin_half": s,

@@ -179,6 +179,25 @@ def _fd_stencil(v: np.ndarray, dx: float, order: int,
     return out
 
 
+def _half_sin2x(x: np.ndarray, out: np.ndarray,
+                scratch: np.ndarray) -> np.ndarray:
+    """sin(2x)/2 = t/(1 + t^2), t = tan x, written into out, for hot loops.
+
+    One np.tan and three ufuncs, with scratch as wide as out.  out or
+    scratch may be x, which is then overwritten; out and scratch must not
+    overlap.  Within 3 ulp of np.sin(2x)/2 wherever measured (|2x| <= 4 pi,
+    and near sin's zeros); NaN and +-inf give NaN.  Its speed depends on
+    the host: numpy has a SIMD loop for float64 tan (AVX-512) where its
+    float64 sin and cos are scalar libm loops, and on a host without
+    AVX-512 both are scalar and this costs more than np.sin.
+    """
+    np.tan(x, out=out)
+    np.multiply(out, out, out=scratch)
+    scratch += 1.0
+    np.divide(out, scratch, out=out)
+    return out
+
+
 def _local_poly(x: np.ndarray, v: np.ndarray, at, nu: int = 0) -> np.ndarray:
     """Degree-5 Lagrange polynomial through the 6 nodes around each point of
     `at`, evaluated there, or its slope for nu=1.

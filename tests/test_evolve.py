@@ -40,6 +40,7 @@ from sgkink.fields import (
     State,
     Topology,
     _fd_stencil,
+    _half_sin2x,
     make_grid,
     spatial_derivative,
 )
@@ -227,7 +228,9 @@ def reference_leapfrog(s0, dt, n_steps, stride, interior_sum=correlated_sum):
 
     The default interior sum is written in the in-place step's order, so
     the two differ only where the in-place step freezes cells outside its
-    window; test_reference_step_is_the_fd_scheme ties the sum to _fd_stencil.
+    window and in the sine, libm's np.sin here and the tangent's
+    _half_sin2x in the step; test_reference_step_is_the_fd_scheme ties the
+    sum to _fd_stencil.
     """
     dx = s0.grid.dx
     c = (dt / dx) ** 2 / 12.0
@@ -271,8 +274,9 @@ def parent_window(f_prev, f_cur, left, right, lo, hi):
 def parent_leapfrog_run(s0, dt, n_steps, stride):
     """_leapfrog_run as it was before it kept its window's views, kept
     verbatim as an oracle but for its step, which sums in the in-place
-    step's order: each step slices the rotating buffers anew, with keyword
-    and in-place outputs, and the window comes from parent_window."""
+    step's order and takes sin f as twice _half_sin2x at f/2: each step
+    slices the rotating buffers anew, with keyword and in-place outputs, and
+    the window comes from parent_window."""
     grid = s0.grid
     f_prev = np.array(s0.phi.values, dtype=float)
     accel0 = _fd_stencil(f_prev, grid.dx, 2) - np.sin(f_prev)
@@ -294,8 +298,8 @@ def parent_leapfrog_run(s0, dt, n_steps, stride):
             for buf in (f_prev, f_next):
                 buf[:lo], buf[hi:] = f_cur[:lo], f_cur[hi:]
         inner = f_next[lo:hi]
-        np.sin(f_cur[lo:hi], out=inner)
-        inner *= -dt2
+        _half_sin2x(0.5 * f_cur[lo:hi], inner, np.empty_like(inner))
+        inner *= -2.0 * dt2
         inner -= f_prev[lo:hi]
         inner += np.correlate(f_cur[lo - 2:hi + 2], kernel, "valid")
         if step % stride == 0 or step == n_steps:
@@ -616,8 +620,10 @@ class TestLeapfrog:
                       snapshot_every=160 * dt)
         ref = reference_leapfrog(s0, dt, 1600, 160)
         assert len(traj.states) == len(ref) + 1
-        # same arithmetic in the window; the frozen cells hold the rounding
-        # drift of the reference's full-grid steps back
+        # same arithmetic in the window but for the sine, libm's here and
+        # the tangent's in the step (2.0e-13 on the resting data, where
+        # every cell is stepped); the frozen cells hold the rounding drift
+        # of the reference's full-grid steps back (4.8e-12 on the kinks)
         for state, (phi, pt) in zip(traj.states[1:], ref):
             assert np.max(np.abs(state.phi.values - phi)) < 1e-11
             assert np.max(np.abs(state.phi_t.values - pt)) < 1e-11
@@ -696,6 +702,40 @@ class TestLeapfrog:
                            1600 * dt, 160 * dt):
             pass
         assert len(seen) == 1600 // _WINDOW_STEPS
+
+    def test_windows_stay_in_the_light_cone(self, monkeypatch):
+        # a field held at its end value drifts by rounding, past _QUIET
+        # after a few hundred steps; a quiet cell that the drift made active
+        # would widen the window by its 34-cell reach at each re-derivation,
+        # faster than the cone, so over a kink run's 3200 steps every window
+        # must stay inside the light cone of the data's _QUIET support, plus
+        # that reach
+        g = make_grid(-256.0, 256.0, 8192)
+        s0 = perturbed_kink_state(g)
+        f, pt = s0.phi.values, s0.phi_t.values
+        first = np.flatnonzero((np.abs(f - f[0]) > _QUIET)
+                               | (np.abs(pt) > _QUIET))[0]
+        last = np.flatnonzero((np.abs(f - f[-1]) > _QUIET)
+                              | (np.abs(pt) > _QUIET))[-1]
+        reach = (2 * _WINDOW_STEPS + 2) * g.dx
+        windowed = sgkink.evolve._window
+        seen = []
+
+        def recorded(*args):
+            seen.append(windowed(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(sgkink.evolve, "_window", recorded)
+        dt = g.dx / 2
+        for _ in snapshots(s0, Scheme(SchemeKind.LEAPFROG, dt), 3200 * dt,
+                           3200 * dt):
+            pass
+        assert len(seen) == 3200 // _WINDOW_STEPS
+        for k, (lo, hi) in enumerate(seen):
+            t = (k * _WINDOW_STEPS + 1) * dt  # f_cur's time at derivation
+            assert 2 < lo and hi < g.n - 2
+            assert g.x[lo] >= g.x[first] - t - reach
+            assert g.x[hi - 1] <= g.x[last] + t + reach
 
     @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("maker", [perturbed_kink_state, small_state,

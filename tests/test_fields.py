@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import BarycentricInterpolator
 
+from sgkink.evolve import _guard
 from sgkink.fields import (
     Field,
     Grid,
@@ -18,6 +19,7 @@ from sgkink.fields import (
     Topology,
     WeightedSobolev,
     _fd_stencil,
+    _half_sin2x,
     _l2plus_linf,
     _local_poly,
     bessel_multiplier,
@@ -232,6 +234,44 @@ class TestSpatialDerivative:
         out = np.empty_like(v)
         assert _fd_stencil(v, grid.dx, 1, out=out) is out
         assert np.array_equal(out, _fd_stencil(v, grid.dx, 1))
+
+
+class TestHalfSin2x:
+    """sin y as twice _half_sin2x at y/2, as the leapfrog step and the
+    Backlund pair take it, against libm's np.sin; a RuntimeWarning on
+    finite input fails these tests (pyproject.toml's filterwarnings)."""
+
+    @given(y=st.lists(st.one_of(st.floats(-4.0 * np.pi, 4.0 * np.pi),
+                                st.floats(-1e-8, 1e-8)),
+                      min_size=1, max_size=64))
+    # the zeros and extrema of sin, and the smallest subnormal
+    @example(y=[0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, 4.0 * np.pi,
+                0.5 * np.pi, -1.5 * np.pi, 5e-324, 1e-8])
+    @settings(max_examples=200, deadline=None)
+    def test_within_4_ulp_of_np_sin(self, y):
+        y = np.array(y)
+        got = 2.0 * _half_sin2x(0.5 * y, np.empty_like(y), np.empty_like(y))
+        want = np.sin(y)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+
+    def test_nan_and_inf_give_nan(self):
+        x = np.array([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):  # tan(+-inf), as sin(+-inf)
+            got = _half_sin2x(x, np.empty(3), np.empty(3))
+        assert np.all(np.isnan(got))
+        for value in got:
+            with pytest.raises(RuntimeError, match="blow-up"):
+                _guard(np.array([0.0, value]))
+
+    def test_in_place_on_its_input(self):
+        # out or scratch may be x, as in the leapfrog step and _pair
+        x = np.linspace(-7.0, 7.0, 101)
+        want = _half_sin2x(x, np.empty_like(x), np.empty_like(x))
+        for out_is_x in (True, False):
+            y, other = x.copy(), np.empty_like(x)
+            out, scratch = (y, other) if out_is_x else (other, y)
+            assert _half_sin2x(y, out, scratch) is out
+            assert np.array_equal(out, want)
 
 
 class TestBesselMultiplier:
